@@ -28,11 +28,11 @@ print(f"\npredicted schedule: {schedule}")
 print(f"predicted S_crossref = {s_crossref} products "
       f"(naive global sum: 2^9 = {2 ** 9})")
 
-log = []
-result = regroup_all(segments, step_log=log)
-for entry in log:
-    print(f"  step {entry['pair']}: 2^{entry['p']} = {entry['cost']} products, "
-          f"running total {entry['cumulative']}")
+result = regroup_all(segments)
+running = 0
+for i, j, p in result.steps:
+    running += 2 ** p
+    print(f"  step {[i, j]}: 2^{p} = {2 ** p} products, running total {running}")
 print(f"\nregrouped value: {result.value.to_complex():.6f}")
 
 # the brute-force oracle sums the product over all 2^9 assignments;

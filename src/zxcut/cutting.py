@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram
-from .scalars import phase8_complex
+from .scalars import ScalarC, phase8_complex
 from .simplify import _clear_self_loops
 from .tensor import tensor_of
 
@@ -59,6 +59,19 @@ def cut_normalization() -> tuple[float, complex]:
     return abs(nu), complex(mu)
 
 
+def mul_cut_weight(scalar: ScalarC, degree: int) -> None:
+    """Multiply ``scalar`` by ``nu^degree * mu``, the assignment-independent
+    weight of cutting a spider with ``degree`` legs; ``nu`` goes in as an
+    exact sqrt(2) power when it is one."""
+    nu, mu = cut_normalization()
+    half_pow = round(2 * np.log2(nu))
+    if abs(nu - 2.0 ** (half_pow / 2)) < 1e-12:
+        scalar.mul_sqrt2(half_pow * degree)
+    else:
+        scalar.mul_complex(nu ** degree)
+    scalar.mul_complex(mu)
+
+
 def cut_spider(d: ZxDiagram, v: int, p: int) -> ZxDiagram:
     """Cut spider ``v``, introducing fresh boolean parameter ``p``.
 
@@ -95,13 +108,7 @@ def cut_spider(d: ZxDiagram, v: int, p: int) -> ZxDiagram:
         piece = out.add_spider(SpiderKind.Z, Phase(0, frozenset({p})))
         out.add_edge(piece, u, EdgeKind(1 - kind))
 
-    nu, mu = cut_normalization()
-    half_pow = round(2 * np.log2(nu))
-    if abs(nu - 2.0 ** (half_pow / 2)) < 1e-12:
-        out.scalar.mul_sqrt2(half_pow * len(legs))
-    else:
-        out.scalar.mul_complex(nu ** len(legs))
-    out.scalar.mul_complex(mu)
+    mul_cut_weight(out.scalar, len(legs))
     out.params.add(p)
     out.param_coeffs[p] = (1 + 0j, phase8_complex(alpha))
     return out

@@ -13,13 +13,12 @@ resource caps aborts with the plan attached instead of running.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 from .circuits import Circuit
 from .costmodel import CostModel
-from .cutting import cut_normalization, instantiate
+from .cutting import instantiate, mul_cut_weight
 from .decompose import DecomposeStats, Decomposition, decompose_to_scalar
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
 from .partition import PartitionPlan, choose_k
@@ -123,20 +122,13 @@ def split_segments(g: ZxDiagram, plan: PartitionPlan
         segs.append(seg)
 
     overall = g.scalar.copy()
-    nu, mu = cut_normalization()
-    half_pow = round(2 * math.log2(nu))
     for w in sorted(cut):
         sw = g.spiders[w]
         if sw.phase.params:
             raise ValueError("cut spiders must be parameter-free; cut before "
                              "introducing other parameters")
         alpha = sw.phase.fixed
-        degree = g.degree(w)
-        if abs(nu - 2.0 ** (half_pow / 2)) < 1e-12:
-            overall.mul_sqrt2(half_pow * degree)
-        else:
-            overall.mul_complex(nu ** degree)
-        overall.mul_complex(mu)
+        mul_cut_weight(overall, g.degree(w))
         home = min(p for p in range(plan.k) if w in part_params[p])
         segs[home].param_coeffs[w] = (1 + 0j, phase8_complex(alpha))
         for u, row in sorted(g.adj[w].items()):

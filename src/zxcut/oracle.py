@@ -2,9 +2,10 @@
 global parameter sum.
 
 Kept deliberately separate from the diagram machinery: gates act on state
-vectors by their matrix definitions, HSH is applied as three gates, and bit
-extraction below is a per-bit loop rather than the bit-twiddling kernel used
-by the regrouping code.
+vectors by their matrix definitions, HSH is applied as three gates, and the
+global sum below extracts bits in a per-bit loop and multiplies table entries
+one assignment at a time, sharing nothing with the einsum contraction of the
+regrouping code.
 """
 from __future__ import annotations
 

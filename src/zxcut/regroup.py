@@ -6,26 +6,32 @@ indexed by its c local cut parameters (first parameter in ascending id order
 the connected pair with the fewest collective local parameters; parameters
 appearing in no third segment are summed out by the step.
 
-The inner product/accumulate loop exists twice: a plain sequential reference
-(deterministic, bit-identical across runs) and a chunked numpy path used for
-large tables, whose scatter-add (`np.add.at`) is the portable equivalent of
-an atomic accumulation.  Order of accumulation within a bin is unspecified
-beyond float commutativity.
+Every step is one ``np.einsum`` over ``(2,)*c`` arrays, one axis per
+parameter in ascending id order, each array carrying one shared sqrt(2)
+exponent.  After each step the result is rescaled by an exact power of two
+that moves into the exponent, so a long chain of steps cannot overflow.
+``local_index`` is the plain reference form of the bit extraction that the
+tests pin down; ``min_pair`` is the schedule's pair choice on a hypergraph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cutting import instantiate
 from .decompose import DecomposeStats, Decomposition, decompose_to_scalar
 from .diagram import ZxDiagram
-from .scalars import ScalarC, scalar_sum
+from .scalars import ScalarC
 from .simplify import param_safe_simplify
 
-NUMPY_TABLE_THRESHOLD = 2 ** 14
-CHUNK = 2 ** 20
+NUMPY_TABLE_THRESHOLD = 2 ** 14  # selects nothing; bench/test_bench.py imports it
+
+# An entry this many sqrt(2) powers below its table's largest is still a
+# normal double in the table's shared-exponent array; further down it would
+# turn subnormal or zero.
+_MAX_POW_SPREAD = 2 * 1020
 
 
 @dataclass
@@ -72,17 +78,6 @@ def local_index_array(global_idx: np.ndarray, mask: int, n_params: int) -> np.nd
     return out
 
 
-def param_mask(subset, ordered_params) -> int:
-    """Bitmask of ``subset`` within ``ordered_params`` (first = MSB)."""
-    n = len(ordered_params)
-    mask = 0
-    sub = set(subset)
-    for pos, p in enumerate(ordered_params):
-        if p in sub:
-            mask |= 1 << (n - 1 - pos)
-    return mask
-
-
 # -- segment precomputation ----------------------------------------------------
 
 def precompute_segment(
@@ -122,55 +117,74 @@ class SegmentHypergraph:
     def live(self) -> list[int]:
         return [i for i, s in enumerate(self.segments) if s is not None]
 
-    def param_map(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for i in self.live():
-            for p in self.segments[i].local_params:
-                out.setdefault(p, set()).add(i)
-        return out
+    def param_sets(self) -> list[set[int] | None]:
+        return [None if s is None else set(s.local_params) for s in self.segments]
+
+
+def _cheapest_pair(sets: list[set[int] | None]) -> tuple[int, int, int] | None:
+    """(p, i, j) for the connected pair of live sets with the fewest
+    collective parameters p, ties broken lexicographically; None if no pair
+    shares a parameter."""
+    live = [i for i, s in enumerate(sets) if s is not None]
+    return min(((len(sets[i] | sets[j]), i, j)
+                for a, i in enumerate(live) for j in live[a + 1:]
+                if sets[i] & sets[j]), default=None)
 
 
 def min_pair(h: SegmentHypergraph) -> tuple[int, int, int] | None:
-    """The connected segment pair with the fewest collective local
-    parameters, ties broken lexicographically; None if no pair shares a
+    """The connected segment pair (i, j, p) with the fewest collective local
+    parameters p, ties broken lexicographically; None if no pair shares a
     parameter."""
-    live = h.live()
-    best = None
-    for a in range(len(live)):
-        i = live[a]
-        pi = set(h.segments[i].local_params)
-        for j in live[a + 1:]:
-            pj = set(h.segments[j].local_params)
-            if not (pi & pj):
-                continue
-            p = len(pi | pj)
-            if best is None or (p, i, j) < best:
-                best = (p, i, j)
+    best = _cheapest_pair(h.param_sets())
     if best is None:
         return None
     p, i, j = best
     return i, j, p
 
 
-def _merged_params(h: SegmentHypergraph, i: int, j: int) -> tuple[int, ...]:
-    a = set(h.segments[i].local_params)
-    b = set(h.segments[j].local_params)
-    elsewhere: set[int] = set()
-    for k in h.live():
-        if k not in (i, j):
-            elsewhere |= set(h.segments[k].local_params)
-    return tuple(sorted((a ^ b) | (a & b & elsewhere)))
+def _merged(sets: list[set[int] | None], i: int, j: int) -> set[int]:
+    """Parameters left open by contracting live sets i and j: those in only
+    one of the two, and shared ones that a third live set also holds."""
+    elsewhere = set().union(*(s for k, s in enumerate(sets)
+                              if s is not None and k not in (i, j)))
+    return (sets[i] ^ sets[j]) | (sets[i] & sets[j] & elsewhere)
 
 
-def _table_to_array(scalars: list[ScalarC]) -> tuple[np.ndarray, int]:
-    """Common-exponent numpy view of a ScalarC table."""
-    pows = [s.sqrt2_pow for s in scalars if not s.is_zero]
-    base = max(pows) if pows else 0
-    arr = np.array(
-        [0j if s.is_zero else s.coeff * 2.0 ** (0.5 * (s.sqrt2_pow - base))
-         for s in scalars],
-        dtype=complex)
-    return arr, base
+def _table_to_array(seg: Segment) -> tuple[np.ndarray, int]:
+    """A segment's table as a ``(2,)*c`` array and one shared sqrt(2)
+    exponent, taken from its largest entry."""
+    coeffs = np.array([s.coeff for s in seg.scalars], dtype=complex)
+    pows = np.array([s.sqrt2_pow for s in seg.scalars])
+    nonzero = coeffs != 0
+    base = int(pows[nonzero].max()) if nonzero.any() else 0
+    shift = np.where(nonzero, pows - base, 0)
+    if shift.min() < -_MAX_POW_SPREAD:
+        raise ValueError("table entries span more than 2^1020 in magnitude; "
+                         "a shared exponent would flush the smallest to zero")
+    arr = coeffs * np.exp2(0.5 * shift)
+    return arr.reshape((2,) * len(seg.local_params)), base
+
+
+def _contract(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int],
+              params_a: set[int], params_b: set[int], params_out: set[int]
+              ) -> tuple[np.ndarray, int]:
+    """One regroup step: sum the product of tables a and b over every
+    parameter not in ``params_out``.  Returns the result rescaled so that its
+    largest magnitude lies in [1/2, 1), with the power of two moved into the
+    sqrt(2) exponent."""
+    label = {p: n for n, p in enumerate(params_a | params_b)}
+
+    def axes(params):
+        return [label[p] for p in sorted(params)]
+
+    arr = np.einsum(a[0], axes(params_a), b[0], axes(params_b), axes(params_out))
+    largest = float(np.abs(arr).max())
+    if largest == 0:
+        return arr, 0
+    # clamped so that 2^-e stays finite when ``largest`` is subnormal
+    e = max(math.frexp(largest)[1], -1020)
+    arr *= 2.0 ** -e
+    return arr, a[1] + b[1] + 2 * e
 
 
 def regroup_pair(h: SegmentHypergraph, i: int, j: int) -> int:
@@ -179,103 +193,59 @@ def regroup_pair(h: SegmentHypergraph, i: int, j: int) -> int:
     seg_a, seg_b = h.segments[i], h.segments[j]
     if seg_a is None or seg_b is None:
         raise ValueError("segment already regrouped away")
-    shared = set(seg_a.local_params) & set(seg_b.local_params)
-    if not shared:
+    sets = h.param_sets()
+    if not sets[i] & sets[j]:
         raise ValueError("segments are not connected")
-    union = tuple(sorted(set(seg_a.local_params) | set(seg_b.local_params)))
-    new_params = _merged_params(h, i, j)
-    n = len(union)
-    mask_a = param_mask(seg_a.local_params, union)
-    mask_b = param_mask(seg_b.local_params, union)
-    mask_c = param_mask(new_params, union)
-
-    if 2 ** n >= NUMPY_TABLE_THRESHOLD:
-        arr_a, pow_a = _table_to_array(seg_a.scalars)
-        arr_b, pow_b = _table_to_array(seg_b.scalars)
-        out = np.zeros(2 ** len(new_params), dtype=complex)
-        for lo in range(0, 2 ** n, CHUNK):
-            idx = np.arange(lo, min(lo + CHUNK, 2 ** n), dtype=np.int64)
-            ab = local_index_array(idx, mask_a, n)
-            bc = local_index_array(idx, mask_b, n)
-            ac = local_index_array(idx, mask_c, n)
-            np.add.at(out, ac, arr_a[ab] * arr_b[bc])
-        new_scalars = [ScalarC(z, pow_a + pow_b) if z != 0 else ScalarC.zero()
-                       for z in out]
-    else:
-        new_scalars = [ScalarC.zero() for _ in range(2 ** len(new_params))]
-        for idx in range(2 ** n):
-            ab = local_index(idx, mask_a, n)
-            bc = local_index(idx, mask_b, n)
-            ac = local_index(idx, mask_c, n)
-            new_scalars[ac] = new_scalars[ac].plus(
-                seg_a.scalars[ab].times(seg_b.scalars[bc]))
-
-    h.segments[i] = Segment(new_params, new_scalars)
+    merged = _merged(sets, i, j)
+    arr, pow_ = _contract(_table_to_array(seg_a), _table_to_array(seg_b),
+                          sets[i], sets[j], merged)
+    h.segments[i] = Segment(tuple(sorted(merged)),
+                            [ScalarC(z, pow_) for z in arr.reshape(-1).tolist()])
     h.segments[j] = None
-    return n
+    return len(sets[i] | sets[j])
 
 
 def plan_schedule(param_sets: list[set[int]]) -> tuple[list[tuple[int, int, int]], int]:
-    """Simulate the regroup order on parameter sets alone.
+    """The regroup order, worked out on parameter sets alone.
 
     Returns (steps, s_crossref) where each step is (i, j, p) and s_crossref
-    is the exact sum of 2^p over steps; mirrors the live regrouping so
-    predicted and executed costs agree.
+    is the exact sum of 2^p over steps; :func:`regroup_all` executes exactly
+    these steps, so predicted and executed costs agree.
     """
     live: list[set[int] | None] = [set(s) for s in param_sets]
     steps = []
-    total = 0
-    while True:
-        best = None
-        idxs = [i for i, s in enumerate(live) if s is not None]
-        for a in range(len(idxs)):
-            i = idxs[a]
-            for j in idxs[a + 1:]:
-                if live[i] & live[j]:
-                    p = len(live[i] | live[j])
-                    if best is None or (p, i, j) < best:
-                        best = (p, i, j)
-        if best is None:
-            return steps, total
+    while (best := _cheapest_pair(live)) is not None:
         p, i, j = best
-        elsewhere: set[int] = set()
-        for k in idxs:
-            if k not in (i, j):
-                elsewhere |= live[k]
-        merged = (live[i] ^ live[j]) | (live[i] & live[j] & elsewhere)
         steps.append((i, j, p))
-        total += 2 ** p
-        live[i] = merged
-        live[j] = None
+        live[i], live[j] = _merged(live, i, j), None
+    return steps, sum(2 ** p for _, _, p in steps)
 
 
 @dataclass
 class RegroupResult:
     value: ScalarC
-    s_crossref: int = 0
-    steps: list[tuple[int, int, int]] = field(default_factory=list)
+    s_crossref: int
+    steps: list[tuple[int, int, int]]
 
 
-def regroup_all(segments, step_log: list | None = None) -> RegroupResult:
-    """Contract all segments cheapest-pair-first down to one scalar.
+def regroup_all(segments) -> RegroupResult:
+    """Contract all segments cheapest-pair-first down to one scalar, running
+    the steps of :func:`plan_schedule`; the input segments stay unchanged.
 
     Independent groups (sharing no parameters) multiply; a parameter held by
     a single segment is summed out in place at the end, which only happens
     for degenerate synthetic inputs.
     """
-    h = SegmentHypergraph(segments)
-    result = RegroupResult(ScalarC.one())
-    while True:
-        pick = min_pair(h)
-        if pick is None:
-            break
-        i, j, _ = pick
-        p = regroup_pair(h, i, j)
-        result.s_crossref += 2 ** p
-        result.steps.append((i, j, p))
-        if step_log is not None:
-            step_log.append({"pair": [i, j], "p": p, "cost": 2 ** p,
-                             "cumulative": result.s_crossref})
-    for i in h.live():
-        result.value.mul(scalar_sum(h.segments[i].scalars))
-    return result
+    segments = list(segments)
+    sets: list[set[int] | None] = [set(s.local_params) for s in segments]
+    tables = [_table_to_array(s) for s in segments]
+    steps, s_crossref = plan_schedule(sets)
+    for i, j, _ in steps:
+        merged = _merged(sets, i, j)
+        tables[i] = _contract(tables[i], tables[j], sets[i], sets[j], merged)
+        sets[i], sets[j], tables[j] = merged, None, None
+    value = ScalarC.one()
+    for table in tables:
+        if table is not None:
+            value.mul(ScalarC(complex(table[0].sum()), table[1]))
+    return RegroupResult(value, s_crossref, steps)

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-import zxcut.regroup as rg
 from zxcut.cutting import cut_spider, instantiate
 from zxcut.decompose import DecomposeStats, decompose_to_scalar
 from zxcut.diagram import SpiderKind, diagram_from_circuit, plug
 from zxcut.oracle import naive_global_sum
 from zxcut.regroup import (Segment, SegmentHypergraph, local_index,
-                           local_index_array, min_pair, param_mask,
-                           plan_schedule, precompute_segment, regroup_all,
-                           regroup_pair)
+                           local_index_array, min_pair, plan_schedule,
+                           precompute_segment, regroup_all, regroup_pair)
 from zxcut.scalars import ScalarC
 
 from helpers import random_circuit
@@ -58,12 +56,6 @@ def test_local_index_vectorised_matches_scalar():
         vec = local_index_array(idx, mask, n)
         for g in range(2 ** n):
             assert vec[g] == local_index(g, mask, n)
-
-
-def test_param_mask_order():
-    # first (smallest) parameter is the most significant bit
-    assert param_mask([3, 9], [3, 7, 9]) == 0b101
-    assert param_mask([7], [3, 7, 9]) == 0b010
 
 
 # -- worked regrouping examples ------------------------------------------------
@@ -191,21 +183,54 @@ def test_cost_accounting_exact():
         assert result.s_crossref == predicted
 
 
-def test_numpy_path_matches_reference():
+def test_large_steps_and_open_parameter_match_naive_sum():
+    # 15 parameters; the first step has 2^15 products and keeps parameter 14,
+    # which all three segments hold, open for the second
     rng = default_rng(5)
-    old = rg.NUMPY_TABLE_THRESHOLD
+    sets = [list(range(7)) + [14], list(range(14)), list(range(7, 15))]
+    segs = []
+    for ps in sets:
+        size = 2 ** len(ps)
+        vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        pows = rng.integers(-2, 3, size=size)
+        segs.append(Segment(tuple(ps), [ScalarC(complex(v), int(k))
+                                        for v, k in zip(vals, pows)]))
+    before = [(s.local_params, [(x.coeff, x.sqrt2_pow) for x in s.scalars])
+              for s in segs]
+    result = regroup_all(segs)
+    assert [p for _, _, p in result.steps] == [15, 8]
+    want = naive_global_sum(segs)
+    assert abs(result.value.to_complex() - want) <= 1e-12 * max(1.0, abs(want))
+    # the input tables are left as they were
+    assert before == [(s.local_params, [(x.coeff, x.sqrt2_pow) for x in s.scalars])
+                      for s in segs]
+
+
+def test_tiny_entry_is_not_flushed_to_zero():
+    # 1 * 0 + 2^-1100 * 2^1100 = 1: a shared-exponent table that flushed
+    # the tiny entry would return 0 without a word
+    a = Segment((0,), [ScalarC(1, 0), ScalarC(1, -2200)])
+    b = Segment((0,), [ScalarC(0), ScalarC(1, 2200)])
     try:
-        for _ in range(40):
-            segs = random_system(rng, k_max=4, p_max=9)
-            copy1 = [Segment(s.local_params, [x.copy() for x in s.scalars]) for s in segs]
-            copy2 = [Segment(s.local_params, [x.copy() for x in s.scalars]) for s in segs]
-            rg.NUMPY_TABLE_THRESHOLD = 1
-            fast = regroup_all(copy1).value.to_complex()
-            rg.NUMPY_TABLE_THRESHOLD = old
-            ref = regroup_all(copy2).value.to_complex()
-            assert abs(fast - ref) <= 1e-10 * max(1.0, abs(ref))
-    finally:
-        rg.NUMPY_TABLE_THRESHOLD = old
+        got = regroup_all([a, b]).value.to_complex()
+    except ValueError:
+        return
+    assert abs(got - 1) <= 1e-12
+
+
+def test_long_chain_does_not_overflow():
+    # 280 segments over parameters 3i..3i+5: each step sums 8 products of
+    # 1.99s, so without rescaling the tables would reach about 2^1120
+    segs = [Segment(tuple(range(3 * i, 3 * i + 6)), [ScalarC(1.99)] * 64)
+            for i in range(280)]
+    got = regroup_all(segs).value
+    want = ScalarC(1)
+    want.mul_sqrt2(2 * 3 * 281)
+    for _ in range(280):
+        want.mul_complex(1.99)
+    assert not got.is_zero
+    ratio = got.coeff / want.coeff * 2.0 ** (0.5 * (got.sqrt2_pow - want.sqrt2_pow))
+    assert abs(ratio - 1) <= 1e-12
 
 
 def test_sequential_reference_is_reproducible():

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Choosing how many parts to cut a diagram into: the planner prices every
 candidate k with the projected-runtime model and keeps the cheapest, so
-partitioning never looks worse than plain decomposition."""
+partitioning never looks worse than plain decomposition.  It plans each
+connected component of the simplified diagram alone and merges the results,
+so components that are already apart cost no cuts and no search between
+them."""
 import json
 
 from zxcut import (CompoundSpec, CostModel, choose_k, clifford_simplify,

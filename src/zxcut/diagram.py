@@ -201,6 +201,24 @@ class ZxDiagram:
             comps.append(comp)
         return comps
 
+    def subdiagram(self, keep) -> "ZxDiagram":
+        """Induced subdiagram on ``keep``, preserving spider ids; its scalar
+        is one and it has no boundaries or parameters."""
+        keep = set(keep)
+        d = ZxDiagram()
+        d._next = self._next
+        for v in sorted(keep):
+            d.spiders[v] = self.spiders[v].copy()
+            d.adj[v] = {}
+        for v in sorted(keep):
+            for u, row in self.adj[v].items():
+                if u in keep and u >= v:
+                    fresh = row.copy()
+                    d.adj[v][u] = fresh
+                    if u != v:
+                        d.adj[u][v] = fresh
+        return d
+
     def copy(self) -> "ZxDiagram":
         d = ZxDiagram.__new__(ZxDiagram)
         d.spiders = {v: s.copy() for v, s in self.spiders.items()}

@@ -86,24 +86,6 @@ def estimate_naive(plan: PartitionPlan, cm: CostModel) -> float:
     return cm.t_overhead + (2.0 ** len(plan.cut_spiders)) * per_term / cm.r_decomp
 
 
-def _subdiagram(g: ZxDiagram, keep) -> ZxDiagram:
-    """Induced subdiagram on ``keep``, preserving spider ids."""
-    keep = set(keep)
-    d = ZxDiagram()
-    d._next = g._next
-    for v in sorted(keep):
-        d.spiders[v] = g.spiders[v].copy()
-        d.adj[v] = {}
-    for v in sorted(keep):
-        for u, row in g.adj[v].items():
-            if u in keep and u >= v:
-                fresh = row.copy()
-                d.adj[v][u] = fresh
-                if u != v:
-                    d.adj[u][v] = fresh
-    return d
-
-
 def split_segments(g: ZxDiagram, plan: PartitionPlan
                    ) -> tuple[list[ZxDiagram], list[set[int]], ScalarC]:
     """Carve the simplified diagram into per-part segment diagrams.
@@ -117,7 +99,7 @@ def split_segments(g: ZxDiagram, plan: PartitionPlan
     segs = []
     for part in range(plan.k):
         members = {v for v, p in plan.assignment.items() if p == part}
-        seg = _subdiagram(g, members)
+        seg = g.subdiagram(members)
         seg.params = set(part_params[part])
         segs.append(seg)
 

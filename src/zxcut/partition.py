@@ -1,16 +1,25 @@
-"""Balanced k-way partitioning of ZX-diagrams by vertex cuts.
+"""Balanced k-way partitioning of ZX-diagrams by vertex cuts, planned one
+connected component at a time.
 
-The diagram maps to its dual hypergraph (every edge a node, every spider a
-hyperedge over its incident edges, T-spiders weighted 1 for balance), which
-is split by seeded multi-start recursive bisection with Fiduccia-Mattheyses
-refinement.  A spider whose incident edges span more than one part is a cut
-spider; parts are balanced on the T-weight of the spiders they fully
-contain.
+A simplified diagram that falls apart into connected components is already
+partitioned, with zero cuts.  ``choose_k`` therefore plans each component
+alone and merges the component plans into one: part ids are offset per
+component, and the regroup schedule is worked out once over all parts.
 
-``choose_k`` scores every candidate part count with the projected-runtime
-model (precompute + cross-reference + configured overhead) and keeps the
-cheapest plan; k = 1 (plain decomposition) is always a candidate, so
-partitioning never looks worse than not partitioning.
+Within a component, the diagram maps to its dual hypergraph (every edge a
+node, every spider a hyperedge over its incident edges, T-spiders weighted 1
+for balance), which is split by seeded multi-start recursive bisection with
+Fiduccia-Mattheyses refinement.  A spider whose incident edges span more
+than one part is a cut spider; parts are balanced on the T-weight of the
+spiders they fully contain.
+
+Every candidate part count is priced with the projected-runtime model
+(precompute + cross-reference + configured overhead) and the cheapest is
+kept.  A component's k = 1 candidate is one precomputed segment,
+2^(alpha*t_c) / rPrecomp; for a connected diagram, which is a single
+component, it is plain decomposition at rDecomp instead.  The whole-diagram
+k = 1 plan is always a candidate, so partitioning never looks worse than not
+partitioning.
 """
 from __future__ import annotations
 
@@ -99,9 +108,14 @@ class _Bisection:
         self._edges_of = {
             n: [e for e in set(h.node_edges[n]) if e in self.cnt] for n in nodes
         }
+        # every node's neighbours through alive hyperedges, itself included
+        self.nbrs = {
+            n: sorted({m for e in self._edges_of[n] for m in h.pins[e]}) for n in nodes
+        }
+        self.cut = 0  # alive hyperedges with pins on both sides
 
     def cut_size(self) -> int:
-        return sum(1 for c in self.cnt.values() if c[0] and c[1])
+        return self.cut
 
     def imbalance(self, targets) -> float:
         return max(0.0, self.tw[0] - targets[0], self.tw[1] - targets[1])
@@ -122,12 +136,14 @@ class _Bisection:
         for e in self._edges_of[n]:
             c = self.cnt[e]
             w = self.h.weights[e]
-            if c[1 - s] == 0:
+            was_cut = c[1 - s] > 0
+            if not was_cut:
                 self.tw[s] -= w
             c[s] -= 1
             c[1 - s] += 1
             if c[s] == 0:
                 self.tw[1 - s] += w
+            self.cut += (c[s] > 0) - was_cut
         self.side[n] = 1 - s
         self.ncount[s] -= 1
         self.ncount[1 - s] += 1
@@ -139,10 +155,6 @@ class _Bisection:
         arriving = sum(self.h.weights[e] for e in self._edges_of[n]
                        if self.cnt[e][s] == 1 and self.cnt[e][1 - s] > 0)
         return self.tw[1 - s] + arriving <= caps[1 - s]
-
-    def neighbours(self, n: int):
-        for e in self._edges_of[n]:
-            yield from self.h.pins[e]
 
 
 def _node_components(bis: _Bisection) -> list[list[int]]:
@@ -156,7 +168,7 @@ def _node_components(bis: _Bisection) -> list[list[int]]:
         stack = [start]
         while stack:
             n = stack.pop()
-            for m in bis.neighbours(n):
+            for m in bis.nbrs[n]:
                 if m not in seen:
                     seen.add(m)
                     comp.append(m)
@@ -170,7 +182,10 @@ def _seed_side0(bis: _Bisection, target0: float, floors, rng) -> None:
     within the node-floor window."""
     comps = _node_components(bis)
     if len(comps) > 1:
-        # pack whole components: no cut needed between them
+        # pack whole components: no cut needed between them.  choose_k hands
+        # partition_k one connected component at a time, but this is still
+        # reached: a bisection for k >= 3 can leave one side in disconnected
+        # pieces, and partition_k is public.
         def cw(comp):
             cset = set(comp)
             t = sum(bis.h.weights[e] for e in bis.alive
@@ -199,7 +214,7 @@ def _seed_side0(bis: _Bisection, target0: float, floors, rng) -> None:
     while queue:
         n = queue.pop(0)
         order.append(n)
-        for m in sorted(set(bis.neighbours(n))):
+        for m in bis.nbrs[n]:
             if m not in seen:
                 seen.add(m)
                 queue.append(m)
@@ -241,7 +256,7 @@ def _fm_refine(bis: _Bisection, caps, floors, targets) -> None:
             locked.add(n)
             history.append(n)
             trace.append((bis.cut_size(), bis.imbalance(targets)))
-            for m in set(bis.neighbours(n)):
+            for m in bis.nbrs[n]:
                 if m not in locked:
                     heapq.heappush(heap, (-bis.gain(m), m))
         best = min(range(len(trace)), key=lambda i: (trace[i], i))
@@ -388,40 +403,53 @@ class PartitionPlan:
         }
 
 
-def choose_k(
+def _unsplit(d: ZxDiagram, cm: CostModel) -> PartitionPlan:
+    """The k = 1 plan: every spider in one part, priced as plain
+    decomposition."""
+    t = d.t_count()
+    plan = PartitionPlan(k=1, alpha=cm.alpha, t_total=t, per_part=[(t, 0)],
+                         assignment=dict.fromkeys(d.spiders, 0))
+    plan.s_decomp = plan.s_precomp = 2.0 ** (cm.alpha * t)
+    plan.t_direct_est = plan.t_smart_est = plan.s_decomp / cm.r_decomp
+    return plan
+
+
+def _cheapest(candidates: list[PartitionPlan], force_partition: bool) -> PartitionPlan:
+    pool = [c for c in candidates if c.k >= 2] if force_partition else candidates
+    return min(pool or candidates, key=lambda c: (c.t_smart_est, c.k))
+
+
+def _plan_component(
     d: ZxDiagram,
     cm: CostModel,
-    k_max: int | None = None,
-    seed: int = 0,
-    force_partition: bool = False,
+    k_max: int | None,
+    seed: int,
+    force_partition: bool,
+    alone: bool,
 ) -> PartitionPlan:
-    """Pick the part count with the lowest projected runtime.
+    """The candidate loop: price k = 1..k_max for one connected diagram and
+    keep the cheapest.
 
-    Candidates run from 1 to k_max (default min(16, t/4)); the k = 1 plan is
-    plain decomposition, so the winner never projects slower than that
-    unless ``force_partition`` excludes it.
+    ``alone`` says that ``d`` is the whole diagram: its k = 1 candidate is
+    plain decomposition at rDecomp, and every split pays the configured
+    overhead.  Otherwise ``d`` is one component of a plan that is already
+    partitioned, so its k = 1 candidate is one precomputed segment,
+    2^(alpha*t) / rPrecomp, and the overhead is paid once by the merged plan.
     """
-    if d.inputs or d.outputs:
-        raise ValueError("choose_k needs a scalar diagram")
-    t = d.t_count()
+    base = _unsplit(d, cm)
+    t = base.t_total
+    overhead = None if alone else 0.0
+    if not alone:
+        base.t_smart_est = cm.estimate_smart(base.s_precomp, 0, overhead)
     if k_max is None:
         # floor of 2 so the free search always sees the first split; a bare
         # t/4 would stop forced k>=2 runs from ever being comparable
         k_max = min(16, max(t // 4, 2))
 
-    base = PartitionPlan(k=1, alpha=cm.alpha, t_total=t)
-    base.s_decomp = base.s_precomp = 2.0 ** (cm.alpha * t)
-    base.s_crossref = 0
-    base.per_part = [(t, 0)]
-    base.t_direct_est = base.s_decomp / cm.r_decomp
-    base.t_smart_est = base.t_direct_est
-    if d.spiders:
-        base.assignment = {v: 0 for v in d.spiders}
-
     h = to_partition_hypergraph(d) if d.spiders else None
     candidates = [base]
-    started = time.perf_counter()
     if h is not None and h.n_nodes:
+        base.edge_parts = dict.fromkeys(h.edge_keys, 0)
         upper = min(k_max, len(h.pins), h.n_nodes)
         if force_partition:
             upper = max(upper, min(2, len(h.pins), h.n_nodes))
@@ -442,13 +470,60 @@ def choose_k(
             plan.s_precomp = sum(2.0 ** (cm.alpha * ti + ci) for ti, ci in plan.per_part)
             plan.schedule, plan.s_crossref = plan_schedule(params)
             plan.t_direct_est = base.t_direct_est
-            plan.t_smart_est = (cm.t_overhead + plan.s_precomp / cm.r_precomp
-                                + plan.s_crossref / cm.r_crossref)
+            plan.t_smart_est = cm.estimate_smart(plan.s_precomp, plan.s_crossref, overhead)
             candidates.append(plan)
-    overhead = time.perf_counter() - started
-    pool = [c for c in candidates if c.k >= 2] if force_partition else candidates
-    if not pool:
-        pool = candidates
-    chosen = min(pool, key=lambda c: (c.t_smart_est, c.k))
-    chosen.overhead_seconds = overhead
+    return _cheapest(candidates, force_partition)
+
+
+def _merge(parts: list[PartitionPlan], whole: PartitionPlan, cm: CostModel) -> PartitionPlan:
+    """One plan from the component plans: part ids offset per component, the
+    regroup schedule worked out once over all parts."""
+    plan = PartitionPlan(k=sum(p.k for p in parts), alpha=cm.alpha,
+                         t_total=whole.t_total, s_decomp=whole.s_decomp,
+                         t_direct_est=whole.t_direct_est)
+    offset = 0
+    for p in parts:
+        plan.assignment.update((v, offset + i) for v, i in p.assignment.items())
+        plan.edge_parts.update((e, offset + i) for e, i in p.edge_parts.items())
+        plan.cut_spiders |= p.cut_spiders
+        plan.per_part += p.per_part
+        offset += p.k
+    plan.s_precomp = sum(2.0 ** (cm.alpha * ti + ci) for ti, ci in plan.per_part)
+    plan.schedule, plan.s_crossref = plan_schedule(plan.part_params())
+    plan.t_smart_est = cm.estimate_smart(plan.s_precomp, plan.s_crossref)
+    return plan
+
+
+def choose_k(
+    d: ZxDiagram,
+    cm: CostModel,
+    k_max: int | None = None,
+    seed: int = 0,
+    force_partition: bool = False,
+) -> PartitionPlan:
+    """Pick the plan with the lowest projected runtime, one connected
+    component at a time.
+
+    Each component, in order of its smallest spider id, tries k = 1 to k_max
+    parts (default min(16, max(t_c/4, 2)) for its T-count t_c); its k = 1
+    candidate is one precomputed segment priced 2^(alpha*t_c) / rPrecomp.
+    The cheapest component plans merge into one plan, which competes with
+    plain decomposition of the whole diagram (k = 1 at rDecomp), so the
+    winner never projects slower than that unless ``force_partition``
+    excludes it.  A connected diagram is planned as one component whose
+    k = 1 candidate is that plain decomposition.  ``overhead_seconds`` is
+    the time of the whole call.
+    """
+    if d.inputs or d.outputs:
+        raise ValueError("choose_k needs a scalar diagram")
+    started = time.perf_counter()
+    comps = sorted(d.connected_components(), key=min)
+    if len(comps) <= 1:
+        chosen = _plan_component(d, cm, k_max, seed, force_partition, alone=True)
+    else:
+        whole = _unsplit(d, cm)
+        parts = [_plan_component(d.subdiagram(c), cm, k_max, seed, False, alone=False)
+                 for c in comps]
+        chosen = _cheapest([whole, _merge(parts, whole, cm)], force_partition)
+    chosen.overhead_seconds = time.perf_counter() - started
     return chosen

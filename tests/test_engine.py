@@ -8,7 +8,8 @@ from zxcut.circuits import Circuit, parse_circuit
 from zxcut.costmodel import CostModel
 from zxcut.engine import (METHODS, Report, ResourceCapError, ResourceCaps,
                           simulate_amplitude, split_segments)
-from zxcut.oracle import statevector_amplitude
+from zxcut.generators import CompoundSpec, gen_compound
+from zxcut.oracle import MAX_QUBITS, statevector_amplitude
 from zxcut.cutting import instantiate
 from zxcut.diagram import diagram_from_circuit, plug
 from zxcut.partition import choose_k
@@ -78,6 +79,27 @@ def test_split_segments_reassembles_tensor():
         ref = tensor_of(g)
         assert abs(total - ref) < 1e-9 * max(1.0, abs(ref))
     assert tested >= 3
+
+
+def test_compound_circuits_agree_with_oracle():
+    # multi-component plans with mixed 0/1/+ plugs, some of them cutting
+    # inside a component
+    rng = default_rng(7)
+    cut_inside = 0
+    for seed in range(6):
+        circ = gen_compound(CompoundSpec(3, 4, 90, 1, 1.0, seed))
+        n = circ.n_qubits
+        assert n <= MAX_QUBITS
+        ins, outs = random_plugs(n, rng)
+        ref = statevector_amplitude(circ, ins, outs)
+        g = clifford_simplify(plug(diagram_from_circuit(circ), ins, outs))
+        for method in ("smart", "naive"):
+            amp, rep = simulate_amplitude(circ, ins, outs, method)
+            assert abs(amp - ref) < 1e-9
+        assert rep.plan.k >= len(g.connected_components())
+        if len(g.connected_components()) > 1 and rep.plan.cut_spiders:
+            cut_inside += 1
+    assert cut_inside >= 1
 
 
 def test_smart_counts_never_exceed_naive():

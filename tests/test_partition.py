@@ -6,7 +6,8 @@ from numpy.random import default_rng
 
 from zxcut.costmodel import CostModel
 from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
-from zxcut.partition import PartitionPlan, choose_k, partition_k, to_partition_hypergraph
+from zxcut.partition import (PartitionPlan, _Bisection, _plan_component, choose_k,
+                             partition_k, to_partition_hypergraph)
 from zxcut.regroup import plan_schedule
 from zxcut.simplify import clifford_simplify
 
@@ -230,3 +231,96 @@ def test_disjoint_components_alpha_half_worked_numbers():
     assert plan.cut_spiders == set()
     assert plan.s_precomp == pytest.approx(2 * 2 ** 10)
     assert plan.s_decomp == pytest.approx(2 ** 20)
+
+
+def test_cut_size_matches_recount_after_every_move():
+    rng = default_rng(5)
+    c = random_circuit(8, 80, rng, nearest=True)
+    g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 8, "+" * 8))
+    h = to_partition_hypergraph(g)
+    # a subset of the nodes, so some hyperedges are not alive in the split
+    nodes = sorted(int(n) for n in rng.choice(h.n_nodes, h.n_nodes * 3 // 4,
+                                                replace=False))
+    bis = _Bisection(h, nodes)
+
+    def recount():
+        return sum(1 for e in bis.alive
+                   if len({bis.side[n] for n in h.pins[e]}) == 2)
+
+    assert bis.cut_size() == recount() == 0
+    for n in rng.choice(nodes, 300):
+        bis.move(int(n))
+        assert bis.cut_size() == recount()
+
+
+def add_t_path(d, n):
+    vs = [d.add_spider(SpiderKind.Z, Phase(1)) for _ in range(n)]
+    for a, b in zip(vs, vs[1:]):
+        d.add_edge(a, b, EdgeKind.HADAMARD)
+    return set(vs)
+
+
+def test_choose_k_plans_each_component_alone():
+    d = ZxDiagram()
+    paths = [add_t_path(d, 3), add_t_path(d, 30), add_t_path(d, 4)]
+    cm = CostModel()
+    plan = choose_k(d, cm)
+    assert plan.k >= 4
+    for part in range(plan.k):
+        members = {v for v, p in plan.assignment.items() if p == part}
+        assert sum(1 for path in paths if members & path) == 1
+    assert plan.cut_spiders and plan.cut_spiders <= paths[1]
+    assert set(plan.assignment) | plan.cut_spiders == set(d.spiders)
+    assert {u for u, v in plan.edge_parts} | {v for u, v in plan.edge_parts} \
+        == set(d.spiders)
+    want = sum(2.0 ** (cm.alpha * t + c_) for t, c_ in plan.per_part)
+    assert plan.s_precomp == pytest.approx(want, rel=1e-12)
+    assert plan.t_smart_est < plan.t_direct_est
+
+
+def test_choose_k_connected_is_the_single_component_loop():
+    rng = default_rng(6)
+    cm = CostModel()
+    checked = 0
+    for _ in range(10):
+        c = random_circuit(8, 70, rng, nearest=True)
+        g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 8, "+" * 8))
+        if len(g.connected_components()) != 1:
+            continue
+        checked += 1
+        got = choose_k(g, cm).to_json_dict()
+        want = _plan_component(g, cm, None, 0, False, alone=True).to_json_dict()
+        got.pop("overheadSeconds")
+        want.pop("overheadSeconds")
+        assert got == want
+    assert checked >= 3
+
+
+def test_partition_k_runs_only_inside_components(monkeypatch):
+    # work count, not time: on the criterion-8 compound circuit every FM run
+    # sees one component, at most k_max_c - 1 runs per component
+    import zxcut.partition as partition
+    from zxcut.generators import CompoundSpec, gen_compound
+    circ = gen_compound(CompoundSpec(5, 6, 230, 8, 1.0, 42))
+    n = circ.n_qubits
+    g = clifford_simplify(plug(diagram_from_circuit(circ), "+" * n, "+" * n))
+    comps = g.connected_components()
+    assert len(comps) > 1
+    seen = []
+    original = partition.partition_k
+
+    def recording(h, k, *args, **kwargs):
+        seen.append(h)
+        return original(h, k, *args, **kwargs)
+
+    monkeypatch.setattr(partition, "partition_k", recording)
+    plan = choose_k(g, CostModel())
+    assert plan.k >= len(comps)
+    assert seen
+    for h in seen:
+        assert any(set(h.spider_of) <= comp for comp in comps)
+    budget = 0
+    for comp in comps:
+        t_c = sum(1 for v in comp if g.spiders[v].phase.is_t())
+        budget += min(16, max(t_c // 4, 2)) - 1
+    assert len(seen) <= budget

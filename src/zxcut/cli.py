@@ -17,10 +17,14 @@ import statistics
 import sys
 import time
 
+from numpy.random import default_rng
+
 from .circuits import Circuit, CircuitParseError, parse_circuit
 from .costmodel import CostModel
-from .engine import ResourceCapError, estimate_naive, simulate_amplitude
+from .engine import ResourceCapError, method_seconds, simulate_amplitude
 from .generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
+from .regroup import Segment, regroup_all
+from .scalars import ScalarC
 
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
@@ -172,29 +176,35 @@ def _measure_cell(circ: Circuit, cm: CostModel, seed: int, estimate_only: bool,
                   force_partition: bool) -> dict[str, float]:
     """log2 seconds per method for one circuit: the projection, replaced by a
     real measured run when the projection is below the threshold."""
-    _, rep = simulate_amplitude(circ, "+" * circ.n_qubits, "+" * circ.n_qubits,
-                                "smart", cm, seed=seed, plan_only=True,
-                                force_partition=force_partition)
-    plan = rep.plan
-    est = {"direct": plan.t_direct_est,
-           "naive": estimate_naive(plan, cm),
-           "smart": plan.t_smart_est}
-    if estimate_only:
-        return {m: cm.log2_seconds(v) for m, v in est.items()}
+    plus = "+" * circ.n_qubits
+    _, rep = simulate_amplitude(circ, plus, plus, "smart", cm, seed=seed,
+                                plan_only=True, force_partition=force_partition)
     out = {}
-    for method, projected in est.items():
-        if projected < cm.real_run_threshold_secs:
-            t0 = time.perf_counter()
+    for method, seconds in method_seconds(rep.plan, cm).items():
+        if not estimate_only and seconds < cm.real_run_threshold_secs:
             try:
-                simulate_amplitude(circ, "+" * circ.n_qubits, "+" * circ.n_qubits,
-                                   method, cm, seed=seed,
-                                   force_partition=force_partition)
-                out[method] = cm.log2_seconds(time.perf_counter() - t0)
-                continue
+                _, run = simulate_amplitude(circ, plus, plus, method, cm, seed=seed,
+                                            force_partition=force_partition)
+                seconds = run.wall_seconds
             except ResourceCapError:
                 pass
-        out[method] = cm.log2_seconds(projected)
+        out[method] = cm.log2_seconds(seconds)
     return out
+
+
+def _sweep_cell(args, cm: CostModel, n: int, d: int, sigma: float,
+                force_partition: bool) -> list[list]:
+    """[method, mean, std dev, samples] of log2 seconds per method over the
+    cell's seeded random circuits."""
+    per_method: dict[str, list[float]] = {m: [] for m in METHOD_CHOICES}
+    for i in range(args.samples):
+        seed = _cell_seed(args.seed, n, d, _sigma_key(sigma), i)
+        circ = gen_clifford_t(CircuitSpec(n, d, sigma, seed))
+        cell = _measure_cell(circ, cm, args.seed, args.estimate_only, force_partition)
+        for m, v in cell.items():
+            per_method[m].append(v)
+    return [[m, f"{statistics.fmean(vals):.6f}", f"{statistics.pstdev(vals):.6f}",
+             len(vals)] for m, vals in per_method.items()]
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
@@ -214,18 +224,8 @@ def cmd_sweep_heatmap(args) -> int:
     rows = []
     for n in _parse_range(args.qubits):
         for d in _parse_range(args.depths):
-            per_method: dict[str, list[float]] = {m: [] for m in METHOD_CHOICES}
-            for i in range(args.samples):
-                seed = _cell_seed(args.seed, n, d, _sigma_key(sigma), i)
-                circ = gen_clifford_t(CircuitSpec(n, d, sigma, seed))
-                cell = _measure_cell(circ, cm, args.seed, args.estimate_only,
-                                     force_partition=False)
-                for m, v in cell.items():
-                    per_method[m].append(v)
-            for m in METHOD_CHOICES:
-                vals = per_method[m]
-                rows.append([n, d, m, f"{statistics.fmean(vals):.6f}",
-                             f"{statistics.pstdev(vals):.6f}", len(vals)])
+            rows += [[n, d, *row] for row in
+                     _sweep_cell(args, cm, n, d, sigma, force_partition=False)]
     _write_csv(args.out, ["n", "d", "method", "mean_log2_seconds",
                           "std_log2_seconds", "samples"], rows)
     return 0
@@ -233,72 +233,39 @@ def cmd_sweep_heatmap(args) -> int:
 
 def cmd_sweep_sigma(args) -> int:
     cm = _load_cost_model(args)
-    n = args.qubits
-    d = args.depth
     rows = []
     for sigma_text in args.sigmas.split(","):
         sigma = _parse_sigma(sigma_text)
-        per_method: dict[str, list[float]] = {m: [] for m in METHOD_CHOICES}
-        for i in range(args.samples):
-            seed = _cell_seed(args.seed, n, d, _sigma_key(sigma), i)
-            circ = gen_clifford_t(CircuitSpec(n, d, sigma, seed))
-            cell = _measure_cell(circ, cm, args.seed, args.estimate_only,
-                                 force_partition=args.force_partition)
-            for m, v in cell.items():
-                per_method[m].append(v)
-        for m in METHOD_CHOICES:
-            vals = per_method[m]
-            rows.append([sigma_text, m, f"{statistics.fmean(vals):.6f}",
-                         f"{statistics.pstdev(vals):.6f}", len(vals)])
+        rows += [[sigma_text, *row] for row in
+                 _sweep_cell(args, cm, args.qubits, args.depth, sigma,
+                             args.force_partition)]
     _write_csv(args.out, ["sigma", "method", "mean_log2_seconds",
                           "std_log2_seconds", "samples"], rows)
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    """Measure local calculation rates and write them as a config file."""
-    from .decompose import DecomposeStats, decompose_to_scalar
-    from .diagram import diagram_from_circuit, plug
-    from .partition import choose_k
-    from .regroup import Segment, regroup_all
-    from .scalars import ScalarC
-    from .simplify import clifford_simplify
-    from numpy.random import default_rng
+def _leaf_rate(reports) -> float:
+    """Leaves per second of the reports' run time outside planning."""
+    leaves = sum(r.leaf_evals for r in reports)
+    seconds = sum(r.wall_seconds - r.overhead_seconds for r in reports)
+    return max(leaves / max(seconds, 1e-9), 1e-6)
 
+
+def cmd_calibrate(args) -> int:
+    """Measure local calculation rates and write them as a config file.
+
+    rDecomp and rPrecomp are leaves per second of run time outside planning,
+    read from the reports of ``direct`` and ``smart`` runs of six seeded
+    circuits; tOverhead is the mean planning time of the ``smart`` runs.
+    rCrossref times ``regroup_all`` on synthetic 2^10-entry tables.
+    """
     cm = CostModel()
     rng = default_rng(args.seed)
-
-    leaves = 0
-    t0 = time.perf_counter()
-    diagrams = []
-    for i in range(6):
-        circ = gen_clifford_t(CircuitSpec(8, 80, math.inf, int(rng.integers(2 ** 31))))
-        g = clifford_simplify(plug(diagram_from_circuit(circ), "+" * 8, "+" * 8))
-        diagrams.append(g)
-        stats = DecomposeStats()
-        decompose_to_scalar(g, stats=stats)
-        leaves += stats.leaves
-    r_decomp = max(leaves / (time.perf_counter() - t0), 1e-6)
-
-    overhead_samples = []
-    evals = 0
-    t0 = time.perf_counter()
-    for g in diagrams:
-        t1 = time.perf_counter()
-        plan = choose_k(g, cm, seed=args.seed)
-        overhead_samples.append(time.perf_counter() - t1)
-        stats = DecomposeStats()
-        if plan.k > 1:
-            from .engine import split_segments
-            from .regroup import precompute_segment
-            segs, params, _ = split_segments(g, plan)
-            for seg, ps in zip(segs, params):
-                precompute_segment(seg, sorted(ps), stats=stats)
-            evals += max(stats.leaves, 1)
-        else:
-            decompose_to_scalar(g, stats=stats)
-            evals += stats.leaves
-    r_precomp = max(evals / max(time.perf_counter() - t0, 1e-9), 1e-6)
+    circuits = [gen_clifford_t(CircuitSpec(8, 80, math.inf, int(rng.integers(2 ** 31))))
+                for _ in range(6)]
+    reports = {method: [simulate_amplitude(circ, "+" * 8, "+" * 8, method, cm,
+                                           seed=args.seed)[1] for circ in circuits]
+               for method in ("direct", "smart")}
 
     tables = []
     for s in range(6):
@@ -311,10 +278,10 @@ def cmd_calibrate(args) -> int:
 
     calibrated = CostModel(
         alpha=cm.alpha,
-        r_decomp=r_decomp,
-        r_precomp=r_precomp,
+        r_decomp=_leaf_rate(reports["direct"]),
+        r_precomp=_leaf_rate(reports["smart"]),
         r_crossref=r_crossref,
-        t_overhead=statistics.fmean(overhead_samples),
+        t_overhead=statistics.fmean(r.overhead_seconds for r in reports["smart"]),
         real_run_threshold_secs=cm.real_run_threshold_secs,
     )
     if args.out:

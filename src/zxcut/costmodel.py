@@ -3,9 +3,12 @@ rates, and the estimator formulas used for plan selection and benchmark
 sweeps.
 
 Default rates ship from measurements on commodity hardware (error bars in
-the comments below); ``calibrate`` re-measures them locally.  All estimates
-are labeled with the alpha used, since the implemented decomposition set may
-be weaker than the one the default alpha describes.
+the comments below); ``zxcut calibrate`` re-measures them locally from the
+reports of ``direct`` and ``smart`` runs.  Its rates are leaves per second of
+a run's time outside planning, so planning time is counted only in
+tOverhead.  All estimates are labeled with the alpha used, since the
+implemented decomposition set may be weaker than the one the default alpha
+describes.
 """
 from __future__ import annotations
 
@@ -61,19 +64,6 @@ class CostModel:
                        overhead: float | None = None) -> float:
         ov = self.t_overhead if overhead is None else overhead
         return ov + s_precomp / self.r_precomp + s_crossref / self.r_crossref
-
-    def estimate(self, plan=None, t: int | None = None) -> tuple[float, float]:
-        """(T_decomp, T_smart) in seconds for a plan, or for a bare T-count
-        (in which case both reduce to direct decomposition)."""
-        if plan is not None:
-            t_direct = self.estimate_direct(plan.t_total)
-            if plan.k <= 1:
-                return t_direct, t_direct
-            return t_direct, self.estimate_smart(plan.s_precomp, plan.s_crossref)
-        if t is None:
-            raise ValueError("need a plan or a T-count")
-        t_direct = self.estimate_direct(t)
-        return t_direct, t_direct
 
     @staticmethod
     def log2_seconds(seconds: float) -> float:

@@ -178,8 +178,7 @@ def decompose_to_scalar(
     return total
 
 
-def measure_alpha(sample_diagrams, decomposition: Decomposition | None = None
-                  ) -> tuple[float, float]:
+def measure_alpha(sample_diagrams) -> tuple[float, float]:
     """Measured efficiency log2(leaves)/t over a sample, as (mean, std dev).
 
     Requires at least 10 diagrams of T-count >= 8 after simplification;
@@ -188,12 +187,11 @@ def measure_alpha(sample_diagrams, decomposition: Decomposition | None = None
     ratios = []
     qualifying = 0
     for d in sample_diagrams:
-        simp = clifford_simplify(d)
-        t = simp.t_count()
+        stats = DecomposeStats()
+        decompose_to_scalar(d, stats=stats)
+        t = stats.t_initial
         if t == 0:
             raise ValueError("Clifford-only diagram in alpha sample (t=0)")
-        stats = DecomposeStats()
-        decompose_to_scalar(simp, decomposition, stats)
         ratios.append(math.log2(max(stats.leaves, 1)) / t)
         if t >= 8:
             qualifying += 1

@@ -8,8 +8,10 @@ smart   - cut, precompute each part's scalar table over its local
           parameters, regroup cheapest-first.
 
 All three agree on the amplitude; they differ in how many calculations they
-spend, which the report itemises.  Any stage whose projection exceeds the
-resource caps aborts with the plan attached instead of running.
+spend, which the report itemises.  ``method_seconds`` is the one price of
+each method for a plan; the report's estimate and the sweeps read it.  Any
+stage whose projection exceeds the resource caps aborts with the plan
+attached instead of running.
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from dataclasses import dataclass, field
 from .circuits import Circuit
 from .costmodel import CostModel
 from .cutting import instantiate, mul_cut_weight
-from .decompose import DecomposeStats, Decomposition, decompose_to_scalar
+from .decompose import DecomposeStats, decompose_to_scalar
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
-from .partition import PartitionPlan, choose_k
+from .partition import PartitionPlan, choose_k, unsplit_plan
 from .regroup import precompute_segment, regroup_all
 from .scalars import ScalarC, phase8_complex
 from .simplify import clifford_simplify
@@ -78,12 +80,19 @@ class Report:
         }
 
 
-def estimate_naive(plan: PartitionPlan, cm: CostModel) -> float:
-    """Projected seconds for the naive method: 2^C full per-term reductions."""
-    if plan.k <= 1:
-        return plan.t_direct_est
+def _naive_leaves(plan: PartitionPlan, cm: CostModel) -> float:
+    """Projected leaves of the naive method: 2^C full per-term reductions."""
     per_term = sum(2.0 ** (cm.alpha * ti) for ti, _ in plan.per_part)
-    return cm.t_overhead + (2.0 ** len(plan.cut_spiders)) * per_term / cm.r_decomp
+    return (2.0 ** len(plan.cut_spiders)) * per_term
+
+
+def method_seconds(plan: PartitionPlan, cm: CostModel) -> dict[str, float]:
+    """Projected seconds of each method for a plan.  A k = 1 plan runs plain
+    decomposition whatever the method."""
+    naive = plan.t_direct_est
+    if plan.k > 1:
+        naive = cm.t_overhead + _naive_leaves(plan, cm) / cm.r_decomp
+    return {"direct": plan.t_direct_est, "naive": naive, "smart": plan.t_smart_est}
 
 
 def split_segments(g: ZxDiagram, plan: PartitionPlan
@@ -141,7 +150,6 @@ def simulate_amplitude(
     caps: ResourceCaps | None = None,
     seed: int = 0,
     force_partition: bool = False,
-    decomposition: Decomposition | None = None,
     plan_only: bool = False,
     trace=None,
 ) -> tuple[complex, Report]:
@@ -157,26 +165,14 @@ def simulate_amplitude(
     started = time.perf_counter()
     g = clifford_simplify(plug(diagram_from_circuit(circ), in_spec, out_spec),
                           trace)
-    t = g.t_count()
-
     if method == "direct":
-        plan = PartitionPlan(k=1, alpha=cm.alpha, t_total=t,
-                             per_part=[(t, 0)],
-                             assignment={v: 0 for v in g.spiders})
-        plan.s_decomp = plan.s_precomp = 2.0 ** (cm.alpha * t)
-        plan.t_direct_est = plan.t_smart_est = cm.estimate_direct(t)
+        plan = unsplit_plan(g, cm)
     else:
         plan = choose_k(g, cm, seed=seed, force_partition=force_partition)
 
-    report = Report(method=method, t_count=t, plan=plan,
+    report = Report(method=method, t_count=plan.t_total, plan=plan,
                     overhead_seconds=plan.overhead_seconds)
-    t_direct_est, t_smart_est = cm.estimate(plan)
-    if method == "direct":
-        est_seconds = t_direct_est
-    elif method == "naive":
-        est_seconds = estimate_naive(plan, cm)
-    else:
-        est_seconds = t_smart_est
+    est_seconds = method_seconds(plan, cm)[method]
     report.estimates = {
         "alpha": cm.alpha,
         "sDecomp": plan.s_decomp,
@@ -189,19 +185,13 @@ def simulate_amplitude(
         report.wall_seconds = time.perf_counter() - started
         return 0j, report
 
-    if method == "direct" or plan.k == 1:
+    stats = DecomposeStats()
+    if plan.k == 1:
         if plan.s_decomp > caps.leaf_evals:
             raise ResourceCapError("decompose", plan.s_decomp, caps.leaf_evals, plan)
-        stats = DecomposeStats()
-        value = decompose_to_scalar(g, decomposition, stats)
-        report.leaf_evals = stats.leaves
-        report.amplitude = value.to_complex()
-        report.wall_seconds = time.perf_counter() - started
-        return report.amplitude, report
-
-    segs, part_params, overall = split_segments(g, plan)
-
-    if method == "smart":
+        value = decompose_to_scalar(g, stats=stats)
+    elif method == "smart":
+        segs, part_params, overall = split_segments(g, plan)
         if plan.s_precomp > caps.leaf_evals:
             raise ResourceCapError("precompute", plan.s_precomp, caps.leaf_evals, plan)
         entries = sum(2 ** len(ps) for ps in part_params)
@@ -210,39 +200,33 @@ def simulate_amplitude(
         biggest_step = max((2 ** p for _, _, p in plan.schedule), default=0)
         if biggest_step > caps.table_entries:
             raise ResourceCapError("crossref", biggest_step, caps.table_entries, plan)
-        stats = DecomposeStats()
-        tables = [precompute_segment(seg, sorted(ps), decomposition, stats)
-                  for seg, ps in zip(segs, part_params)]
-        result = regroup_all(tables)
+        result = regroup_all([precompute_segment(seg, stats=stats) for seg in segs])
         value = result.value.times(overall)
-        report.leaf_evals = stats.leaves
         report.table_entries = entries
         report.crossref_products = result.s_crossref
-        report.amplitude = value.to_complex()
-        report.wall_seconds = time.perf_counter() - started
-        return report.amplitude, report
+    else:
+        # naive: brute-force sum over all 2^C assignments, fully re-reducing
+        # every segment for every term
+        segs, part_params, overall = split_segments(g, plan)
+        projected = _naive_leaves(plan, cm)
+        if projected > caps.leaf_evals:
+            raise ResourceCapError("naive-sum", projected, caps.leaf_evals, plan)
+        all_params = sorted(plan.cut_spiders)
+        c = len(all_params)
+        total = ScalarC.zero()
+        for idx in range(2 ** c):
+            bits = {p: (idx >> (c - 1 - pos)) & 1 for pos, p in enumerate(all_params)}
+            term = ScalarC.one()
+            for seg, ps in zip(segs, part_params):
+                local = {p: bits[p] for p in sorted(ps)}
+                term.mul(decompose_to_scalar(instantiate(seg, local), stats=stats))
+                if term.is_zero:
+                    break
+            total = total.plus(term)
+        value = total.times(overall)
+        report.crossref_products = 2 ** c
 
-    # naive: brute-force sum over all 2^C assignments, fully re-reducing
-    # every segment for every term
-    all_params = sorted({p for ps in part_params for p in ps})
-    c = len(all_params)
-    projected = (2.0 ** c) * sum(2.0 ** (cm.alpha * ti) for ti, _ in plan.per_part)
-    if projected > caps.leaf_evals:
-        raise ResourceCapError("naive-sum", projected, caps.leaf_evals, plan)
-    stats = DecomposeStats()
-    total = ScalarC.zero()
-    for idx in range(2 ** c):
-        bits = {p: (idx >> (c - 1 - pos)) & 1 for pos, p in enumerate(all_params)}
-        term = ScalarC.one()
-        for seg, ps in zip(segs, part_params):
-            local = {p: bits[p] for p in sorted(ps)}
-            term.mul(decompose_to_scalar(instantiate(seg, local), decomposition, stats))
-            if term.is_zero:
-                break
-        total = total.plus(term)
-    value = total.times(overall)
     report.leaf_evals = stats.leaves
-    report.crossref_products = 2 ** c
     report.amplitude = value.to_complex()
     report.wall_seconds = time.perf_counter() - started
     return report.amplitude, report

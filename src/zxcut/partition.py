@@ -309,10 +309,10 @@ def partition_k(
     eps: float = 0.1,
     seed: int = 0,
     starts: int = FM_STARTS,
-) -> tuple[dict[int, int], set[int]]:
+) -> tuple[dict[int, int], set[int], dict[int, int]]:
     """Split the hypergraph into k parts, minimising cut spiders with
     T-weight balance (1+eps).  Returns (spider id -> part for uncut spiders,
-    set of cut spider ids)."""
+    set of cut spider ids, hypergraph node -> part)."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > len(h.pins):
@@ -403,15 +403,26 @@ class PartitionPlan:
         }
 
 
-def _unsplit(d: ZxDiagram, cm: CostModel) -> PartitionPlan:
+def unsplit_plan(d: ZxDiagram, cm: CostModel) -> PartitionPlan:
     """The k = 1 plan: every spider in one part, priced as plain
     decomposition."""
     t = d.t_count()
     plan = PartitionPlan(k=1, alpha=cm.alpha, t_total=t, per_part=[(t, 0)],
                          assignment=dict.fromkeys(d.spiders, 0))
     plan.s_decomp = plan.s_precomp = 2.0 ** (cm.alpha * t)
-    plan.t_direct_est = plan.t_smart_est = plan.s_decomp / cm.r_decomp
+    plan.t_direct_est = plan.t_smart_est = cm.estimate_direct(t)
     return plan
+
+
+def _price(plan: PartitionPlan, part_t: list[int], cm: CostModel,
+           overhead: float | None = None) -> None:
+    """Price a split plan whose part i holds T-count part_t[i]: its
+    ``per_part``, precompute leaves, regroup schedule and projected seconds."""
+    params = plan.part_params()
+    plan.per_part = [(ti, len(ps)) for ti, ps in zip(part_t, params)]
+    plan.s_precomp = sum(2.0 ** (cm.alpha * ti + ci) for ti, ci in plan.per_part)
+    plan.schedule, plan.s_crossref = plan_schedule(params)
+    plan.t_smart_est = cm.estimate_smart(plan.s_precomp, plan.s_crossref, overhead)
 
 
 def _cheapest(candidates: list[PartitionPlan], force_partition: bool) -> PartitionPlan:
@@ -436,7 +447,7 @@ def _plan_component(
     partitioned, so its k = 1 candidate is one precomputed segment,
     2^(alpha*t) / rPrecomp, and the overhead is paid once by the merged plan.
     """
-    base = _unsplit(d, cm)
+    base = unsplit_plan(d, cm)
     t = base.t_total
     overhead = None if alone else 0.0
     if not alone:
@@ -465,12 +476,8 @@ def _plan_component(
             for v, part in spider_part.items():
                 if d.spiders[v].phase.is_t():
                     part_t[part] += 1
-            params = plan.part_params()
-            plan.per_part = [(part_t[i], len(params[i])) for i in range(k)]
-            plan.s_precomp = sum(2.0 ** (cm.alpha * ti + ci) for ti, ci in plan.per_part)
-            plan.schedule, plan.s_crossref = plan_schedule(params)
             plan.t_direct_est = base.t_direct_est
-            plan.t_smart_est = cm.estimate_smart(plan.s_precomp, plan.s_crossref, overhead)
+            _price(plan, part_t, cm, overhead)
             candidates.append(plan)
     return _cheapest(candidates, force_partition)
 
@@ -482,15 +489,14 @@ def _merge(parts: list[PartitionPlan], whole: PartitionPlan, cm: CostModel) -> P
                          t_total=whole.t_total, s_decomp=whole.s_decomp,
                          t_direct_est=whole.t_direct_est)
     offset = 0
+    part_t = []
     for p in parts:
         plan.assignment.update((v, offset + i) for v, i in p.assignment.items())
         plan.edge_parts.update((e, offset + i) for e, i in p.edge_parts.items())
         plan.cut_spiders |= p.cut_spiders
-        plan.per_part += p.per_part
+        part_t += [t for t, _ in p.per_part]
         offset += p.k
-    plan.s_precomp = sum(2.0 ** (cm.alpha * ti + ci) for ti, ci in plan.per_part)
-    plan.schedule, plan.s_crossref = plan_schedule(plan.part_params())
-    plan.t_smart_est = cm.estimate_smart(plan.s_precomp, plan.s_crossref)
+    _price(plan, part_t, cm)
     return plan
 
 
@@ -521,7 +527,7 @@ def choose_k(
     if len(comps) <= 1:
         chosen = _plan_component(d, cm, k_max, seed, force_partition, alone=True)
     else:
-        whole = _unsplit(d, cm)
+        whole = unsplit_plan(d, cm)
         parts = [_plan_component(d.subdiagram(c), cm, k_max, seed, False, alone=False)
                  for c in comps]
         chosen = _cheapest([whole, _merge(parts, whole, cm)], force_partition)

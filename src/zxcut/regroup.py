@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutting import instantiate
-from .decompose import DecomposeStats, Decomposition, decompose_to_scalar
+from .decompose import DecomposeStats, decompose_to_scalar
 from .diagram import ZxDiagram
 from .scalars import ScalarC
 from .simplify import param_safe_simplify
@@ -80,13 +80,10 @@ def local_index_array(global_idx: np.ndarray, mask: int, n_params: int) -> np.nd
 
 # -- segment precomputation ----------------------------------------------------
 
-def precompute_segment(
-    seg_graph: ZxDiagram,
-    local_params=None,
-    decomposition: Decomposition | None = None,
-    stats: DecomposeStats | None = None,
-) -> Segment:
-    """Reduce one partition part to its table of 2^c scalars.
+def precompute_segment(seg_graph: ZxDiagram,
+                       stats: DecomposeStats | None = None) -> Segment:
+    """Reduce one partition part to its table of 2^c scalars, one per
+    assignment of ``seg_graph.params``.
 
     The parameter-safe simplification runs once up front so the per-assignment
     work shares a common reduced structure; each assignment is then
@@ -94,14 +91,14 @@ def precompute_segment(
     """
     if seg_graph.inputs or seg_graph.outputs:
         raise ValueError("segment must be a scalar diagram (no boundary wires)")
-    params = tuple(sorted(seg_graph.params if local_params is None else local_params))
+    params = tuple(sorted(seg_graph.params))
     shared = param_safe_simplify(seg_graph)
     c = len(params)
     table = []
     for idx in range(2 ** c):
         assignment = {p: (idx >> (c - 1 - pos)) & 1 for pos, p in enumerate(params)}
         inst = instantiate(shared, assignment)
-        table.append(decompose_to_scalar(inst, decomposition, stats))
+        table.append(decompose_to_scalar(inst, stats=stats))
     return Segment(params, table)
 
 

@@ -21,7 +21,6 @@ from .scalars import ScalarC
 RULE_FUSE = "fuse"
 RULE_IDENTITY = "identity"
 RULE_COPY = "copy"
-RULE_BIALGEBRA = "bialgebra"  # unused in Z-normal form; kept for the trace schema
 RULE_HADAMARD_CANCEL = "hadamardCancel"
 RULE_LCOMP = "localComplement"
 RULE_PIVOT = "pivot"

@@ -180,7 +180,8 @@ def test_calibrate_writes_config(tmp_path):
         assert key in doc
     from zxcut.costmodel import CostModel
     cm = CostModel.load(str(out))
-    assert cm.r_decomp > 0
+    assert cm.r_decomp > 0 and cm.r_precomp > 0 and cm.r_crossref > 0
+    assert cm.t_overhead >= 0
 
 
 def test_spec_json_input(tmp_path):

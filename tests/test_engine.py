@@ -7,7 +7,7 @@ from numpy.random import default_rng
 from zxcut.circuits import Circuit, parse_circuit
 from zxcut.costmodel import CostModel
 from zxcut.engine import (METHODS, Report, ResourceCapError, ResourceCaps,
-                          simulate_amplitude, split_segments)
+                          method_seconds, simulate_amplitude, split_segments)
 from zxcut.generators import CompoundSpec, gen_compound
 from zxcut.oracle import MAX_QUBITS, statevector_amplitude
 from zxcut.cutting import instantiate
@@ -50,6 +50,36 @@ def test_three_way_agreement_random_corpus():
         for method in METHODS:
             amp, _ = simulate_amplitude(c, ins, outs, method)
             assert abs(amp - ref) < 1e-6
+
+
+def test_estimates_are_method_seconds_of_the_plan():
+    # every method reports its price from method_seconds, with overhead in
+    # the model and with partitioning forced; the direct plan is the
+    # planner's k = 1 plan
+    rng = default_rng(8)
+    cm = CostModel(t_overhead=0.37, r_precomp=3000.0)
+    compared = 0
+    for _ in range(6):
+        c = random_circuit(8, 60, rng)
+        ins, outs = "+" * 8, random_plugs(8, rng)[1]
+        for force in (False, True):
+            for method in METHODS:
+                _, rep = simulate_amplitude(c, ins, outs, method, cm,
+                                            force_partition=force)
+                prices = method_seconds(rep.plan, cm)
+                assert rep.estimates["tEstSeconds"] == prices[method]
+                assert prices["direct"] == cm.estimate_direct(rep.t_count)
+                if method == "direct":
+                    direct = rep.plan
+        g = clifford_simplify(plug(diagram_from_circuit(c), ins, outs))
+        if len(g.connected_components()) == 1:
+            planned = choose_k(g, cm, k_max=1)
+            assert planned.k == 1
+            assert ({**direct.to_json_dict(), "overheadSeconds": 0}
+                    == {**planned.to_json_dict(), "overheadSeconds": 0})
+            assert direct.assignment == planned.assignment
+            compared += 1
+    assert compared >= 3
 
 
 def test_split_segments_reassembles_tensor():
@@ -97,6 +127,12 @@ def test_compound_circuits_agree_with_oracle():
             amp, rep = simulate_amplitude(circ, ins, outs, method)
             assert abs(amp - ref) < 1e-9
         assert rep.plan.k >= len(g.connected_components())
+        # each segment's table is built over exactly the plan's parameters
+        # for its part, and those are the parameters its spiders carry
+        segs, params, _ = split_segments(g, rep.plan)
+        assert [seg.params for seg in segs] == params == rep.plan.part_params()
+        for seg in segs:
+            assert seg.params == {p for s in seg.spiders.values() for p in s.phase.params}
         if len(g.connected_components()) > 1 and rep.plan.cut_spiders:
             cut_inside += 1
     assert cut_inside >= 1

@@ -21,10 +21,12 @@ from numpy.random import default_rng
 
 from .circuits import Circuit, CircuitParseError, parse_circuit
 from .costmodel import CostModel
+from .diagram import diagram_from_circuit, plug
 from .engine import ResourceCapError, method_seconds, simulate_amplitude
 from .generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
 from .regroup import Segment, regroup_all
 from .scalars import ScalarC
+from .simplify import clifford_simplify
 
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
@@ -251,20 +253,40 @@ def _leaf_rate(reports) -> float:
     return max(leaves / max(seconds, 1e-9), 1e-6)
 
 
+# calibration circuits: the random workload's shape, simplified T-counts in
+# its window, so that a run's leaves outweigh its set-up
+CALIBRATE_QUBITS, CALIBRATE_DEPTH, CALIBRATE_SIGMA = 12, 150, 0.5
+CALIBRATE_T = (12, 20)
+
+
+def _calibration_circuits(rng, count: int = 6) -> list[Circuit]:
+    plugs = "+" * CALIBRATE_QUBITS
+    circuits = []
+    while len(circuits) < count:
+        circ = gen_clifford_t(CircuitSpec(CALIBRATE_QUBITS, CALIBRATE_DEPTH, CALIBRATE_SIGMA,
+                                          int(rng.integers(2 ** 31))))
+        t = clifford_simplify(plug(diagram_from_circuit(circ), plugs, plugs)).t_count()
+        if CALIBRATE_T[0] <= t <= CALIBRATE_T[1]:
+            circuits.append(circ)
+    return circuits
+
+
 def cmd_calibrate(args) -> int:
     """Measure local calculation rates and write them as a config file.
 
     rDecomp and rPrecomp are leaves per second of run time outside planning,
-    read from the reports of ``direct`` and ``smart`` runs of six seeded
-    circuits; tOverhead is the mean planning time of the ``smart`` runs.
-    rCrossref times ``regroup_all`` on synthetic 2^10-entry tables.
+    read from the reports of ``direct`` and forced-partition ``smart`` runs
+    of six seeded circuits with simplified T-counts in ``CALIBRATE_T``;
+    tOverhead is the mean planning time of the ``smart`` runs.  rCrossref
+    times ``regroup_all`` on synthetic 2^10-entry tables.
     """
     cm = CostModel()
     rng = default_rng(args.seed)
-    circuits = [gen_clifford_t(CircuitSpec(8, 80, math.inf, int(rng.integers(2 ** 31))))
-                for _ in range(6)]
-    reports = {method: [simulate_amplitude(circ, "+" * 8, "+" * 8, method, cm,
-                                           seed=args.seed)[1] for circ in circuits]
+    circuits = _calibration_circuits(rng)
+    plugs = "+" * CALIBRATE_QUBITS
+    reports = {method: [simulate_amplitude(circ, plugs, plugs, method, cm, seed=args.seed,
+                                           force_partition=method == "smart")[1]
+                        for circ in circuits]
                for method in ("direct", "smart")}
 
     tables = []

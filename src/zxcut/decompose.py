@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram
 from .scalars import ScalarC
-from .simplify import clifford_simplify
+from .simplify import clifford_simplify, simplify_in_place
 from .tensor import tensor_of
 
 
@@ -122,15 +122,14 @@ class DecomposeStats:
 
 def _pick_t_pair(g: ZxDiagram, ts: list[int]) -> tuple[int, int]:
     """The two T-spiders with the most shared neighbourhood, ties by id."""
-    best = None
+    nbrs = [set(g.adj[v]) for v in ts]
+    best, pair = -1, None
     for i, v1 in enumerate(ts):
-        n1 = set(g.adj[v1])
-        for v2 in ts[i + 1:]:
-            shared = len(n1 & set(g.adj[v2]))
-            key = (-shared, v1, v2)
-            if best is None or key < best:
-                best = key
-                pair = (v1, v2)
+        n1 = nbrs[i]
+        for j in range(i + 1, len(ts)):
+            shared = len(n1 & nbrs[j])
+            if shared > best:
+                best, pair = shared, (v1, ts[j])
     return pair
 
 
@@ -142,7 +141,9 @@ def decompose_to_scalar(
     """Reduce a parameter-free scalar diagram to its complex value.
 
     Depth-first over the decomposition tree, re-simplifying after every
-    exchange; zero-scalar branches are pruned on the spot.
+    exchange; zero-scalar branches are pruned on the spot.  A term may change
+    only the spiders it targets and those it adds, since simplification
+    resumes from there.
     """
     if d.inputs or d.outputs:
         raise ValueError("decompose_to_scalar needs a scalar diagram")
@@ -163,18 +164,21 @@ def decompose_to_scalar(
                 stats.leaves += 1
             total = total.plus(g.scalar)
             continue
-        ts = [v for v in sorted(g.spiders) if g.spiders[v].phase.is_t()]
+        ts = [v for v, s in sorted(g.spiders.items()) if s.phase.is_t()]
         if not ts:
             raise AssertionError("Clifford scalar diagram failed to fully reduce")
         if len(ts) >= pair_rule.t_cost:
             rule, targets = pair_rule, _pick_t_pair(g, ts)
         else:
             rule, targets = single_rule, (ts[0],)
-        for term in reversed(rule.terms):
-            branch = g.copy()
+        # every term but the last rewrites its own copy; the last rewrites g
+        branches = [g] + [g.copy() for _ in rule.terms[1:]]
+        for term, branch in zip(reversed(rule.terms), branches):
+            fresh = branch._next
             term.apply(branch, targets)
             branch.scalar.mul(term.coefficient)
-            stack.append(clifford_simplify(branch))
+            simplify_in_place(branch, [*targets, *range(fresh, branch._next)])
+            stack.append(branch)
     return total
 
 

@@ -42,10 +42,15 @@ class Phase:
         object.__setattr__(self, "fixed", self.fixed % 8)
 
     def add(self, other: "Phase") -> "Phase":
-        return Phase(self.fixed + other.fixed, self.params ^ other.params)
+        params = self.params ^ other.params
+        if params:
+            return Phase(self.fixed + other.fixed, params)
+        return _FIXED_PHASES[(self.fixed + other.fixed) % 8]
 
     def add_fixed(self, k: int) -> "Phase":
-        return Phase(self.fixed + k, self.params)
+        if self.params:
+            return Phase(self.fixed + k, self.params)
+        return _FIXED_PHASES[(self.fixed + k) % 8]
 
     def is_t(self) -> bool:
         """Odd multiple of pi/4; parameter terms shift by pi and do not matter."""
@@ -66,7 +71,9 @@ class Phase:
         return f"Phase({self.fixed}/4pi)"
 
 
-PHASE_ZERO = Phase(0)
+# phases are immutable, so the eight parameter-free ones are shared
+_FIXED_PHASES = tuple(Phase(k) for k in range(8))
+PHASE_ZERO = _FIXED_PHASES[0]
 
 
 class Spider:
@@ -221,15 +228,15 @@ class ZxDiagram:
 
     def copy(self) -> "ZxDiagram":
         d = ZxDiagram.__new__(ZxDiagram)
-        d.spiders = {v: s.copy() for v, s in self.spiders.items()}
-        d.adj = {v: {} for v in self.adj}
+        d.spiders = {v: Spider(s.kind, s.phase) for v, s in self.spiders.items()}
+        adj = d.adj = {v: {} for v in self.adj}
         for v, nbrs in self.adj.items():
+            row_v = adj[v]
             for u, row in nbrs.items():
                 if u >= v:
-                    fresh = row.copy()
-                    d.adj[v][u] = fresh
+                    fresh = row_v[u] = row.copy()
                     if u != v:
-                        d.adj[u][v] = fresh
+                        adj[u][v] = fresh
         d.scalar = self.scalar.copy()
         d.inputs = list(self.inputs)
         d.outputs = list(self.outputs)

@@ -8,12 +8,30 @@ and direct evaluation of tiny scalar components.  Every rule preserves the
 diagram's tensor exactly, with all dropped factors folded into the global
 scalar.
 
+Worklist: a rule can only start to match at or next to a change, so the
+rules look only at spiders on a worklist.  Every rewrite appends the spiders
+whose phase or edges it changed to one log, and each rule reads the log from
+where it last stopped, together with the neighbours of the logged spiders
+where its match depends on them.  The rules keep their priority
+(fusion, identity and copy to a fixed point, then local complementation,
+pivoting, gadget fusion and scalar elimination) and every pass visits its
+spiders in id order, so the rewrites are those a rescan of the whole diagram
+would make, in the same order.  :func:`simplify_in_place` is the one body: a
+fresh call puts every spider on the worklist, while the decomposition tree
+passes only the spiders a term changed in an already simplified diagram.
+That diagram is copied once per extra branch and rewritten in place for the
+last one; :func:`clifford_simplify` and :func:`param_safe_simplify` copy their
+input and leave it untouched.
+
 Parameter safety: a rule touching the *pivotal* spiders of a match requires
 them parameter-free, while mere neighbours may carry boolean parameters,
 since they only ever receive fixed phase shifts.  Fusion is always safe
 (parameter sets combine by symmetric difference).
 """
 from __future__ import annotations
+
+import functools
+import heapq
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .scalars import ScalarC
@@ -46,6 +64,105 @@ class Trace:
 
 def _snap(g: ZxDiagram, trace: Trace | None) -> ScalarC | None:
     return g.scalar.copy() if trace is not None else None
+
+
+# -- the worklist ------------------------------------------------------------
+
+# readers of the worklist log, one per pass but fusion
+_ID, _COPY, _LCOMP, _PIVOT, _GADGET, _SCALAR = range(6)
+
+
+class _Worklist:
+    """Spiders whose phase, kind or edges changed, kept as one append-only
+    log that every pass but fusion reads from its own position.
+
+    Identity removal, local complementation and scalar elimination look only
+    at a spider's own phase and edges (and its neighbours' kinds, which only
+    a colour change alters, touching them too); copy, pivoting and gadget
+    fusion also look at the neighbours, so they read the touched spiders
+    together with their neighbours.  Fusion has a list of its own, ``plain``,
+    holding an end of every plain edge between Z-spiders; only the caller, a
+    colour change and identity removal make such edges outside fusion, which
+    removes them all.
+    """
+
+    __slots__ = ("adj", "log", "read", "carry", "plain")
+
+    def __init__(self, g: ZxDiagram, touched: list[int]):
+        self.adj = g.adj
+        self.log = list(touched)
+        self.read = [0] * 6
+        # spiders a sweep saw touched behind its position, for its next sweep
+        self.carry: list[list[int]] = [[] for _ in range(6)]
+        self.plain = list(touched)
+
+    def touch(self, v: int) -> None:
+        """``v``'s phase, kind or edges changed."""
+        self.log.append(v)
+
+    def spread(self, touched: list[int], near: bool) -> set[int]:
+        """``touched``, with their neighbours when ``near``."""
+        found = set(touched)
+        if near:
+            adj = self.adj
+            for v in list(found):
+                if v in adj:
+                    found.update(adj[v])
+        return found
+
+    def take(self, reader: int, near: bool) -> set[int]:
+        """The spiders ``reader`` has to look at since it last took its share."""
+        start, end = self.read[reader], len(self.log)
+        if start == end and not self.carry[reader]:
+            return set()
+        found = self.spread(self.log[start:], near)
+        self.read[reader] = end
+        if self.carry[reader]:
+            found.update(self.carry[reader])
+            self.carry[reader] = []
+        return found
+
+
+def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, near: bool, fire,
+           phases: tuple[int, ...], trace: Trace | None) -> int:
+    """Try ``fire`` in id order at the reader's worklist spiders that are
+    parameter-free Z-spiders with a phase in ``phases`` (in units of pi/4),
+    the only ones at which the sweeping rules match.
+
+    A spider that a rewrite touches joins this sweep when its id lies ahead
+    and waits for the next sweep otherwise, as in one pass over every spider.
+    """
+    todo = wl.take(reader, near)
+    if not todo:
+        return 0
+    spiders = g.spiders
+    z = SpiderKind.Z
+    heap = [v for v in todo
+            if (s := spiders.get(v)) is not None and s.kind == z
+            and s.phase.fixed in phases and not s.phase.params]
+    if not heap:
+        return 0
+    heap.sort()
+    log = wl.log
+    applied = 0
+    last = -1
+    while heap:
+        v = heapq.heappop(heap)
+        if v == last or v not in spiders:
+            continue  # a spider pushed twice pops twice in a row
+        last = v
+        start = len(log)
+        if not fire(g, wl, v, trace):
+            continue
+        applied += 1
+        for u in wl.spread(log[start:], near):
+            if u <= v:
+                wl.carry[reader].append(u)
+            elif (s := spiders.get(u)) is not None and s.kind == z \
+                    and s.phase.fixed in phases and not s.phase.params:
+                heapq.heappush(heap, u)
+    wl.read[reader] = len(log)
+    return applied
 
 
 # -- normalisation helpers ---------------------------------------------------
@@ -99,281 +216,360 @@ def _add_edge_norm(g: ZxDiagram, u: int, v: int, kind: EdgeKind, trace: Trace | 
 
 
 def _toggle_pairs(g: ZxDiagram, pairs, trace: Trace | None) -> None:
+    """Add a Hadamard edge between each pair of distinct Z-spiders, cancelling
+    it against one already there (``_add_edge_norm`` for that case)."""
+    adj = g.adj
     for s, t in pairs:
-        _add_edge_norm(g, s, t, EdgeKind.HADAMARD, trace)
+        row = adj[s].get(t)
+        if row is None:
+            row = adj[s][t] = adj[t][s] = [0, 1]
+            continue
+        row[1] += 1
+        if row[1] < 2:
+            continue
+        n = row[1] // 2
+        before = _snap(g, trace)
+        row[1] -= 2 * n
+        if not row[0] and not row[1]:
+            del adj[s][t], adj[t][s]
+        g.scalar.mul_sqrt2(-2 * n)
+        if trace is not None:
+            trace.record(g, RULE_HADAMARD_CANCEL, [s, t], before)
 
 
-def to_graph_like(g: ZxDiagram, trace: Trace | None = None) -> None:
-    """Colour-change every X-spider to Z and normalise loops and parallels."""
-    for v, s in g.spiders.items():
+def _to_graph_like(g: ZxDiagram, vs: list[int], wl: _Worklist, trace: Trace | None) -> None:
+    """Colour-change the X-spiders among ``vs`` (ascending ids) to Z and
+    normalise their loops and parallel edges; elsewhere the diagram must be
+    graph-like already."""
+    spiders, adj = g.spiders, g.adj
+    for v in vs:
+        s = spiders[v]
         if s.kind == SpiderKind.X:
-            for row in g.adj[v].values():
+            for row in adj[v].values():
                 row[0], row[1] = row[1], row[0]
             s.kind = SpiderKind.Z
-    for v in list(g.spiders):
-        _clear_self_loops(g, v, trace)
-    for v in list(g.spiders):
-        if v not in g.spiders or g.spiders[v].kind != SpiderKind.Z:
+            # every edge changed kind, at both of its ends
+            wl.plain.append(v)
+            wl.touch(v)
+            for u in adj[v]:
+                wl.touch(u)
+    for v in vs:
+        if v in adj[v]:
+            _clear_self_loops(g, v, trace)
+            wl.touch(v)
+    members = set(vs)
+    for v in vs:
+        if spiders[v].kind != SpiderKind.Z:
             continue
-        for u in list(g.adj[v]):
-            if u > v and u in g.spiders and g.spiders[u].kind == SpiderKind.Z:
+        for u in [u for u, row in adj[v].items() if row[1] >= 2]:
+            if (u > v or u not in members) and spiders[u].kind == SpiderKind.Z:
                 _reduce_parallel_h(g, v, u, trace)
+                wl.touch(v)
+                wl.touch(u)
 
 
-# -- rule passes -------------------------------------------------------------
+# -- rules -------------------------------------------------------------------
 
-def _fuse_pass(g: ZxDiagram, trace: Trace | None) -> int:
+def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
+    if not wl.plain:
+        return 0
+    spiders, adj = g.spiders, g.adj
+    # ZxDiagram.edges() lists a plain edge in the row of its lower end; only
+    # rows holding a plain edge of a listed spider can hold one between
+    # Z-spiders, and their plain edges are queued in the order edges() gives
+    rows = set()
+    for w in set(wl.plain):
+        if w in adj:
+            for x, row in adj[w].items():
+                if row[0]:
+                    rows.add(x if x < w else w)
+    wl.plain = []
+    if not rows:
+        return 0
+    queue = [(u, v) for u in sorted(rows) for v, row in adj[u].items() if v >= u
+             for _ in range(row[0])]
     applied = 0
-    queue = [(u, v) for u, v, k in g.edges() if k == EdgeKind.PLAIN]
     while queue:
         u, v = queue.pop()
-        if u == v or u not in g.spiders or v not in g.spiders:
+        if u == v or u not in spiders or v not in spiders:
             continue
-        if g.spiders[u].kind != SpiderKind.Z or g.spiders[v].kind != SpiderKind.Z:
+        if spiders[u].kind != SpiderKind.Z or spiders[v].kind != SpiderKind.Z:
             continue
         plain, _ = g.edge_counts(u, v)
         if plain < 1:
             continue
         if v < u:
             u, v = v, u  # lower id survives
-        absorbed_phase = g.spiders[v].phase
+        absorbed_phase = spiders[v].phase
         before = _snap(g, trace)
         g.remove_edge(u, v, EdgeKind.PLAIN)
         # absorb v into u: remaining u-v edges become self-loops on u
-        for x in list(g.adj[v]):
-            row = g.adj[v][x]
+        moved = list(adj[v].items())
+        for x, row in moved:
             p, h = row[0], row[1]
             row[0] = row[1] = 0
             if x != v:
-                del g.adj[x][v]
+                del adj[x][v]
             target = u if x in (u, v) else x
             if p:
                 g.add_edge(u, target, EdgeKind.PLAIN, p)
             if h:
                 g.add_edge(u, target, EdgeKind.HADAMARD, h)
-        g.adj[v].clear()
+        adj[v].clear()
         g.remove_spider(v)
-        g.spiders[u].phase = g.spiders[u].phase.add(absorbed_phase)
+        spiders[u].phase = spiders[u].phase.add(absorbed_phase)
         if trace is not None:
             trace.record(g, RULE_FUSE, [u, v], before)
-        _clear_self_loops(g, u, trace)
-        for x in list(g.adj[u]):
-            if g.spiders[x].kind == SpiderKind.Z:
+        if u in adj[u]:
+            _clear_self_loops(g, u, trace)
+        for x, row in list(adj[u].items()):
+            if row[1] >= 2 and spiders[x].kind == SpiderKind.Z:
                 _reduce_parallel_h(g, u, x, trace)
-            p, _ = g.edge_counts(u, x)
-            if p:
+            if row[0]:
                 queue.append((u, x))
+        for x, _ in moved:
+            if x != u and x != v:
+                wl.touch(x)
+        wl.touch(u)
         applied += 1
     return applied
 
 
-def _id_pass(g: ZxDiagram, trace: Trace | None) -> int:
-    applied = 0
-    for v in sorted(g.spiders):
-        if v not in g.spiders:
-            continue
-        s = g.spiders[v]
-        if s.kind != SpiderKind.Z or s.phase.fixed or s.phase.params:
-            continue
-        if v in g.adj[v]:
-            continue
-        legs = []
-        for u, row in g.adj[v].items():
-            legs += [(u, EdgeKind.PLAIN)] * row[0] + [(u, EdgeKind.HADAMARD)] * row[1]
-        if len(legs) != 2:
-            continue
-        (x, k1), (y, k2) = legs
-        before = _snap(g, trace)
-        g.remove_spider(v)
-        kind = EdgeKind.PLAIN if k1 == k2 else EdgeKind.HADAMARD
-        _add_edge_norm(g, x, y, kind, trace)
-        if trace is not None:
-            trace.record(g, RULE_IDENTITY, [v, x, y], before)
-        applied += 1
-    return applied
+def _identity_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
+    s = g.spiders[v]
+    if s.kind != SpiderKind.Z or s.phase.fixed or s.phase.params:
+        return False
+    if v in g.adj[v]:
+        return False
+    legs = []
+    for u, row in g.adj[v].items():
+        legs += [(u, EdgeKind.PLAIN)] * row[0] + [(u, EdgeKind.HADAMARD)] * row[1]
+    if len(legs) != 2:
+        return False
+    (x, k1), (y, k2) = legs
+    before = _snap(g, trace)
+    g.remove_spider(v)
+    kind = EdgeKind.PLAIN if k1 == k2 else EdgeKind.HADAMARD
+    _add_edge_norm(g, x, y, kind, trace)
+    if kind == EdgeKind.PLAIN:
+        wl.plain.append(x)
+    if trace is not None:
+        trace.record(g, RULE_IDENTITY, [v, x, y], before)
+    wl.touch(x)
+    wl.touch(y)
+    return True
 
 
-def _copy_pass(g: ZxDiagram, trace: Trace | None) -> int:
-    applied = 0
-    for v in sorted(g.spiders):
-        if v not in g.spiders:
-            continue
-        s = g.spiders[v]
-        if s.kind != SpiderKind.Z or s.phase.params or s.phase.fixed % 4:
-            continue
-        if g.degree(v) != 1:
-            continue
-        w = next(iter(g.adj[v]))
-        _, had = g.edge_counts(v, w)
-        if not had:
-            continue  # plain edge: fusion's job
-        sw = g.spiders[w]
-        if sw.kind != SpiderKind.Z:
-            continue
-        a = s.phase.fixed // 4
-        if a and sw.phase.params:
-            continue  # e^(i*a*beta) would depend on the assignment
-        others = [t for t in g.adj[w] if t != v]
-        if any(g.spiders[t].kind != SpiderKind.Z for t in others):
-            continue
-        if any(g.edge_counts(w, t)[0] for t in others):
-            continue
-        before = _snap(g, trace)
-        # pushing the X-basis state through w: each neighbour gains a*pi,
-        # w and the copier disappear
-        if a:
-            g.scalar.mul_phase8(sw.phase.fixed)
-        g.scalar.mul_sqrt2(1 - len(others))
-        for t in others:
-            g.spiders[t].phase = g.spiders[t].phase.add_fixed(4 * a)
-        g.remove_spider(v)
-        g.remove_spider(w)
-        if trace is not None:
-            trace.record(g, RULE_COPY, [v, w] + others, before)
-        applied += 1
-    return applied
+def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
+    s = g.spiders[v]
+    if s.kind != SpiderKind.Z or s.phase.params or s.phase.fixed % 4:
+        return False
+    if g.degree(v) != 1:
+        return False
+    w = next(iter(g.adj[v]))
+    _, had = g.edge_counts(v, w)
+    if not had:
+        return False  # plain edge: fusion's job
+    sw = g.spiders[w]
+    if sw.kind != SpiderKind.Z:
+        return False
+    a = s.phase.fixed // 4
+    if a and sw.phase.params:
+        return False  # e^(i*a*beta) would depend on the assignment
+    others = [t for t in g.adj[w] if t != v]
+    if any(g.spiders[t].kind != SpiderKind.Z for t in others):
+        return False
+    if any(g.edge_counts(w, t)[0] for t in others):
+        return False
+    before = _snap(g, trace)
+    # pushing the X-basis state through w: each neighbour gains a*pi,
+    # w and the copier disappear
+    if a:
+        g.scalar.mul_phase8(sw.phase.fixed)
+    g.scalar.mul_sqrt2(1 - len(others))
+    for t in others:
+        g.spiders[t].phase = g.spiders[t].phase.add_fixed(4 * a)
+    g.remove_spider(v)
+    g.remove_spider(w)
+    if trace is not None:
+        trace.record(g, RULE_COPY, [v, w] + others, before)
+    for t in others:
+        if t in g.spiders:
+            wl.touch(t)
+    return True
 
 
 def _interior(g: ZxDiagram, v: int) -> bool:
     return all(g.spiders[u].kind == SpiderKind.Z for u in g.adj[v] if u != v)
 
 
-def _lcomp_pass(g: ZxDiagram, trace: Trace | None) -> int:
-    applied = 0
-    for v in sorted(g.spiders):
-        if v not in g.spiders:
+def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
+    s = g.spiders[v]
+    if s.kind != SpiderKind.Z or s.phase.params or s.phase.fixed not in (2, 6):
+        return False
+    if any(row[0] for row in g.adj[v].values()):
+        return False  # plain legs pending fusion
+    if not _interior(g, v):
+        return False
+    nbrs = sorted(g.adj[v])
+    n = len(nbrs)
+    before = _snap(g, trace)
+    g.scalar.mul_phase8(1 if s.phase.fixed == 2 else 7)
+    g.scalar.mul_sqrt2((n - 1) * (n - 2) // 2)
+    shift = -2 if s.phase.fixed == 2 else 2
+    for t in nbrs:
+        g.spiders[t].phase = g.spiders[t].phase.add_fixed(shift)
+    g.remove_spider(v)
+    _toggle_pairs(g, ((nbrs[i], nbrs[j]) for i in range(n) for j in range(i + 1, n)),
+                  trace)
+    if trace is not None:
+        trace.record(g, RULE_LCOMP, [v] + nbrs, before)
+    for t in nbrs:
+        wl.touch(t)
+    return True
+
+
+def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
+    su = g.spiders[u]
+    if su.kind != SpiderKind.Z or su.phase.params or su.phase.fixed % 4:
+        return False
+    if any(row[0] for row in g.adj[u].values()) or not _interior(g, u):
+        return False
+    for v in sorted(g.adj[u]):
+        if v <= u:
             continue
-        s = g.spiders[v]
-        if s.kind != SpiderKind.Z or s.phase.params or s.phase.fixed not in (2, 6):
+        sv = g.spiders[v]
+        if sv.phase.params or sv.phase.fixed % 4:
             continue
-        if any(row[0] for row in g.adj[v].values()):
-            continue  # plain legs pending fusion
-        if not _interior(g, v):
+        if any(row[0] for row in g.adj[v].values()) or not _interior(g, v):
             continue
-        nbrs = sorted(g.adj[v])
-        n = len(nbrs)
+        a, b = su.phase.fixed // 4, sv.phase.fixed // 4
+        nu = set(g.adj[u]) - {v}
+        nv = set(g.adj[v]) - {u}
+        common = sorted(nu & nv)
+        only_u = sorted(nu - set(common))
+        only_v = sorted(nv - set(common))
+        p, q, r = len(only_u), len(only_v), len(common)
         before = _snap(g, trace)
-        g.scalar.mul_phase8(1 if s.phase.fixed == 2 else 7)
-        g.scalar.mul_sqrt2((n - 1) * (n - 2) // 2)
-        shift = -2 if s.phase.fixed == 2 else 2
-        for t in nbrs:
-            g.spiders[t].phase = g.spiders[t].phase.add_fixed(shift)
+        if a and b:
+            g.scalar.mul_phase8(4)
+        g.scalar.mul_sqrt2(p * q + p * r + q * r + 1 - p - q - 2 * r)
+        for x in only_u:
+            g.spiders[x].phase = g.spiders[x].phase.add_fixed(4 * b)
+        for y in only_v:
+            g.spiders[y].phase = g.spiders[y].phase.add_fixed(4 * a)
+        for z in common:
+            g.spiders[z].phase = g.spiders[z].phase.add_fixed(4 * (a + b + 1))
+        g.remove_spider(u)
         g.remove_spider(v)
-        _toggle_pairs(g, ((nbrs[i], nbrs[j]) for i in range(n) for j in range(i + 1, n)),
-                      trace)
+        pairs = [(x, y) for x in only_u for y in only_v]
+        pairs += [(x, z) for x in only_u for z in common]
+        pairs += [(y, z) for y in only_v for z in common]
+        _toggle_pairs(g, pairs, trace)
         if trace is not None:
-            trace.record(g, RULE_LCOMP, [v] + nbrs, before)
-        applied += 1
-    return applied
+            trace.record(g, RULE_PIVOT, [u, v] + only_u + only_v + common, before)
+        for t in only_u + only_v + common:
+            wl.touch(t)
+        return True
+    return False
 
 
-def _pivot_pass(g: ZxDiagram, trace: Trace | None) -> int:
-    applied = 0
-    for u in sorted(g.spiders):
-        if u not in g.spiders:
-            continue
-        su = g.spiders[u]
-        if su.kind != SpiderKind.Z or su.phase.params or su.phase.fixed % 4:
-            continue
-        if any(row[0] for row in g.adj[u].values()) or not _interior(g, u):
-            continue
-        for v in sorted(g.adj[u]):
-            if v <= u or v not in g.spiders:
-                continue
-            sv = g.spiders[v]
-            if sv.phase.params or sv.phase.fixed % 4:
-                continue
-            if any(row[0] for row in g.adj[v].values()) or not _interior(g, v):
-                continue
-            a, b = su.phase.fixed // 4, sv.phase.fixed // 4
-            nu = set(g.adj[u]) - {v}
-            nv = set(g.adj[v]) - {u}
-            common = sorted(nu & nv)
-            only_u = sorted(nu - set(common))
-            only_v = sorted(nv - set(common))
-            p, q, r = len(only_u), len(only_v), len(common)
-            before = _snap(g, trace)
-            if a and b:
-                g.scalar.mul_phase8(4)
-            g.scalar.mul_sqrt2(p * q + p * r + q * r + 1 - p - q - 2 * r)
-            for x in only_u:
-                g.spiders[x].phase = g.spiders[x].phase.add_fixed(4 * b)
-            for y in only_v:
-                g.spiders[y].phase = g.spiders[y].phase.add_fixed(4 * a)
-            for z in common:
-                g.spiders[z].phase = g.spiders[z].phase.add_fixed(4 * (a + b + 1))
-            g.remove_spider(u)
-            g.remove_spider(v)
-            pairs = [(x, y) for x in only_u for y in only_v]
-            pairs += [(x, z) for x in only_u for z in common]
-            pairs += [(y, z) for y in only_v for z in common]
-            _toggle_pairs(g, pairs, trace)
-            if trace is not None:
-                trace.record(g, RULE_PIVOT, [u, v] + only_u + only_v + common, before)
-            applied += 1
-            break  # u is gone
-    return applied
+def _gadget_at(g: ZxDiagram, h: int) -> tuple[int, frozenset[int]] | None:
+    """(carrier, connectivity set) when ``h`` is the hub of a phase gadget."""
+    s = g.spiders[h]
+    if s.kind != SpiderKind.Z or s.phase.fixed or s.phase.params:
+        return None
+    if any(row[0] for row in g.adj[h].values()) or not _interior(g, h):
+        return None
+    carriers = [t for t in g.adj[h] if g.degree(t) == 1]
+    if len(carriers) != 1:
+        return None
+    conn = frozenset(t for t in g.adj[h] if t != carriers[0])
+    return (carriers[0], conn) if len(conn) >= 2 else None
 
 
-def _gadget_pass(g: ZxDiagram, trace: Trace | None) -> int:
+def _gadget_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     """Fuse phase gadgets whose connectivity sets coincide."""
+    spiders = g.spiders
     gadgets: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for h in sorted(g.spiders):
-        s = g.spiders[h]
-        if s.kind != SpiderKind.Z or s.phase.fixed or s.phase.params:
+    for h in wl.take(_GADGET, True):
+        s = spiders.get(h)
+        found = s is not None and s.phase.fixed == 0 and _gadget_at(g, h)
+        if not found or found[1] in gadgets:
             continue
-        if any(row[0] for row in g.adj[h].values()) or not _interior(g, h):
-            continue
-        carriers = [t for t in g.adj[h] if g.degree(t) == 1]
-        if len(carriers) != 1:
-            continue
-        conn = frozenset(t for t in g.adj[h] if t != carriers[0])
-        if len(conn) >= 2:
-            gadgets.setdefault(conn, []).append((h, carriers[0]))
+        conn = found[1]
+        # a hub with this connectivity set neighbours each spider in it
+        group = []
+        for h2 in g.adj[next(iter(conn))]:
+            other = _gadget_at(g, h2)
+            if other is not None and other[1] == conn:
+                group.append((h2, other[0]))
+        gadgets[conn] = sorted(group)
     applied = 0
     for conn, group in sorted(gadgets.items(), key=lambda kv: kv[1][0]):
-        group.sort()
         keep_h, keep_c = group[0]
         for h, c in group[1:]:
             before = _snap(g, trace)
-            g.spiders[keep_c].phase = g.spiders[keep_c].phase.add(g.spiders[c].phase)
+            spiders[keep_c].phase = spiders[keep_c].phase.add(spiders[c].phase)
             g.remove_spider(c)
             g.remove_spider(h)
             g.scalar.mul_sqrt2(1 - len(conn))
             if trace is not None:
                 trace.record(g, RULE_GADGET_FUSE, [keep_h, keep_c, h, c], before)
+            wl.touch(keep_c)
+            for t in conn:
+                if t in spiders:
+                    wl.touch(t)
             applied += 1
     return applied
 
 
-def _scalar_elim_pass(g: ZxDiagram, trace: Trace | None) -> int:
-    applied = 0
-    for comp in g.connected_components():
-        if len(comp) > 2:
+@functools.lru_cache(maxsize=512)
+def _component_value(ka: int, kb: int | None = None, plain: int = 0, had: int = 0) -> ScalarC:
+    """Value of a component of one spider of phase ``ka`` (``kb`` None) or of
+    two, joined by ``plain`` plain and ``had`` Hadamard edges.  Shared: the
+    caller must not change it."""
+    if kb is None:
+        return ScalarC.one().plus(ScalarC.from_phase8(ka))
+    if plain:
+        # sum over the shared index; any H edges contribute parity signs
+        value = ScalarC.one().plus(ScalarC.from_phase8((ka + kb + 4 * had) % 8))
+    else:
+        value = ScalarC.one()
+        value = value.plus(ScalarC.from_phase8(ka))
+        value = value.plus(ScalarC.from_phase8(kb))
+        value = value.plus(ScalarC.from_phase8((ka + kb + 4 * had) % 8))
+    value.mul_sqrt2(-had)
+    return value
+
+
+def _scalar_elim_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
+    """Evaluate connected components of one or two spiders."""
+    spiders, adj = g.spiders, g.adj
+    comps: dict[int, list[int]] = {}
+    for v in wl.take(_SCALAR, False):
+        row = adj.get(v)
+        if row is None or len(row) > 2:
             continue
-        spiders = [g.spiders[v] for v in comp]
-        if any(s.kind == SpiderKind.BOUNDARY or s.phase.params for s in spiders):
+        nbrs = [u for u in row if u != v]
+        if not nbrs:
+            comps[v] = [v]
+        elif len(nbrs) == 1 and all(x in (v, nbrs[0]) for x in adj[nbrs[0]]):
+            comps[min(v, nbrs[0])] = sorted((v, nbrs[0]))
+    applied = 0
+    for _, comp in sorted(comps.items()):
+        if any(spiders[v].kind == SpiderKind.BOUNDARY or spiders[v].phase.params
+               for v in comp):
             continue
         before = _snap(g, trace)
         if len(comp) == 1:
-            (v,) = comp
-            value = ScalarC.one().plus(ScalarC.from_phase8(spiders[0].phase.fixed))
-            g.remove_spider(v)
+            value = _component_value(spiders[comp[0]].phase.fixed)
         else:
-            u, v = sorted(comp)
+            u, v = comp
             plain, had = g.edge_counts(u, v)
-            ka, kb = g.spiders[u].phase.fixed, g.spiders[v].phase.fixed
-            if plain:
-                # sum over the shared index; any H edges contribute parity signs
-                value = ScalarC.one().plus(ScalarC.from_phase8((ka + kb + 4 * had) % 8))
-                value.mul_sqrt2(-had)
-            else:
-                value = ScalarC.one()
-                value = value.plus(ScalarC.from_phase8(ka))
-                value = value.plus(ScalarC.from_phase8(kb))
-                value = value.plus(ScalarC.from_phase8((ka + kb + 4 * had) % 8))
-                value.mul_sqrt2(-had)
-            g.remove_spider(u)
+            value = _component_value(spiders[u].phase.fixed, spiders[v].phase.fixed,
+                                     plain, had)
+        for v in comp:
             g.remove_spider(v)
         g.scalar.mul(value)
         if trace is not None:
@@ -386,28 +582,53 @@ def _scalar_elim_pass(g: ZxDiagram, trace: Trace | None) -> int:
 
 # -- drivers -----------------------------------------------------------------
 
-def _run(g: ZxDiagram, trace: Trace | None) -> None:
-    to_graph_like(g, trace)
+def simplify_in_place(g: ZxDiagram, touched=None, trace: Trace | None = None) -> None:
+    """Simplify ``g`` in place, every rule application valid for all
+    assignments of its boolean parameters.
+
+    ``touched`` lists the spiders whose phase, kind or edges changed since
+    ``g`` was last simplified, including any added since; only they start
+    on the worklist.  ``None`` puts every spider on it.
+    """
+    touched = sorted(g.spiders) if touched is None else sorted(set(touched))
+    wl = _Worklist(g, touched)
+    # only a changed spider can be an X-spider or have a loop or parallel edge
+    _to_graph_like(g, touched, wl, trace)
     while True:
         if g.scalar.is_zero:
             if not g.inputs and not g.outputs:
                 for v in list(g.spiders):
                     g.remove_spider(v)
             return
-        while _fuse_pass(g, trace) + _id_pass(g, trace) + _copy_pass(g, trace):
+        while (_fuse_pass(g, wl, trace)
+               + _sweep(g, wl, _ID, False, _identity_at, (0,), trace)
+               + _sweep(g, wl, _COPY, True, _copy_at, (0, 4), trace)):
             if g.scalar.is_zero:
                 break
         if g.scalar.is_zero:
             continue
-        if _lcomp_pass(g, trace):
+        if _sweep(g, wl, _LCOMP, False, _lcomp_at, (2, 6), trace):
             continue
-        if _pivot_pass(g, trace):
+        if _sweep(g, wl, _PIVOT, True, _pivot_at, (0, 4), trace):
             continue
-        if _gadget_pass(g, trace):
+        if _gadget_pass(g, wl, trace):
             continue
-        if _scalar_elim_pass(g, trace):
-            continue
-        return
+        # evaluating whole components changes no other spider, so no rule
+        # can match anew: only a zero scalar is left to handle
+        _scalar_elim_pass(g, wl, trace)
+        if not g.scalar.is_zero:
+            return
+
+
+def param_safe_simplify(d: ZxDiagram, trace: Trace | None = None) -> ZxDiagram:
+    """Simplify so that every rule application is valid for all boolean
+    parameter assignments simultaneously.
+
+    On a parameter-free diagram this coincides with :func:`clifford_simplify`.
+    """
+    g = d.copy()
+    simplify_in_place(g, None, trace)
+    return g
 
 
 def clifford_simplify(d: ZxDiagram, trace: Trace | None = None) -> ZxDiagram:
@@ -418,17 +639,4 @@ def clifford_simplify(d: ZxDiagram, trace: Trace | None = None) -> ZxDiagram:
     """
     if d.params or any(s.phase.params for s in d.spiders.values()):
         raise ValueError("clifford_simplify requires a parameter-free diagram")
-    g = d.copy()
-    _run(g, trace)
-    return g
-
-
-def param_safe_simplify(d: ZxDiagram, trace: Trace | None = None) -> ZxDiagram:
-    """Simplify so that every rule application is valid for all boolean
-    parameter assignments simultaneously.
-
-    On a parameter-free diagram this coincides with :func:`clifford_simplify`.
-    """
-    g = d.copy()
-    _run(g, trace)
-    return g
+    return param_safe_simplify(d, trace)

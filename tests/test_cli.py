@@ -184,6 +184,27 @@ def test_calibrate_writes_config(tmp_path):
     assert cm.t_overhead >= 0
 
 
+def test_calibrate_measures_in_the_random_t_window(tmp_path, monkeypatch):
+    # every rate comes from runs with enough leaves to outweigh set-up, and
+    # rPrecomp only from split plans
+    import zxcut.cli as cli
+    seen = []
+    real = cli.simulate_amplitude
+
+    def recording(*args, **kwargs):
+        amp, report = real(*args, **kwargs)
+        seen.append(report)
+        return amp, report
+
+    monkeypatch.setattr(cli, "simulate_amplitude", recording)
+    assert main(["calibrate", "--out", str(tmp_path / "rates.json")]) == 0
+    assert len(seen) == 12
+    for report in seen:
+        assert report.t_count >= 12
+        if report.method == "smart":
+            assert report.plan.k >= 2
+
+
 def test_spec_json_input(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(

@@ -8,6 +8,7 @@ from zxcut.decompose import (DecomposeStats, decompose_to_scalar,
                              derive_one_t_coefficients, derive_two_t_coefficients,
                              measure_alpha, _template_tensor)
 from zxcut.diagram import SpiderKind, ZxDiagram, diagram_from_circuit, plug
+from zxcut.generators import CircuitSpec, gen_clifford_t
 from zxcut.oracle import statevector_amplitude
 from zxcut.simplify import clifford_simplify
 
@@ -137,3 +138,38 @@ def test_measure_alpha_range():
     mean, std = measure_alpha(sample)
     assert 0 < mean <= 0.5
     assert std >= 0
+
+
+# (qubits, depth, sigma, generator seed, in plugs, out plugs, simplified T,
+# leaves, amplitude): leaves and amplitudes as the one-rescan-per-rule
+# simplifier gave them
+PINNED_DECOMPOSITIONS = [
+    (10, 120, 0.5, 3, '00+1+0+++0', '10++100000', 12, 11,
+     -0.015624999999999976 + 0.00781249999999999j),
+    (12, 150, 1.0, 5, '0++1+10+011+', '00000+11+1+0', 13, 18,
+     -0.00047390759202985133 - 0.02114927172801988j),
+    (12, 150, math.inf, 6, '+011+10110+1', '111111++1010', 13, 14,
+     0.018525940184059682 + 0.027482554320049722j),
+    (10, 120, 0.5, 64, '1+01101+10', '1+0++110+1', 13, 9,
+     -0.022767293456039783 - 0.06439563036811936j),
+    (12, 150, 1.0, 68, '1+11+0+0101+', '++++++000+1+', 16, 8,
+     -0.000976562499999999 + 0.00040450543200497703j),
+    (12, 150, math.inf, 69, '11++0+110++1', '100111+01111', 12, 18,
+     -0.005189168456039799 - 0.010239532592029841j),
+    (10, 120, 0.5, 74, '1011+++00+', '10000+++00', 13, 8,
+     0.043638956543960154 - 0.08515230419227855j),
+    (12, 150, 1.0, 76, '10011++0+000', '++++1++0+1++', 12, 9,
+     -0.0004739075920298522 + 0.003432342407970142j),
+]
+
+
+@pytest.mark.parametrize("row", PINNED_DECOMPOSITIONS, ids=lambda r: f"{r[0]}x{r[1]}s{r[2]}/{r[3]}")
+def test_pinned_leaves_and_amplitudes(row):
+    n, depth, sigma, seed, ins, outs, t, leaves, amp = row
+    d = plug(diagram_from_circuit(gen_clifford_t(CircuitSpec(n, depth, sigma, seed))), ins, outs)
+    before = d.to_json()
+    stats = DecomposeStats()
+    val = decompose_to_scalar(d, None, stats)
+    assert (stats.t_initial, stats.leaves) == (t, leaves)
+    assert abs(val.to_complex() - amp) < 1e-12
+    assert d.to_json() == before

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from zxcut.circuits import parse_circuit
 from zxcut.cutting import cut_spider, instantiate
+from zxcut.decompose import derive_one_t_coefficients, derive_two_t_coefficients
 from zxcut.diagram import (EdgeKind, Phase, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug)
 from zxcut.oracle import statevector_amplitude
-from zxcut.simplify import Trace, clifford_simplify, param_safe_simplify
+from zxcut.simplify import Trace, clifford_simplify, param_safe_simplify, simplify_in_place
 from zxcut.tensor import tensor_of
 
 from helpers import random_circuit, random_graphlike_diagram, random_plugs, random_scalar_diagram
@@ -176,3 +178,96 @@ def test_random_graphlike_preservation():
         ref = tensor_of(d)
         out = tensor_of(clifford_simplify(d))
         assert np.max(np.abs(np.atleast_1d(out - ref))) < 1e-9
+
+
+# rewrite sequence of a fixed 3-qubit circuit, as a rescan of every spider
+# after every rule gives it
+PINNED_CIRCUIT = ("CNOT 1 2\nT 2\nCNOT 1 2\nCNOT 2 1\nCNOT 0 1\nCNOT 1 2\n"
+                  "T 1\nT 0\nT 0\nHSH 1\nS 2\nT 2\n")
+PINNED_STEPS = [
+    ("fuse", [19, 22]), ("fuse", [18, 19]), ("fuse", [15, 16]), ("fuse", [10, 15]),
+    ("fuse", [0, 10]), ("fuse", [12, 14]), ("fuse", [9, 11]), ("fuse", [3, 6]),
+    ("fuse", [1, 3]), ("fuse", [2, 4]), ("copy", [0, 9, 20]), ("copy", [12, 17, 21]),
+    ("hadamardCancel", [5, 7]), ("pivot", [1, 2, 5, 7, 9]), ("pivot", [7, 8, 9, 13]),
+    ("identity", [5, 9, 12]), ("fuse", [5, 12]), ("localComplement", [5, 13]),
+    ("localComplement", [13, 18]), ("scalarElim", [18]),
+]
+
+
+def test_trace_of_fixed_circuit_is_pinned():
+    d = plug(diagram_from_circuit(parse_circuit(PINNED_CIRCUIT)), "++1", "0++")
+    tr = Trace()
+    g = clifford_simplify(d, tr)
+    assert [(s["rule"], s["spiders"]) for s in tr.steps] == PINNED_STEPS
+    assert not g.spiders
+    assert abs(g.scalar.to_complex() - (-0.1767766952966369 + 0.42677669529663687j)) < 1e-15
+
+
+def test_simplifiers_leave_their_input_unchanged():
+    rng = default_rng(12)
+    for _ in range(20):
+        d = random_scalar_diagram(rng)
+        before = d.to_json()
+        clifford_simplify(d)
+        param_safe_simplify(d)
+        assert d.to_json() == before
+        v = next(v for v, s in sorted(d.spiders.items()) if s.kind != SpiderKind.BOUNDARY)
+        cut = cut_spider(d, v, 0)
+        before = cut.to_json()
+        param_safe_simplify(cut)
+        assert cut.to_json() == before
+
+
+def _canonical(g: ZxDiagram):
+    spiders = sorted((v, s.kind, s.phase.fixed, sorted(s.phase.params))
+                     for v, s in g.spiders.items())
+    edges = sorted((u, v, tuple(row)) for u, nbrs in g.adj.items()
+                   for v, row in nbrs.items() if u <= v)
+    return spiders, edges, g.scalar.coeff, g.scalar.sqrt2_pow, g.scalar.is_zero
+
+
+def test_resuming_from_touched_spiders_equals_a_fresh_simplification():
+    # the decomposition tree rewrites a simplified diagram and resumes from
+    # the spiders it changed; that must give what a fresh call gives, down
+    # the whole tree and for target pairs other than the ones it picks
+    rng = default_rng(13)
+    pair, single = derive_two_t_coefficients(), derive_one_t_coefficients()
+    checked = 0
+    for _ in range(12):
+        n = int(rng.integers(4, 8))
+        d = plug(diagram_from_circuit(random_circuit(n, 100, rng)), "+" * n, "+" * n)
+        stack = [clifford_simplify(d)]
+        while stack:
+            g = stack.pop()
+            ts = [v for v, s in sorted(g.spiders.items()) if s.phase.is_t()]
+            if not ts:
+                continue
+            rule = pair if len(ts) >= 2 else single
+            targets = tuple(int(v) for v in sorted(rng.choice(ts, rule.t_cost, replace=False)))
+            for term in rule.terms:
+                branch = g.copy()
+                fresh = branch._next
+                term.apply(branch, targets)
+                expected = clifford_simplify(branch)
+                simplify_in_place(branch, [*targets, *range(fresh, branch._next)])
+                assert _canonical(branch) == _canonical(expected)
+                checked += 1
+                stack.append(branch)
+    assert checked > 200
+
+
+def test_resuming_reaches_a_rule_at_a_lower_neighbour():
+    # a T-spider that turns Pauli lets its lower-id Pauli neighbour pivot
+    # with it; the sweep meets that neighbour first
+    d = ZxDiagram()
+    y, v, a, b, c, e = (d.add_spider(SpiderKind.Z, Phase(k)) for k in (0, 1, 1, 1, 3, 5))
+    for s, t in ((y, v), (y, a), (y, b), (v, c), (v, e), (a, c), (b, e), (c, e), (a, b)):
+        d.add_edge(s, t, EdgeKind.HADAMARD)
+    g = clifford_simplify(d)
+    assert _canonical(g)[:2] == _canonical(d)[:2]  # nothing to rewrite yet
+    g.spiders[v].phase = Phase(0)
+    tr = Trace()
+    expected = clifford_simplify(g)
+    simplify_in_place(g, [v], tr)
+    assert ("pivot", [y, v]) in [(s["rule"], s["spiders"][:2]) for s in tr.steps]
+    assert _canonical(g) == _canonical(expected)

@@ -17,8 +17,7 @@ from .oracle import naive_global_sum, statevector_amplitude
 from .partition import (PartitionHypergraph, PartitionPlan, choose_k,
                         partition_k, to_partition_hypergraph)
 from .regroup import (Segment, SegmentHypergraph, local_index, min_pair,
-                      plan_schedule, precompute_segment, regroup_all,
-                      regroup_pair)
+                      plan_schedule, precompute_segment, regroup_all)
 from .scalars import ScalarC
 from .simplify import Trace, clifford_simplify, param_safe_simplify
 from .tensor import TensorSizeError, tensor_of
@@ -39,7 +38,7 @@ __all__ = [
     "PartitionHypergraph", "PartitionPlan", "choose_k", "partition_k",
     "to_partition_hypergraph",
     "Segment", "SegmentHypergraph", "local_index", "min_pair", "plan_schedule",
-    "precompute_segment", "regroup_all", "regroup_pair",
+    "precompute_segment", "regroup_all",
     "ScalarC",
     "Trace", "clifford_simplify", "param_safe_simplify",
     "TensorSizeError", "tensor_of",

@@ -274,18 +274,18 @@ def _calibration_circuits(rng, count: int = 6) -> list[Circuit]:
 def cmd_calibrate(args) -> int:
     """Measure local calculation rates and write them as a config file.
 
-    rDecomp and rPrecomp are leaves per second of run time outside planning,
-    read from the reports of ``direct`` and forced-partition ``smart`` runs
-    of six seeded circuits with simplified T-counts in ``CALIBRATE_T``;
-    tOverhead is the mean planning time of the ``smart`` runs.  rCrossref
-    times ``regroup_all`` on synthetic 2^10-entry tables.
+    rDecomp is leaves per second of run time outside planning, read from the
+    reports of ``direct`` runs of six seeded circuits with simplified
+    T-counts in ``CALIBRATE_T``; tOverhead is the mean planning time of
+    plan-only ``smart`` runs of the same circuits.  rCrossref times
+    ``regroup_all`` on synthetic 2^10-entry tables.
     """
     cm = CostModel()
     rng = default_rng(args.seed)
     circuits = _calibration_circuits(rng)
     plugs = "+" * CALIBRATE_QUBITS
     reports = {method: [simulate_amplitude(circ, plugs, plugs, method, cm, seed=args.seed,
-                                           force_partition=method == "smart")[1]
+                                           plan_only=method == "smart")[1]
                         for circ in circuits]
                for method in ("direct", "smart")}
 
@@ -301,7 +301,6 @@ def cmd_calibrate(args) -> int:
     calibrated = CostModel(
         alpha=cm.alpha,
         r_decomp=_leaf_rate(reports["direct"]),
-        r_precomp=_leaf_rate(reports["smart"]),
         r_crossref=r_crossref,
         t_overhead=statistics.fmean(r.overhead_seconds for r in reports["smart"]),
         real_run_threshold_secs=cm.real_run_threshold_secs,

@@ -1,14 +1,18 @@
 """Projected-runtime cost model: decomposition efficiency, per-calculation
-rates, and the estimator formulas used for plan selection and benchmark
+rates, and the one price formula used for plan selection and benchmark
 sweeps.
 
+Every reduction, plain decomposition or one entry of a precomputed table, is
+priced the same way: 2^(alpha*t) stabiliser-decomposition leaves at rDecomp.
+Cross-referencing products cost 1/rCrossref each, and a partitioned plan
+pays tOverhead once.
+
 Default rates ship from measurements on commodity hardware (error bars in
-the comments below); ``zxcut calibrate`` re-measures them locally from the
-reports of ``direct`` and ``smart`` runs.  Its rates are leaves per second of
-a run's time outside planning, so planning time is counted only in
-tOverhead.  All estimates are labeled with the alpha used, since the
-implemented decomposition set may be weaker than the one the default alpha
-describes.
+the comments below); ``zxcut calibrate`` re-measures rDecomp locally from
+the reports of ``direct`` runs, as leaves per second of a run's time outside
+planning, so planning time is counted only in tOverhead.  All estimates are
+labeled with the alpha used, since the implemented decomposition set may be
+weaker than the one the default alpha describes.
 """
 from __future__ import annotations
 
@@ -16,12 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 
-# reference rates, calcs/second: decomp 1730 +/- 650, precomp 21400 +/- 13300,
-# crossref 412000 +/- 145000; alpha 0.32 +/- 0.02
+# reference rates, calcs/second: decomp 1730 +/- 650, crossref 412000 +/- 145000;
+# alpha 0.32 +/- 0.02
 DEFAULTS = {
     "alpha": 0.32,
     "rDecomp": 1730.0,
-    "rPrecomp": 21400.0,
     "rCrossref": 412000.0,
     "tOverhead": 0.0,
     "realRunThresholdSecs": 100.0,
@@ -30,7 +33,6 @@ DEFAULTS = {
 _KEY_TO_ATTR = {
     "alpha": "alpha",
     "rDecomp": "r_decomp",
-    "rPrecomp": "r_precomp",
     "rCrossref": "r_crossref",
     "tOverhead": "t_overhead",
     "realRunThresholdSecs": "real_run_threshold_secs",
@@ -41,7 +43,6 @@ _KEY_TO_ATTR = {
 class CostModel:
     alpha: float = DEFAULTS["alpha"]
     r_decomp: float = DEFAULTS["rDecomp"]
-    r_precomp: float = DEFAULTS["rPrecomp"]
     r_crossref: float = DEFAULTS["rCrossref"]
     t_overhead: float = DEFAULTS["tOverhead"]
     real_run_threshold_secs: float = DEFAULTS["realRunThresholdSecs"]
@@ -49,21 +50,18 @@ class CostModel:
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
-        for rate in (self.r_decomp, self.r_precomp, self.r_crossref):
+        for rate in (self.r_decomp, self.r_crossref):
             if rate <= 0:
                 raise ValueError("calculation rates must be positive")
 
-    # -- estimators --------------------------------------------------------
+    # -- the price ----------------------------------------------------------
 
-    def estimate_direct(self, t: int) -> float:
-        """Seconds for plain decomposition of a T-count-t diagram:
-        2^(alpha*t) / rDecomp."""
-        return 2.0 ** (self.alpha * t) / self.r_decomp
-
-    def estimate_smart(self, s_precomp: float, s_crossref: float,
-                       overhead: float | None = None) -> float:
-        ov = self.t_overhead if overhead is None else overhead
-        return ov + s_precomp / self.r_precomp + s_crossref / self.r_crossref
+    def seconds(self, leaves: float, products: float = 0.0,
+                overhead: float = 0.0) -> float:
+        """Projected seconds of a run that evaluates ``leaves`` decomposition
+        leaves and ``products`` cross-referencing products after ``overhead``
+        seconds of set-up: overhead + leaves/rDecomp + products/rCrossref."""
+        return overhead + leaves / self.r_decomp + products / self.r_crossref
 
     @staticmethod
     def log2_seconds(seconds: float) -> float:

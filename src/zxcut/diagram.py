@@ -56,9 +56,6 @@ class Phase:
         """Odd multiple of pi/4; parameter terms shift by pi and do not matter."""
         return self.fixed % 2 == 1
 
-    def is_pauli(self) -> bool:
-        return self.fixed % 4 == 0 and not self.params
-
     def value(self) -> complex:
         """e^(i*phase) for a parameter-free phase."""
         if self.params:
@@ -148,9 +145,6 @@ class ZxDiagram:
         del self.spiders[v]
 
     # -- queries -----------------------------------------------------------
-
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in self.adj[v] if u != v]
 
     def edge_counts(self, u: int, v: int) -> tuple[int, int]:
         row = self.adj[u].get(v)

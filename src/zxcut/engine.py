@@ -91,7 +91,7 @@ def method_seconds(plan: PartitionPlan, cm: CostModel) -> dict[str, float]:
     decomposition whatever the method."""
     naive = plan.t_direct_est
     if plan.k > 1:
-        naive = cm.t_overhead + _naive_leaves(plan, cm) / cm.r_decomp
+        naive = cm.seconds(_naive_leaves(plan, cm), overhead=cm.t_overhead)
     return {"direct": plan.t_direct_est, "naive": naive, "smart": plan.t_smart_est}
 
 

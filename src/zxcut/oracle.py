@@ -58,12 +58,6 @@ def run_statevector(circ: Circuit, start: np.ndarray) -> np.ndarray:
     return state
 
 
-def _basis_state(bits: str, n: int) -> np.ndarray:
-    state = np.zeros(2 ** n, dtype=complex)
-    state[int(bits, 2) if bits else 0] = 1.0
-    return state
-
-
 def statevector_amplitude(circ: Circuit, in_spec: str, out_spec: str) -> complex:
     """<out|U|in> by gate-by-gate state application.
 

@@ -2,8 +2,8 @@
 connected component at a time.
 
 A simplified diagram that falls apart into connected components is already
-partitioned, with zero cuts.  ``choose_k`` therefore plans each component
-alone and merges the component plans into one: part ids are offset per
+partitioned, with zero cuts.  ``choose_k`` therefore plans each component on
+its own and merges the component plans into one: part ids are offset per
 component, and the regroup schedule is worked out once over all parts.
 
 Within a component, the diagram maps to its dual hypergraph (every edge a
@@ -13,13 +13,12 @@ Fiduccia-Mattheyses refinement.  A spider whose incident edges span more
 than one part is a cut spider; parts are balanced on the T-weight of the
 spiders they fully contain.
 
-Every candidate part count is priced with the projected-runtime model
-(precompute + cross-reference + configured overhead) and the cheapest is
-kept.  A component's k = 1 candidate is one precomputed segment,
-2^(alpha*t_c) / rPrecomp; for a connected diagram, which is a single
-component, it is plain decomposition at rDecomp instead.  The whole-diagram
-k = 1 plan is always a candidate, so partitioning never looks worse than not
-partitioning.
+Every candidate is priced with the one leaf rate of the cost model:
+2^(alpha*t_i + c_i) leaves per part plus the cross-referencing products.  A
+component's k = 1 candidate therefore costs exactly what plain decomposition
+of it costs.  The merged plan pays the configured overhead once and competes
+with plain decomposition of the whole diagram, so partitioning never looks
+worse than not partitioning.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ from .regroup import plan_schedule
 
 FM_STARTS = 8
 FM_PASSES = 3
+FM_EPS = 0.1  # T-weight balance: a part may hold (1 + FM_EPS) times its share
 
 
 @dataclass
@@ -200,10 +200,7 @@ def _seed_side0(bis: _Bisection, target0: float, floors, rng) -> None:
                 for n in comp:
                     bis.move(n)
             load[s] += cw(comp)
-        if bis.ncount[0] == 0:
-            for n in ordered[-1]:
-                bis.move(n)
-        elif bis.ncount[1] == 0:
+        if bis.ncount[0] == 0 or bis.ncount[1] == 0:
             for n in ordered[-1]:
                 bis.move(n)
         return
@@ -266,11 +263,11 @@ def _fm_refine(bis: _Bisection, caps, floors, targets) -> None:
             break
 
 
-def _fm_bisect(h, nodes, k0, k1, eps, rng) -> dict[int, int]:
+def _fm_bisect(h, nodes, k0, k1, rng) -> dict[int, int]:
     bis = _Bisection(h, nodes)
     frac = k0 / (k0 + k1)
     targets = (bis.total_t * frac, bis.total_t * (1 - frac))
-    caps = ((1 + eps) * targets[0] + 1e-9, (1 + eps) * targets[1] + 1e-9)
+    caps = ((1 + FM_EPS) * targets[0] + 1e-9, (1 + FM_EPS) * targets[1] + 1e-9)
     # node floors guard against one side degenerating to a sliver of edges
     # that contains no whole spider
     floors = (max(k0, int(0.6 * len(nodes) * frac)),
@@ -285,7 +282,7 @@ def _fm_bisect(h, nodes, k0, k1, eps, rng) -> dict[int, int]:
     return dict(bis.side)
 
 
-def _recursive_partition(h, nodes, k, eps, rng, next_part, assignment):
+def _recursive_partition(h, nodes, k, rng, next_part, assignment):
     if k == 1 or len(nodes) == 1:
         for n in nodes:
             assignment[n] = next_part[0]
@@ -293,26 +290,22 @@ def _recursive_partition(h, nodes, k, eps, rng, next_part, assignment):
         return
     k0 = k // 2
     k1 = k - k0
-    side = _fm_bisect(h, nodes, k0, k1, eps, rng)
+    side = _fm_bisect(h, nodes, k0, k1, rng)
     left = [n for n in nodes if side[n] == 0]
     right = [n for n in nodes if side[n] == 1]
-    if not left or not right:
-        half = max(1, len(nodes) // 2)
-        left, right = nodes[:half], nodes[half:]
-    _recursive_partition(h, left, k0, eps, rng, next_part, assignment)
-    _recursive_partition(h, right, k1, eps, rng, next_part, assignment)
+    _recursive_partition(h, left, k0, rng, next_part, assignment)
+    _recursive_partition(h, right, k1, rng, next_part, assignment)
 
 
 def partition_k(
     h: PartitionHypergraph,
     k: int,
-    eps: float = 0.1,
     seed: int = 0,
-    starts: int = FM_STARTS,
 ) -> tuple[dict[int, int], set[int], dict[int, int]]:
     """Split the hypergraph into k parts, minimising cut spiders with
-    T-weight balance (1+eps).  Returns (spider id -> part for uncut spiders,
-    set of cut spider ids, hypergraph node -> part)."""
+    T-weight balance (1+FM_EPS), the best of FM_STARTS seeded starts.
+    Returns (spider id -> part for uncut spiders, set of cut spider ids,
+    hypergraph node -> part)."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > len(h.pins):
@@ -321,18 +314,18 @@ def partition_k(
         raise ValueError(f"k={k} exceeds edge count {h.n_nodes}")
     nodes = list(range(h.n_nodes))
     best = None
-    for s in range(starts):
+    for s in range(FM_STARTS):
         rng = default_rng((seed, k, s))
         assignment: dict[int, int] = {}
-        _recursive_partition(h, nodes, k, eps, rng, [0], assignment)
-        key, cut, spider_part = _evaluate(h, assignment, k, eps)
+        _recursive_partition(h, nodes, k, rng, [0], assignment)
+        key, cut, spider_part = _evaluate(h, assignment, k)
         if best is None or key < best[0]:
             best = (key, assignment, cut, spider_part)
     _, node_assignment, cut, spider_part = best
     return spider_part, cut, node_assignment
 
 
-def _evaluate(h, node_assignment, k, eps):
+def _evaluate(h, node_assignment, k):
     """Rank a candidate: spider-empty parts first, then balance-cap
     violation, then cut size, then residual imbalance."""
     spider_part: dict[int, int] = {}
@@ -350,7 +343,7 @@ def _evaluate(h, node_assignment, k, eps):
             cut.add(h.spider_of[e])
     total_t = sum(part_t) + sum(
         h.weights[e] for e in range(len(h.pins)) if h.spider_of[e] in cut)
-    cap = (1 + eps) * total_t / k + 1e-9
+    cap = (1 + FM_EPS) * total_t / k + 1e-9
     violation = sum(max(0.0, t - cap) for t in part_t)
     empty = sum(1 for c in part_spiders if c == 0)
     imbalance = max(part_t) - total_t / k if total_t else 0.0
@@ -410,19 +403,19 @@ def unsplit_plan(d: ZxDiagram, cm: CostModel) -> PartitionPlan:
     plan = PartitionPlan(k=1, alpha=cm.alpha, t_total=t, per_part=[(t, 0)],
                          assignment=dict.fromkeys(d.spiders, 0))
     plan.s_decomp = plan.s_precomp = 2.0 ** (cm.alpha * t)
-    plan.t_direct_est = plan.t_smart_est = cm.estimate_direct(t)
+    plan.t_direct_est = plan.t_smart_est = cm.seconds(plan.s_decomp)
     return plan
 
 
 def _price(plan: PartitionPlan, part_t: list[int], cm: CostModel,
-           overhead: float | None = None) -> None:
+           overhead: float) -> None:
     """Price a split plan whose part i holds T-count part_t[i]: its
     ``per_part``, precompute leaves, regroup schedule and projected seconds."""
     params = plan.part_params()
     plan.per_part = [(ti, len(ps)) for ti, ps in zip(part_t, params)]
     plan.s_precomp = sum(2.0 ** (cm.alpha * ti + ci) for ti, ci in plan.per_part)
     plan.schedule, plan.s_crossref = plan_schedule(params)
-    plan.t_smart_est = cm.estimate_smart(plan.s_precomp, plan.s_crossref, overhead)
+    plan.t_smart_est = cm.seconds(plan.s_precomp, plan.s_crossref, overhead)
 
 
 def _cheapest(candidates: list[PartitionPlan], force_partition: bool) -> PartitionPlan:
@@ -436,22 +429,12 @@ def _plan_component(
     k_max: int | None,
     seed: int,
     force_partition: bool,
-    alone: bool,
 ) -> PartitionPlan:
     """The candidate loop: price k = 1..k_max for one connected diagram and
-    keep the cheapest.
-
-    ``alone`` says that ``d`` is the whole diagram: its k = 1 candidate is
-    plain decomposition at rDecomp, and every split pays the configured
-    overhead.  Otherwise ``d`` is one component of a plan that is already
-    partitioned, so its k = 1 candidate is one precomputed segment,
-    2^(alpha*t) / rPrecomp, and the overhead is paid once by the merged plan.
-    """
+    keep the cheapest.  Its splits are priced without overhead, which the
+    merged plan pays once."""
     base = unsplit_plan(d, cm)
     t = base.t_total
-    overhead = None if alone else 0.0
-    if not alone:
-        base.t_smart_est = cm.estimate_smart(base.s_precomp, 0, overhead)
     if k_max is None:
         # floor of 2 so the free search always sees the first split; a bare
         # t/4 would stop forced k>=2 runs from ever being comparable
@@ -468,7 +451,6 @@ def _plan_component(
             spider_part, cut, node_assignment = partition_k(h, k, seed=seed)
             plan = PartitionPlan(k=k, assignment=spider_part, cut_spiders=cut,
                                  alpha=cm.alpha, t_total=t)
-            plan.s_decomp = base.s_decomp
             plan.edge_parts = {
                 h.edge_keys[n]: part for n, part in node_assignment.items()
             }
@@ -476,15 +458,14 @@ def _plan_component(
             for v, part in spider_part.items():
                 if d.spiders[v].phase.is_t():
                     part_t[part] += 1
-            plan.t_direct_est = base.t_direct_est
-            _price(plan, part_t, cm, overhead)
+            _price(plan, part_t, cm, 0.0)
             candidates.append(plan)
     return _cheapest(candidates, force_partition)
 
 
 def _merge(parts: list[PartitionPlan], whole: PartitionPlan, cm: CostModel) -> PartitionPlan:
     """One plan from the component plans: part ids offset per component, the
-    regroup schedule worked out once over all parts."""
+    regroup schedule worked out once over all parts, the overhead paid once."""
     plan = PartitionPlan(k=sum(p.k for p in parts), alpha=cm.alpha,
                          t_total=whole.t_total, s_decomp=whole.s_decomp,
                          t_direct_est=whole.t_direct_est)
@@ -496,7 +477,7 @@ def _merge(parts: list[PartitionPlan], whole: PartitionPlan, cm: CostModel) -> P
         plan.cut_spiders |= p.cut_spiders
         part_t += [t for t, _ in p.per_part]
         offset += p.k
-    _price(plan, part_t, cm)
+    _price(plan, part_t, cm, cm.t_overhead)
     return plan
 
 
@@ -511,25 +492,25 @@ def choose_k(
     component at a time.
 
     Each component, in order of its smallest spider id, tries k = 1 to k_max
-    parts (default min(16, max(t_c/4, 2)) for its T-count t_c); its k = 1
-    candidate is one precomputed segment priced 2^(alpha*t_c) / rPrecomp.
-    The cheapest component plans merge into one plan, which competes with
-    plain decomposition of the whole diagram (k = 1 at rDecomp), so the
-    winner never projects slower than that unless ``force_partition``
-    excludes it.  A connected diagram is planned as one component whose
-    k = 1 candidate is that plain decomposition.  ``overhead_seconds`` is
-    the time of the whole call.
+    parts (default min(16, max(t_c/4, 2)) for its T-count t_c), priced
+    without overhead.  The cheapest component plans merge into one plan,
+    which pays the overhead once and competes with plain decomposition of
+    the whole diagram, so the winner never projects slower than that unless
+    ``force_partition`` excludes it.  A diagram with one component is
+    planned as itself, and only then does ``force_partition`` reach the
+    component's candidates.  ``overhead_seconds`` is the time of the whole
+    call.
     """
     if d.inputs or d.outputs:
         raise ValueError("choose_k needs a scalar diagram")
     started = time.perf_counter()
+    whole = unsplit_plan(d, cm)
     comps = sorted(d.connected_components(), key=min)
     if len(comps) <= 1:
-        chosen = _plan_component(d, cm, k_max, seed, force_partition, alone=True)
+        parts = [_plan_component(d, cm, k_max, seed, force_partition)]
     else:
-        whole = unsplit_plan(d, cm)
-        parts = [_plan_component(d.subdiagram(c), cm, k_max, seed, False, alone=False)
+        parts = [_plan_component(d.subdiagram(c), cm, k_max, seed, False)
                  for c in comps]
-        chosen = _cheapest([whole, _merge(parts, whole, cm)], force_partition)
+    chosen = _cheapest([whole, _merge(parts, whole, cm)], force_partition)
     chosen.overhead_seconds = time.perf_counter() - started
     return chosen

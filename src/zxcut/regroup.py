@@ -184,26 +184,8 @@ def _contract(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int],
     return arr, a[1] + b[1] + 2 * e
 
 
-def regroup_pair(h: SegmentHypergraph, i: int, j: int) -> int:
-    """Contract segments i and j into slot i; returns the collective local
-    parameter count p, the step having cost 2^p."""
-    seg_a, seg_b = h.segments[i], h.segments[j]
-    if seg_a is None or seg_b is None:
-        raise ValueError("segment already regrouped away")
-    sets = h.param_sets()
-    if not sets[i] & sets[j]:
-        raise ValueError("segments are not connected")
-    merged = _merged(sets, i, j)
-    arr, pow_ = _contract(_table_to_array(seg_a), _table_to_array(seg_b),
-                          sets[i], sets[j], merged)
-    h.segments[i] = Segment(tuple(sorted(merged)),
-                            [ScalarC(z, pow_) for z in arr.reshape(-1).tolist()])
-    h.segments[j] = None
-    return len(sets[i] | sets[j])
-
-
 def plan_schedule(param_sets: list[set[int]]) -> tuple[list[tuple[int, int, int]], int]:
-    """The regroup order, worked out on parameter sets alone.
+    """The regroup order, worked out from the parameter sets only.
 
     Returns (steps, s_crossref) where each step is (i, j, p) and s_crossref
     is the exact sum of 2^p over steps; :func:`regroup_all` executes exactly

@@ -135,18 +135,7 @@ class ScalarC:
     def __complex__(self) -> complex:
         return self.to_complex()
 
-    def approx_eq(self, z: complex, tol: float = 1e-9) -> bool:
-        return abs(self.to_complex() - complex(z)) <= tol
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "ScalarC(0)"
         return f"ScalarC({self.coeff!r} * sqrt2**{self.sqrt2_pow})"
-
-
-def scalar_sum(terms) -> ScalarC:
-    """Sum an iterable of ScalarC values (associative within float tolerance)."""
-    acc = ScalarC.zero()
-    for t in terms:
-        acc = acc.plus(t)
-    return acc

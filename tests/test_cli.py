@@ -90,6 +90,15 @@ def test_missing_plug_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_config_with_the_removed_precompute_rate_exit_2(tmp_path):
+    cfg = tmp_path / "rates.json"
+    cfg.write_text('{"rDecomp": 1730, "rPrecomp": 21400}\n')
+    res = run_cli(["simulate", "--random", "3,10,inf,1", "--plus",
+                   "--config", str(cfg)])
+    assert res.returncode == 2
+    assert "rPrecomp" in res.stderr
+
+
 def test_resource_cap_exit_3(tmp_path):
     cfg = tmp_path / "caps.json"
     # not a cost config: shrink caps via engine API is not CLI-exposed, so
@@ -175,18 +184,17 @@ def test_calibrate_writes_config(tmp_path):
     res = run_cli(["calibrate", "--out", str(out)])
     assert res.returncode == 0
     doc = json.loads(out.read_text())
-    for key in ("alpha", "rDecomp", "rPrecomp", "rCrossref", "tOverhead",
-                "realRunThresholdSecs"):
-        assert key in doc
+    assert sorted(doc) == sorted(("alpha", "rDecomp", "rCrossref", "tOverhead",
+                                  "realRunThresholdSecs"))
     from zxcut.costmodel import CostModel
     cm = CostModel.load(str(out))
-    assert cm.r_decomp > 0 and cm.r_precomp > 0 and cm.r_crossref > 0
+    assert cm.r_decomp > 0 and cm.r_crossref > 0
     assert cm.t_overhead >= 0
 
 
 def test_calibrate_measures_in_the_random_t_window(tmp_path, monkeypatch):
-    # every rate comes from runs with enough leaves to outweigh set-up, and
-    # rPrecomp only from split plans
+    # the leaf rate comes from runs with enough leaves to outweigh set-up,
+    # and tOverhead from planning the same circuits
     import zxcut.cli as cli
     seen = []
     real = cli.simulate_amplitude
@@ -200,9 +208,7 @@ def test_calibrate_measures_in_the_random_t_window(tmp_path, monkeypatch):
     assert main(["calibrate", "--out", str(tmp_path / "rates.json")]) == 0
     assert len(seen) == 12
     for report in seen:
-        assert report.t_count >= 12
-        if report.method == "smart":
-            assert report.plan.k >= 2
+        assert 12 <= report.t_count <= 20
 
 
 def test_spec_json_input(tmp_path):

@@ -9,38 +9,38 @@ def test_defaults_match_reference_rates():
     cm = CostModel()
     assert cm.alpha == 0.32
     assert cm.r_decomp == 1730
-    assert cm.r_precomp == 21400
     assert cm.r_crossref == 412000
     assert cm.real_run_threshold_secs == 100
 
 
 def test_t0_single_clifford_evaluation():
     cm = CostModel()
-    assert cm.estimate_direct(0) == pytest.approx(1 / 1730)
+    assert cm.seconds(2.0 ** (cm.alpha * 0)) == pytest.approx(1 / 1730)
 
 
 def test_t50_direct_estimate():
     cm = CostModel()
     # 2^(0.32*50) / 1730 = 2^16 / 1730 ~ 37.9 s
-    assert cm.estimate_direct(50) == pytest.approx(2 ** 16 / 1730)
-    assert cm.estimate_direct(50) == pytest.approx(37.9, abs=0.05)
+    assert cm.seconds(2.0 ** (cm.alpha * 50)) == pytest.approx(2 ** 16 / 1730)
+    assert cm.seconds(2.0 ** (cm.alpha * 50)) == pytest.approx(37.9, abs=0.05)
 
 
 def test_estimate_monotone():
     cm = CostModel()
     prev = -1.0
     for t in range(0, 80, 5):
-        cur = cm.estimate_direct(t)
+        cur = cm.seconds(2.0 ** (cm.alpha * t))
         assert cur > prev
         prev = cur
-    assert cm.estimate_smart(100, 100) < cm.estimate_smart(200, 100)
-    assert cm.estimate_smart(100, 100) < cm.estimate_smart(100, 300)
+    assert cm.seconds(100, 100) < cm.seconds(200, 100)
+    assert cm.seconds(100, 100) < cm.seconds(100, 300)
+    assert cm.seconds(100, 100) < cm.seconds(100, 100, overhead=0.5)
 
 
 def test_equal_rates_reduce_to_count_minimisation():
-    cm = CostModel(r_decomp=1000, r_precomp=1000, r_crossref=1000, t_overhead=0)
-    a = cm.estimate_smart(120, 80)
-    b = cm.estimate_smart(150, 60)
+    cm = CostModel(r_decomp=1000, r_crossref=1000, t_overhead=0)
+    a = cm.seconds(120, 80)
+    b = cm.seconds(150, 60)
     assert (a < b) == (120 + 80 < 150 + 60)
 
 
@@ -61,12 +61,23 @@ def test_config_key_value_format(tmp_path):
     cm = CostModel.load(str(path))
     assert cm.alpha == 0.35
     assert cm.r_decomp == 1500
-    assert cm.r_precomp == DEFAULTS["rPrecomp"]
+    assert cm.r_crossref == DEFAULTS["rCrossref"]
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         CostModel.from_config({"bogus": 1})
+
+
+def test_config_rejects_the_removed_precompute_rate(tmp_path):
+    # one leaf rate prices every reduction; a config that still sets a
+    # second one is an unknown key, not silently ignored
+    for text in ('{"rDecomp": 1500, "rPrecomp": 21400}\n', "rPrecomp = 21400\n"):
+        path = tmp_path / "cm.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="rPrecomp"):
+            CostModel.load(str(path))
+    assert len(DEFAULTS) == len(CostModel().to_config()) == 5
 
 
 def test_validation():

@@ -1,13 +1,16 @@
 import itertools
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from numpy.random import default_rng
 
 from zxcut.costmodel import CostModel
 from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
-from zxcut.partition import (PartitionPlan, _Bisection, _plan_component, choose_k,
-                             partition_k, to_partition_hypergraph)
+from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
+from zxcut.partition import (PartitionPlan, _Bisection, choose_k, partition_k,
+                             to_partition_hypergraph)
 from zxcut.regroup import plan_schedule
 from zxcut.simplify import clifford_simplify
 
@@ -260,7 +263,7 @@ def add_t_path(d, n):
     return set(vs)
 
 
-def test_choose_k_plans_each_component_alone():
+def test_choose_k_plans_each_component_on_its_own():
     d = ZxDiagram()
     paths = [add_t_path(d, 3), add_t_path(d, 30), add_t_path(d, 4)]
     cm = CostModel()
@@ -278,29 +281,40 @@ def test_choose_k_plans_each_component_alone():
     assert plan.t_smart_est < plan.t_direct_est
 
 
-def test_choose_k_connected_is_the_single_component_loop():
-    rng = default_rng(6)
-    cm = CostModel()
-    checked = 0
-    for _ in range(10):
-        c = random_circuit(8, 70, rng, nearest=True)
-        g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 8, "+" * 8))
-        if len(g.connected_components()) != 1:
-            continue
-        checked += 1
-        got = choose_k(g, cm).to_json_dict()
-        want = _plan_component(g, cm, None, 0, False, alone=True).to_json_dict()
-        got.pop("overheadSeconds")
-        want.pop("overheadSeconds")
-        assert got == want
-    assert checked >= 3
+def _pinned_circuit(entry):
+    if entry["kind"] == "random":
+        n, depth, sigma, seed = entry["spec"]
+        return gen_clifford_t(CircuitSpec(n, depth, float(sigma), seed))
+    return gen_compound(CompoundSpec(*entry["spec"]))
+
+
+def test_choose_k_reproduces_pinned_plans():
+    # plans recorded when the cost model still priced a precomputed leaf at
+    # its own rate, with that rate set equal to rDecomp: one leaf price
+    # changes no plan, on connected and on multi-component diagrams, free
+    # and forced, without and with overhead
+    doc = json.loads((Path(__file__).parent / "data" / "pinned_plans.json").read_text())
+    entries = doc["diagrams"]
+    assert sum(e["components"] == 1 for e in entries) >= 6
+    assert sum(e["components"] > 1 for e in entries) >= 6
+    for entry in entries:
+        g = clifford_simplify(plug(diagram_from_circuit(_pinned_circuit(entry)),
+                                   *entry["plugs"]))
+        assert len(g.connected_components()) == entry["components"]
+        for name, want in entry["plans"].items():
+            model, mode = name.split("/")
+            plan = choose_k(g, CostModel.from_config(doc["models"][model]),
+                            force_partition=mode == "forced")
+            got = plan.to_json_dict()
+            got.pop("overheadSeconds")
+            got["assignment"] = sorted([v, p] for v, p in plan.assignment.items())
+            assert got == want, (entry["spec"], name)
 
 
 def test_partition_k_runs_only_inside_components(monkeypatch):
     # work count, not time: on the criterion-8 compound circuit every FM run
     # sees one component, at most k_max_c - 1 runs per component
     import zxcut.partition as partition
-    from zxcut.generators import CompoundSpec, gen_compound
     circ = gen_compound(CompoundSpec(5, 6, 230, 8, 1.0, 42))
     n = circ.n_qubits
     g = clifford_simplify(plug(diagram_from_circuit(circ), "+" * n, "+" * n))

@@ -6,9 +6,10 @@ from zxcut.cutting import cut_spider, instantiate
 from zxcut.decompose import DecomposeStats, decompose_to_scalar
 from zxcut.diagram import SpiderKind, diagram_from_circuit, plug
 from zxcut.oracle import naive_global_sum
-from zxcut.regroup import (Segment, SegmentHypergraph, local_index,
-                           local_index_array, min_pair, plan_schedule,
-                           precompute_segment, regroup_all, regroup_pair)
+from zxcut.regroup import (Segment, SegmentHypergraph, _contract, _merged,
+                           _table_to_array, local_index, local_index_array,
+                           min_pair, plan_schedule, precompute_segment,
+                           regroup_all)
 from zxcut.scalars import ScalarC
 
 from helpers import random_circuit
@@ -16,6 +17,16 @@ from helpers import random_circuit
 
 def seg(params, values):
     return Segment(tuple(params), [ScalarC(v) for v in values])
+
+
+def contract_pair(segs, i, j):
+    """Segments i and j contracted by the one regroup kernel, over the
+    parameters they leave open; the result as a Segment."""
+    sets = [set(s.local_params) for s in segs]
+    merged = _merged(sets, i, j)
+    arr, pow_ = _contract(_table_to_array(segs[i]), _table_to_array(segs[j]),
+                          sets[i], sets[j], merged)
+    return Segment(tuple(merged), [ScalarC(z, pow_) for z in arr.reshape(-1).tolist()])
 
 
 def random_system(rng, k_max=6, p_max=10):
@@ -63,13 +74,12 @@ def test_local_index_vectorised_matches_scalar():
 def test_pair_table_worked_example():
     # A=[1,2,3,4] over (a,b), B=[5,6,7,8] over (b,c):
     # AB over (a,c) = [1*5+2*7, 1*6+2*8, 3*5+4*7, 3*6+4*8] = [19,22,43,50]
-    h = SegmentHypergraph([seg((0, 1), (1, 2, 3, 4)), seg((1, 2), (5, 6, 7, 8))])
-    p = regroup_pair(h, 0, 1)
-    assert p == 3
-    got = [s.to_complex().real for s in h.segments[0].scalars]
+    segs = [seg((0, 1), (1, 2, 3, 4)), seg((1, 2), (5, 6, 7, 8))]
+    assert plan_schedule([set(s.local_params) for s in segs]) == ([(0, 1, 3)], 8)
+    ab = contract_pair(segs, 0, 1)
+    got = [s.to_complex().real for s in ab.scalars]
     assert got == pytest.approx([19, 22, 43, 50])
-    assert h.segments[0].local_params == (0, 2)
-    assert h.segments[1] is None
+    assert ab.local_params == (0, 2)
 
 
 def test_all_params_shared_with_third():
@@ -77,11 +87,10 @@ def test_all_params_shared_with_third():
     a = seg((0, 1), (1, 2, 3, 4))
     b = seg((0, 1), (10, 20, 30, 40))
     c = seg((0, 1), (1, 1, 1, 1))
-    h = SegmentHypergraph([a, b, c])
-    regroup_pair(h, 0, 1)
-    got = [s.to_complex().real for s in h.segments[0].scalars]
+    ab = contract_pair([a, b, c], 0, 1)
+    got = [s.to_complex().real for s in ab.scalars]
     assert got == pytest.approx([10, 40, 90, 160])
-    assert h.segments[0].local_params == (0, 1)
+    assert ab.local_params == (0, 1)
 
 
 def test_chain_regroup_costs():
@@ -152,23 +161,21 @@ def test_order_insensitivity():
         ref = regroup_all([Segment(s.local_params, [x.copy() for x in s.scalars])
                            for s in segs]).value.to_complex()
         # force a different (valid) order: regroup the *most* expensive pair first
-        h = SegmentHypergraph([Segment(s.local_params, [x.copy() for x in s.scalars])
-                               for s in segs])
-        live = h.live()
         worst = None
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                i, j = live[a], live[b]
-                si = set(h.segments[i].local_params)
-                sj = set(h.segments[j].local_params)
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                si = set(segs[i].local_params)
+                sj = set(segs[j].local_params)
                 if si & sj:
                     key = (len(si | sj), i, j)
                     if worst is None or key > worst:
                         worst = key
         if worst is None:
             continue
-        regroup_pair(h, worst[1], worst[2])
-        rest = regroup_all([s for s in h.segments if s is not None]).value.to_complex()
+        _, i, j = worst
+        rest_segs = [contract_pair(segs, i, j) if n == i else s
+                     for n, s in enumerate(segs) if n != j]
+        rest = regroup_all(rest_segs).value.to_complex()
         assert abs(rest - ref) <= 1e-10 * max(1.0, abs(ref))
 
 

@@ -3,7 +3,7 @@ import cmath
 import pytest
 from numpy.random import default_rng
 
-from zxcut.scalars import ScalarC, phase8_complex, scalar_sum
+from zxcut.scalars import ScalarC, phase8_complex
 
 
 def test_value_roundtrip():
@@ -61,11 +61,6 @@ def test_plus_aligns_exponents():
     a = ScalarC(1.0, 40)
     b = ScalarC(1.0, 0)
     assert abs(a.plus(b).to_complex() - (2 ** 20 + 1)) < 1e-9 * 2 ** 20
-
-
-def test_scalar_sum():
-    vals = [ScalarC(v) for v in (1, 2j, -3, 0.5)]
-    assert abs(scalar_sum(vals).to_complex() - (-1.5 + 2j)) < 1e-12
 
 
 def test_huge_exponents_stay_finite():

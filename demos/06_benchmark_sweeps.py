@@ -12,6 +12,7 @@ import math
 
 from zxcut import (CircuitSpec, CostModel, choose_k, clifford_simplify,
                    diagram_from_circuit, gen_clifford_t, plug)
+from zxcut.engine import method_seconds
 
 cm = CostModel()
 samples = 5
@@ -20,11 +21,8 @@ samples = 5
 def projected(n, d, sigma, seed):
     circ = gen_clifford_t(CircuitSpec(n, d, sigma, seed))
     g = clifford_simplify(plug(diagram_from_circuit(circ), "+" * n, "+" * n))
-    plan = choose_k(g, cm)
-    naive = plan.t_direct_est if plan.k == 1 else (
-        cm.t_overhead + 2.0 ** len(plan.cut_spiders)
-        * sum(2.0 ** (cm.alpha * t) for t, _ in plan.per_part) / cm.r_decomp)
-    return plan.t_direct_est, naive, plan.t_smart_est
+    prices = method_seconds(choose_k(g, cm), cm)
+    return prices["direct"], prices["naive"], prices["smart"]
 
 
 print("log2 projected seconds at 20 qubits x 200 gates, by CNOT spread")

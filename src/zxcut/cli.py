@@ -22,16 +22,16 @@ from numpy.random import default_rng
 from .circuits import Circuit, CircuitParseError, parse_circuit
 from .costmodel import CostModel
 from .diagram import diagram_from_circuit, plug
-from .engine import ResourceCapError, method_seconds, simulate_amplitude
+from .engine import (METHODS, ResourceCapError, ResourceCaps, method_seconds,
+                     run_plan, simulate_amplitude)
 from .generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
+from .partition import choose_k, unsplit_plan
 from .regroup import Segment, regroup_all
 from .scalars import ScalarC
 from .simplify import clifford_simplify
 
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
-
-METHOD_CHOICES = ("direct", "naive", "smart")
 
 
 def _parse_sigma(text: str) -> float:
@@ -177,17 +177,20 @@ def _sigma_key(sigma: float) -> int:
 def _measure_cell(circ: Circuit, cm: CostModel, seed: int, estimate_only: bool,
                   force_partition: bool) -> dict[str, float]:
     """log2 seconds per method for one circuit: the projection, replaced by a
-    real measured run when the projection is below the threshold."""
+    real measured run when the projection is below the threshold.  Planned
+    once; a measured method's seconds are build, planning and run."""
     plus = "+" * circ.n_qubits
-    _, rep = simulate_amplitude(circ, plus, plus, "smart", cm, seed=seed,
-                                plan_only=True, force_partition=force_partition)
+    started = time.perf_counter()
+    g = clifford_simplify(plug(diagram_from_circuit(circ), plus, plus))
+    built = time.perf_counter() - started
+    plan = choose_k(g, cm, seed=seed, force_partition=force_partition)
     out = {}
-    for method, seconds in method_seconds(rep.plan, cm).items():
+    for method, seconds in method_seconds(plan, cm).items():
         if not estimate_only and seconds < cm.real_run_threshold_secs:
+            run_on = unsplit_plan(g, cm) if method == "direct" else plan
             try:
-                _, run = simulate_amplitude(circ, plus, plus, method, cm, seed=seed,
-                                            force_partition=force_partition)
-                seconds = run.wall_seconds
+                run = run_plan(g, run_on, method, cm, ResourceCaps())
+                seconds = built + run_on.overhead_seconds + run.wall_seconds
             except ResourceCapError:
                 pass
         out[method] = cm.log2_seconds(seconds)
@@ -198,7 +201,7 @@ def _sweep_cell(args, cm: CostModel, n: int, d: int, sigma: float,
                 force_partition: bool) -> list[list]:
     """[method, mean, std dev, samples] of log2 seconds per method over the
     cell's seeded random circuits."""
-    per_method: dict[str, list[float]] = {m: [] for m in METHOD_CHOICES}
+    per_method: dict[str, list[float]] = {m: [] for m in METHODS}
     for i in range(args.samples):
         seed = _cell_seed(args.seed, n, d, _sigma_key(sigma), i)
         circ = gen_clifford_t(CircuitSpec(n, d, sigma, seed))
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="compute one amplitude")
     _add_circuit_args(p)
-    p.add_argument("--method", choices=METHOD_CHOICES, default="smart")
+    p.add_argument("--method", choices=METHODS, default="smart")
     p.add_argument("--plan-only", action="store_true",
                    help="plan and estimate without running")
     p.add_argument("--json", action="store_true", help="full JSON report")

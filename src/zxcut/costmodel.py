@@ -76,7 +76,7 @@ class CostModel:
     def from_config(cls, data: dict) -> "CostModel":
         kwargs = {}
         for key, value in data.items():
-            attr = _KEY_TO_ATTR.get(key, key if key in _KEY_TO_ATTR.values() else None)
+            attr = _KEY_TO_ATTR.get(key)
             if attr is None:
                 raise ValueError(f"unknown cost model key {key!r}")
             kwargs[attr] = float(value)

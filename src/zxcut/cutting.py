@@ -4,8 +4,11 @@ pair of branches whose two assignments sum back to the original tensor.
 Cutting a degree-n Z-spider detaches its legs into n degree-1 spiders that
 all carry the same fresh parameter, at an overall cost of 2 terms per cut.
 The per-assignment weight splits as ``nu^n * mu * e^(i*a*alpha)``; ``nu`` and
-``mu`` are solved numerically once at import time from the cut identity on
+``mu`` are solved numerically once, on first use, from the cut identity on
 one- and two-legged spiders rather than hard-coded.
+
+``cut_spiders`` is the one builder of parameterised pieces and cut weights,
+for one spider (``cut_spider``) and for a partition plan's cut spiders.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram
 from .scalars import ScalarC, phase8_complex
 from .simplify import _clear_self_loops
-from .tensor import tensor_of
+from .tensor import solve_identity, tensor_of
 
 
 @functools.lru_cache(maxsize=1)
@@ -45,12 +48,7 @@ def cut_normalization() -> tuple[float, complex]:
 
     coeffs = []
     for n in (1, 2):
-        basis = np.stack([star(n, 0), star(n, 1)], axis=1)
-        target = star(n, None)
-        sol, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        resid = np.linalg.norm(basis @ sol - target)
-        if resid > 1e-12:
-            raise RuntimeError(f"cut identity solve failed, residual {resid}")
+        sol = solve_identity([star(n, 0), star(n, 1)], star(n, None), "cut identity")
         if abs(sol[0] - sol[1]) > 1e-12:
             raise RuntimeError("phase-0 cut weights should not depend on the bit")
         coeffs.append(complex(sol[0]))
@@ -73,44 +71,44 @@ def mul_cut_weight(scalar: ScalarC, degree: int) -> None:
 
 
 def cut_spider(d: ZxDiagram, v: int, p: int) -> ZxDiagram:
-    """Cut spider ``v``, introducing fresh boolean parameter ``p``.
+    """Cut spider ``v``, introducing fresh boolean parameter ``p``."""
+    return cut_spiders(d, {v: p})
 
-    Returns a diagram with ``v`` replaced by one degree-1 spider per incident
-    edge, each carrying parameter ``p``; summing the two instantiations of
-    ``p`` reproduces the original tensor.  X-spiders are colour-changed
-    first; a parameterised phase on ``v`` is unfused onto a neighbour so the
-    per-assignment weight stays a plain complex number.
-    """
-    if v not in d.spiders:
-        raise ValueError(f"no spider {v}")
-    if p in d.params:
-        raise ValueError(f"parameter {p} already in use")
+
+def cut_spiders(d: ZxDiagram, params: dict[int, int]) -> ZxDiagram:
+    """Cut every spider ``v`` in ``params`` in id order on one copy of ``d``,
+    each into one degree-1 piece per leg carrying fresh boolean parameter
+    ``params[v]``; summing over both values of every parameter reproduces
+    the original tensor.  X-spiders are colour-changed first; a parameterised
+    phase is unfused onto a neighbour so the per-assignment weight stays a
+    plain complex number."""
     out = d.copy()
-    s = out.spiders[v]
-    if s.kind == SpiderKind.BOUNDARY:
-        raise ValueError("cannot cut a boundary vertex")
-    if s.kind == SpiderKind.X:
-        for row in out.adj[v].values():
-            row[0], row[1] = row[1], row[0]
-        s.kind = SpiderKind.Z
-    _clear_self_loops(out, v, None)
-    if s.phase.params:
-        w = out.add_spider(SpiderKind.Z, Phase(0, s.phase.params))
-        out.add_edge(v, w, EdgeKind.PLAIN)
-        s.phase = Phase(s.phase.fixed)
+    for v, p in sorted(params.items()):
+        if v not in out.spiders or out.spiders[v].kind == SpiderKind.BOUNDARY:
+            raise ValueError(f"{v} is not a spider that can be cut")
+        if p in out.params:
+            raise ValueError(f"parameter {p} already in use")
+        s = out.spiders[v]
+        _clear_self_loops(out, v, None)  # before a colour change, which would flip them
+        if s.kind == SpiderKind.X:
+            for row in out.adj[v].values():
+                row[0], row[1] = row[1], row[0]
+            s.kind = SpiderKind.Z
+        if s.phase.params:
+            w = out.add_spider(SpiderKind.Z, Phase(0, s.phase.params))
+            out.add_edge(v, w, EdgeKind.PLAIN)
+            s.phase = Phase(s.phase.fixed)
 
-    legs: list[tuple[int, EdgeKind]] = []
-    for u, row in out.adj[v].items():
-        legs += [(u, EdgeKind.PLAIN)] * row[0] + [(u, EdgeKind.HADAMARD)] * row[1]
-    alpha = s.phase.fixed
-    out.remove_spider(v)
-    for u, kind in legs:
-        piece = out.add_spider(SpiderKind.Z, Phase(0, frozenset({p})))
-        out.add_edge(piece, u, EdgeKind(1 - kind))
-
-    mul_cut_weight(out.scalar, len(legs))
-    out.params.add(p)
-    out.param_coeffs[p] = (1 + 0j, phase8_complex(alpha))
+        legs: list[tuple[int, EdgeKind]] = []
+        for u, row in sorted(out.adj[v].items()):
+            legs += [(u, EdgeKind.PLAIN)] * row[0] + [(u, EdgeKind.HADAMARD)] * row[1]
+        out.remove_spider(v)
+        for u, kind in legs:
+            piece = out.add_spider(SpiderKind.Z, Phase(0, frozenset({p})))
+            out.add_edge(piece, u, EdgeKind(1 - kind))
+        mul_cut_weight(out.scalar, len(legs))
+        out.params.add(p)
+        out.param_coeffs[p] = (1 + 0j, phase8_complex(s.phase.fixed))
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram
 from .scalars import ScalarC
 from .simplify import clifford_simplify, simplify_in_place
-from .tensor import tensor_of
+from .tensor import solve_identity, tensor_of
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,8 @@ def _template_tensor(n_legs: int, applier, coeff: complex | None) -> np.ndarray:
 
 
 def _solve_terms(n_legs: int, appliers: list[tuple[str, Callable]]) -> Decomposition:
-    target = _template_tensor(n_legs, None, None)
-    basis = np.stack([_template_tensor(n_legs, fn, None) for _, fn in appliers], axis=1)
-    sol, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    resid = np.linalg.norm(basis @ sol - target)
-    if resid > 1e-12:
-        raise RuntimeError(f"stabiliser template solve failed, residual {resid}")
+    sol = solve_identity([_template_tensor(n_legs, fn, None) for _, fn in appliers],
+                         _template_tensor(n_legs, None, None), "stabiliser template")
     terms = tuple(
         DecompTerm(name, ScalarC(complex(c)), fn)
         for (name, fn), c in zip(appliers, sol)

@@ -9,23 +9,24 @@ smart   - cut, precompute each part's scalar table over its local
 
 All three agree on the amplitude; they differ in how many calculations they
 spend, which the report itemises.  ``method_seconds`` is the one price of
-each method for a plan; the report's estimate and the sweeps read it.  Any
-stage whose projection exceeds the resource caps aborts with the plan
-attached instead of running.
+each method for a plan, and ``run_plan`` the one producer of an amplitude
+from a plan.  Any stage whose projection exceeds the resource caps aborts
+with the plan attached instead of running.  Cuts are built by ``cutting``.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 from .circuits import Circuit
 from .costmodel import CostModel
-from .cutting import instantiate, mul_cut_weight
+from .cutting import cut_spiders, instantiate
 from .decompose import DecomposeStats, decompose_to_scalar
-from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
+from .diagram import ZxDiagram, diagram_from_circuit, plug
 from .partition import PartitionPlan, choose_k, unsplit_plan
 from .regroup import precompute_segment, regroup_all
-from .scalars import ScalarC, phase8_complex
+from .scalars import ScalarC
 from .simplify import clifford_simplify
 
 METHODS = ("direct", "naive", "smart")
@@ -99,92 +100,53 @@ def split_segments(g: ZxDiagram, plan: PartitionPlan
                    ) -> tuple[list[ZxDiagram], list[set[int]], ScalarC]:
     """Carve the simplified diagram into per-part segment diagrams.
 
-    Cut spiders become their fresh parameterised pieces (parameter id = the
-    cut spider's own id); each piece lands in the part that owns its edge.
+    Every cut spider is cut with its own id as parameter.  A piece joins the
+    part of the plan edge it was cut from, to an uncut spider or to another
+    cut spider, and a parameter's coefficients join its lowest part.
     Returns (segment diagrams, local parameter sets, overall scalar).
     """
-    cut = plan.cut_spiders
+    if any(g.spiders[w].phase.params for w in plan.cut_spiders):
+        raise ValueError("cut spiders must be parameter-free; cut before "
+                         "introducing other parameters")
+    cut = cut_spiders(g, {w: w for w in plan.cut_spiders})
+    part_of = dict(plan.assignment)
+    for piece in cut.spiders.keys() - g.spiders.keys():
+        (u,) = cut.adj[piece]
+        (w,) = cut.spiders[piece].phase.params
+        x = u if u in g.spiders else min(cut.spiders[u].phase.params)
+        part_of[piece] = plan.edge_parts[(min(w, x), max(w, x))]
+
     part_params = plan.part_params()
     segs = []
-    for part in range(plan.k):
-        members = {v for v, p in plan.assignment.items() if p == part}
-        seg = g.subdiagram(members)
-        seg.params = set(part_params[part])
+    for part, params in enumerate(part_params):
+        seg = cut.subdiagram(v for v, p in part_of.items() if p == part)
+        seg.params = set(params)
         segs.append(seg)
-
-    overall = g.scalar.copy()
-    for w in sorted(cut):
-        sw = g.spiders[w]
-        if sw.phase.params:
-            raise ValueError("cut spiders must be parameter-free; cut before "
-                             "introducing other parameters")
-        alpha = sw.phase.fixed
-        mul_cut_weight(overall, g.degree(w))
-        home = min(p for p in range(plan.k) if w in part_params[p])
-        segs[home].param_coeffs[w] = (1 + 0j, phase8_complex(alpha))
-        for u, row in sorted(g.adj[w].items()):
-            for kind in (EdgeKind.PLAIN, EdgeKind.HADAMARD):
-                for _ in range(row[kind]):
-                    if u in cut:
-                        if u < w:
-                            continue  # built when visiting the lower id
-                        part = plan.edge_parts[(min(w, u), max(w, u))]
-                        seg = segs[part]
-                        a = seg.add_spider(SpiderKind.Z, Phase(0, frozenset({w})))
-                        b = seg.add_spider(SpiderKind.Z, Phase(0, frozenset({u})))
-                        seg.add_edge(a, b, kind)
-                    else:
-                        part = plan.assignment[u]
-                        seg = segs[part]
-                        piece = seg.add_spider(SpiderKind.Z, Phase(0, frozenset({w})))
-                        seg.add_edge(piece, u, EdgeKind(1 - kind))
-    return segs, part_params, overall
+    for p, coeffs in cut.param_coeffs.items():
+        home = min(i for i, params in enumerate(part_params) if p in params)
+        segs[home].param_coeffs[p] = coeffs
+    return segs, part_params, cut.scalar
 
 
-def simulate_amplitude(
-    circ: Circuit,
-    in_spec: str,
-    out_spec: str,
-    method: str = "smart",
-    cm: CostModel | None = None,
-    caps: ResourceCaps | None = None,
-    seed: int = 0,
-    force_partition: bool = False,
-    plan_only: bool = False,
-    trace=None,
-) -> tuple[complex, Report]:
-    """Compute <out|U|in> by the chosen method, with a cost report.
+def _planned_report(plan: PartitionPlan, method: str, cm: CostModel) -> Report:
+    est = method_seconds(plan, cm)[method]
+    return Report(method=method, t_count=plan.t_total, plan=plan,
+                  overhead_seconds=plan.overhead_seconds, estimates={
+                      "alpha": cm.alpha, "sDecomp": plan.s_decomp,
+                      "sPrecomp": plan.s_precomp, "sCrossref": plan.s_crossref,
+                      "tEstSeconds": est, "log2Seconds": cm.log2_seconds(est)})
 
-    ``trace``, if given, records the rewrite steps of the initial Clifford
-    simplification round.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    cm = cm or CostModel()
-    caps = caps or ResourceCaps()
+
+def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
+             caps: ResourceCaps) -> Report:
+    """Compute the amplitude of the simplified scalar diagram ``g`` by
+    ``method`` on ``plan`` within ``caps``, timing this call.  A k = 1 plan
+    runs plain decomposition, the only plan ``direct`` runs.  ``g`` is left
+    unchanged, so every method can run on the same diagram."""
+    if method not in METHODS or (method == "direct" and plan.k > 1):
+        raise ValueError(f"method {method!r} cannot run a {plan.k}-part plan")
     started = time.perf_counter()
-    g = clifford_simplify(plug(diagram_from_circuit(circ), in_spec, out_spec),
-                          trace)
-    if method == "direct":
-        plan = unsplit_plan(g, cm)
-    else:
-        plan = choose_k(g, cm, seed=seed, force_partition=force_partition)
-
-    report = Report(method=method, t_count=plan.t_total, plan=plan,
-                    overhead_seconds=plan.overhead_seconds)
-    est_seconds = method_seconds(plan, cm)[method]
-    report.estimates = {
-        "alpha": cm.alpha,
-        "sDecomp": plan.s_decomp,
-        "sPrecomp": plan.s_precomp,
-        "sCrossref": plan.s_crossref,
-        "tEstSeconds": est_seconds,
-        "log2Seconds": cm.log2_seconds(est_seconds),
-    }
-    if plan_only:
-        report.wall_seconds = time.perf_counter() - started
-        return 0j, report
-
+    report = _planned_report(plan, method, cm)
     stats = DecomposeStats()
     if plan.k == 1:
         if plan.s_decomp > caps.leaf_evals:
@@ -212,21 +174,56 @@ def simulate_amplitude(
         if projected > caps.leaf_evals:
             raise ResourceCapError("naive-sum", projected, caps.leaf_evals, plan)
         all_params = sorted(plan.cut_spiders)
-        c = len(all_params)
         total = ScalarC.zero()
-        for idx in range(2 ** c):
-            bits = {p: (idx >> (c - 1 - pos)) & 1 for pos, p in enumerate(all_params)}
+        for bits in itertools.product((0, 1), repeat=len(all_params)):
+            assignment = dict(zip(all_params, bits))
             term = ScalarC.one()
             for seg, ps in zip(segs, part_params):
-                local = {p: bits[p] for p in sorted(ps)}
+                local = {p: assignment[p] for p in sorted(ps)}
                 term.mul(decompose_to_scalar(instantiate(seg, local), stats=stats))
                 if term.is_zero:
                     break
             total = total.plus(term)
         value = total.times(overall)
-        report.crossref_products = 2 ** c
+        report.crossref_products = 2 ** len(all_params)
 
     report.leaf_evals = stats.leaves
     report.amplitude = value.to_complex()
+    report.wall_seconds = time.perf_counter() - started
+    return report
+
+
+def simulate_amplitude(
+    circ: Circuit,
+    in_spec: str,
+    out_spec: str,
+    method: str = "smart",
+    cm: CostModel | None = None,
+    caps: ResourceCaps | None = None,
+    seed: int = 0,
+    force_partition: bool = False,
+    plan_only: bool = False,
+    trace=None,
+) -> tuple[complex, Report]:
+    """Compute <out|U|in> by the chosen method, with a cost report: build,
+    simplify, plan, then ``run_plan`` unless ``plan_only``.
+
+    ``trace``, if given, records the rewrite steps of the initial Clifford
+    simplification round.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    cm = cm or CostModel()
+    started = time.perf_counter()
+    g = clifford_simplify(plug(diagram_from_circuit(circ), in_spec, out_spec),
+                          trace)
+    if method == "direct":
+        plan = unsplit_plan(g, cm)
+    else:
+        plan = choose_k(g, cm, seed=seed, force_partition=force_partition)
+    if plan_only:
+        report = _planned_report(plan, method, cm)
+    else:
+        report = run_plan(g, plan, method, cm, caps or ResourceCaps())
     report.wall_seconds = time.perf_counter() - started
     return report.amplitude, report

@@ -15,6 +15,7 @@ tests pin down; ``min_pair`` is the schedule's pair choice on a hypergraph.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,11 +94,10 @@ def precompute_segment(seg_graph: ZxDiagram,
         raise ValueError("segment must be a scalar diagram (no boundary wires)")
     params = tuple(sorted(seg_graph.params))
     shared = param_safe_simplify(seg_graph)
-    c = len(params)
     table = []
-    for idx in range(2 ** c):
-        assignment = {p: (idx >> (c - 1 - pos)) & 1 for pos, p in enumerate(params)}
-        inst = instantiate(shared, assignment)
+    # the first parameter varies slowest: the table's MSB-first order
+    for bits in itertools.product((0, 1), repeat=len(params)):
+        inst = instantiate(shared, dict(zip(params, bits)))
         table.append(decompose_to_scalar(inst, stats=stats))
     return Segment(params, table)
 

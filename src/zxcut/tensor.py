@@ -112,3 +112,13 @@ def tensor_of(d: ZxDiagram, max_legs: int = 22):
     order = [acc_legs.index(ext_legs[b]) for b in d.outputs + d.inputs]
     acc = np.transpose(acc, order)
     return acc.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
+
+
+def solve_identity(terms: list[np.ndarray], target: np.ndarray, name: str) -> np.ndarray:
+    """Least-squares ``x`` with ``sum_i x[i] * terms[i] == target``, to 1e-12."""
+    basis = np.stack(terms, axis=1)
+    sol, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    resid = np.linalg.norm(basis @ sol - target)
+    if resid > 1e-12:
+        raise RuntimeError(f"{name} solve failed, residual {resid}")
+    return sol

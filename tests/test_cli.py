@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from referencing import Registry, Resource
 
 import zxcut
 from zxcut.cli import main
+from zxcut.partition import choose_k
 
 SCHEMA_DIR = Path(zxcut.__file__).parent / "schemas"
 
@@ -140,6 +142,42 @@ def test_sweep_determinism_bytes(tmp_path):
     assert run_cli(args + ["--out", str(a)]).returncode == 0
     assert run_cli(args + ["--out", str(b)]).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# projections of the sweep below, unchanged since each circuit has been
+# planned once per cell
+SWEEP_8_60_ESTIMATES = (
+    "sigma,method,mean_log2_seconds,std_log2_seconds,samples\r\n"
+    "0,direct,-10.756556,0.000000,3\r\n"
+    "0,naive,-10.756556,0.000000,3\r\n"
+    "0,smart,-10.756556,0.000000,3\r\n"
+    "inf,direct,-7.343223,0.399110,3\r\n"
+    "inf,naive,-7.637193,0.285081,3\r\n"
+    "inf,smart,-7.637193,0.285081,3\r\n"
+)
+
+
+def test_sweep_plans_each_circuit_once(tmp_path, monkeypatch):
+    # a measured cell runs every method on one plan: 6 circuits, 6 plans
+    import zxcut.cli
+    import zxcut.engine
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return choose_k(*args, **kwargs)
+
+    for module in (zxcut.cli, zxcut.engine):
+        monkeypatch.setattr(module, "choose_k", counting, raising=False)
+    base = ["sweep-sigma", "--qubits", "8", "--depth", "60", "--sigmas", "0,inf",
+            "--samples", "3"]
+    assert main(base + ["--out", str(tmp_path / "measured.csv")]) == 0
+    assert len(calls) == 6
+    rows = list(csv.DictReader((tmp_path / "measured.csv").open()))
+    assert len(rows) == 6 and all(math.isfinite(float(r["mean_log2_seconds"]))
+                                  for r in rows)
+    assert main(base + ["--estimate-only", "--out", str(tmp_path / "est.csv")]) == 0
+    assert (tmp_path / "est.csv").read_bytes() == SWEEP_8_60_ESTIMATES.encode()
 
 
 def test_simulate_json_determinism():

@@ -65,8 +65,10 @@ def test_config_key_value_format(tmp_path):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        CostModel.from_config({"bogus": 1})
+    # attribute spellings are not config keys either
+    for data in ({"bogus": 1}, {"r_decomp": 1}):
+        with pytest.raises(ValueError):
+            CostModel.from_config(data)
 
 
 def test_config_rejects_the_removed_precompute_rate(tmp_path):

@@ -109,6 +109,20 @@ def test_cut_x_spider_color_changes():
     assert np.max(np.abs(total - ref)) < 1e-9
 
 
+@pytest.mark.parametrize("loop", [EdgeKind.PLAIN, EdgeKind.HADAMARD])
+@pytest.mark.parametrize("kind", [SpiderKind.X, SpiderKind.Z])
+def test_cut_spider_with_a_self_loop(kind, loop):
+    d = ZxDiagram()
+    b = d.add_spider(SpiderKind.BOUNDARY)
+    v = d.add_spider(kind, Phase(1))
+    d.outputs = [b]
+    d.add_edge(v, b)
+    d.add_edge(v, v, loop)
+    ref = tensor_of(d)
+    total = sum(tensor_of(x) for x in both_assignments(cut_spider(d, v, 0), 0))
+    assert np.max(np.abs(total - ref)) < 1e-9
+
+
 def test_cut_parameterised_spider():
     # cutting a spider that already carries a parameter unfuses it first
     rng = default_rng(2)

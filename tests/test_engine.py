@@ -7,12 +7,13 @@ from numpy.random import default_rng
 from zxcut.circuits import Circuit, parse_circuit
 from zxcut.costmodel import CostModel
 from zxcut.engine import (METHODS, Report, ResourceCapError, ResourceCaps,
-                          method_seconds, simulate_amplitude, split_segments)
+                          method_seconds, run_plan, simulate_amplitude,
+                          split_segments)
 from zxcut.generators import CompoundSpec, gen_compound
 from zxcut.oracle import MAX_QUBITS, statevector_amplitude
 from zxcut.cutting import instantiate
-from zxcut.diagram import diagram_from_circuit, plug
-from zxcut.partition import choose_k
+from zxcut.diagram import Phase, diagram_from_circuit, plug
+from zxcut.partition import choose_k, unsplit_plan
 from zxcut.simplify import clifford_simplify
 from zxcut.tensor import tensor_of
 
@@ -109,6 +110,46 @@ def test_split_segments_reassembles_tensor():
         ref = tensor_of(g)
         assert abs(total - ref) < 1e-9 * max(1.0, abs(ref))
     assert tested >= 3
+
+
+def test_split_segments_rejects_a_parameterised_cut_spider():
+    rng = default_rng(2)
+    for _ in range(60):
+        g = clifford_simplify(plug(diagram_from_circuit(random_circuit(8, 60, rng)),
+                                   "+" * 8, "+" * 8))
+        plan = choose_k(g, CostModel(), force_partition=True)
+        if plan.cut_spiders:
+            break
+    w = min(plan.cut_spiders)
+    g.spiders[w].phase = Phase(g.spiders[w].phase.fixed, frozenset({10 ** 6}))
+    g.params.add(10 ** 6)
+    with pytest.raises(ValueError, match="parameter-free"):
+        split_segments(g, plan)
+
+
+def test_run_plan_leaves_the_diagram_unchanged():
+    # every method runs on the one simplified diagram, with cuts on its plan
+    rng = default_rng(3)
+    cm = CostModel()
+    ran_cuts = 0
+    for _ in range(20):
+        c = random_circuit(8, 60, rng)
+        g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 8, "+" * 8))
+        before = g.to_json()
+        plan = choose_k(g, cm, force_partition=True)
+        ref = statevector_amplitude(c, "+" * 8, "+" * 8)
+        for method in METHODS:
+            run_on = unsplit_plan(g, cm) if method == "direct" else plan
+            rep = run_plan(g, run_on, method, cm, ResourceCaps())
+            assert abs(rep.amplitude - ref) < 1e-9
+            assert g.to_json() == before
+        if plan.cut_spiders:
+            ran_cuts += 1
+            cut_run = (g, plan)
+    assert ran_cuts >= 3
+    # direct runs only the unsplit plan
+    with pytest.raises(ValueError):
+        run_plan(*cut_run, "direct", cm, ResourceCaps())
 
 
 def test_compound_circuits_agree_with_oracle():

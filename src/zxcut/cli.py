@@ -21,7 +21,7 @@ from numpy.random import default_rng
 
 from .circuits import Circuit, CircuitParseError, parse_circuit
 from .costmodel import CostModel
-from .diagram import diagram_from_circuit, plug
+from .diagram import ZxDiagram, diagram_from_circuit, plug
 from .engine import (METHODS, ResourceCapError, ResourceCaps, method_seconds,
                      run_plan, simulate_amplitude)
 from .generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
@@ -262,35 +262,35 @@ CALIBRATE_QUBITS, CALIBRATE_DEPTH, CALIBRATE_SIGMA = 12, 150, 0.5
 CALIBRATE_T = (12, 20)
 
 
-def _calibration_circuits(rng, count: int = 6) -> list[Circuit]:
+def _calibration_diagrams(rng, count: int = 6) -> list[ZxDiagram]:
+    """Simplified scalar diagrams of seeded circuits whose T-counts fall in
+    ``CALIBRATE_T``; each candidate is simplified once."""
     plugs = "+" * CALIBRATE_QUBITS
-    circuits = []
-    while len(circuits) < count:
+    diagrams = []
+    while len(diagrams) < count:
         circ = gen_clifford_t(CircuitSpec(CALIBRATE_QUBITS, CALIBRATE_DEPTH, CALIBRATE_SIGMA,
                                           int(rng.integers(2 ** 31))))
-        t = clifford_simplify(plug(diagram_from_circuit(circ), plugs, plugs)).t_count()
-        if CALIBRATE_T[0] <= t <= CALIBRATE_T[1]:
-            circuits.append(circ)
-    return circuits
+        g = clifford_simplify(plug(diagram_from_circuit(circ), plugs, plugs))
+        if CALIBRATE_T[0] <= g.t_count() <= CALIBRATE_T[1]:
+            diagrams.append(g)
+    return diagrams
 
 
 def cmd_calibrate(args) -> int:
     """Measure local calculation rates and write them as a config file.
 
-    rDecomp is leaves per second of run time outside planning, read from the
-    reports of ``direct`` runs of six seeded circuits with simplified
-    T-counts in ``CALIBRATE_T``; tOverhead is the mean planning time of
-    plan-only ``smart`` runs of the same circuits.  rCrossref times
-    ``regroup_all`` on synthetic 2^10-entry tables.
+    rDecomp is leaves per second of plain decomposition, read from the
+    ``direct`` reports of ``run_plan`` on six simplified seeded diagrams with
+    T-counts in ``CALIBRATE_T``; tOverhead is the mean time of ``choose_k``
+    on the same diagrams.  rCrossref times ``regroup_all`` on synthetic
+    2^10-entry tables.
     """
     cm = CostModel()
     rng = default_rng(args.seed)
-    circuits = _calibration_circuits(rng)
-    plugs = "+" * CALIBRATE_QUBITS
-    reports = {method: [simulate_amplitude(circ, plugs, plugs, method, cm, seed=args.seed,
-                                           plan_only=method == "smart")[1]
-                        for circ in circuits]
-               for method in ("direct", "smart")}
+    diagrams = _calibration_diagrams(rng)
+    direct = [run_plan(g, unsplit_plan(g, cm), "direct", cm, ResourceCaps())
+              for g in diagrams]
+    plans = [choose_k(g, cm, seed=args.seed) for g in diagrams]
 
     tables = []
     for s in range(6):
@@ -303,9 +303,9 @@ def cmd_calibrate(args) -> int:
 
     calibrated = CostModel(
         alpha=cm.alpha,
-        r_decomp=_leaf_rate(reports["direct"]),
+        r_decomp=_leaf_rate(direct),
         r_crossref=r_crossref,
-        t_overhead=statistics.fmean(r.overhead_seconds for r in reports["smart"]),
+        t_overhead=statistics.fmean(p.overhead_seconds for p in plans),
         real_run_threshold_secs=cm.real_run_threshold_secs,
     )
     if args.out:

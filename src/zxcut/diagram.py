@@ -202,23 +202,29 @@ class ZxDiagram:
             comps.append(comp)
         return comps
 
-    def subdiagram(self, keep) -> "ZxDiagram":
-        """Induced subdiagram on ``keep``, preserving spider ids; its scalar
-        is one and it has no boundaries or parameters."""
-        keep = set(keep)
-        d = ZxDiagram()
-        d._next = self._next
-        for v in sorted(keep):
-            d.spiders[v] = self.spiders[v].copy()
-            d.adj[v] = {}
-        for v in sorted(keep):
-            for u, row in self.adj[v].items():
-                if u in keep and u >= v:
-                    fresh = row.copy()
-                    d.adj[v][u] = fresh
-                    if u != v:
-                        d.adj[u][v] = fresh
-        return d
+    def carve(self, parts) -> list["ZxDiagram"]:
+        """The induced subdiagrams on the disjoint spider sets ``parts``,
+        preserving spider ids; each has scalar one and no boundaries or
+        parameters.  They share this diagram's spider objects and adjacency
+        rows rather than copying them, so a change to one shows in the
+        other: copy what is to be changed while the other is still used."""
+        out = []
+        for keep in parts:
+            keep = sorted(keep)
+            inside = set(keep)
+            d = ZxDiagram()
+            d._next = self._next
+            for v in keep:
+                d.spiders[v] = self.spiders[v]
+                d.adj[v] = {}
+            for v in keep:
+                for u, row in self.adj[v].items():
+                    if u in inside and u >= v:
+                        d.adj[v][u] = row
+                        if u != v:
+                            d.adj[u][v] = row
+            out.append(d)
+        return out
 
     def copy(self) -> "ZxDiagram":
         d = ZxDiagram.__new__(ZxDiagram)

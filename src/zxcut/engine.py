@@ -117,11 +117,12 @@ def split_segments(g: ZxDiagram, plan: PartitionPlan
         part_of[piece] = plan.edge_parts[(min(w, x), max(w, x))]
 
     part_params = plan.part_params()
-    segs = []
-    for part, params in enumerate(part_params):
-        seg = cut.subdiagram(v for v, p in part_of.items() if p == part)
+    members = [[] for _ in part_params]
+    for v, part in part_of.items():
+        members[part].append(v)
+    segs = cut.carve(members)  # the cut copy is ours: no second copy
+    for seg, params in zip(segs, part_params):
         seg.params = set(params)
-        segs.append(seg)
     for p, coeffs in cut.param_coeffs.items():
         home = min(i for i, params in enumerate(part_params) if p in params)
         segs[home].param_coeffs[p] = coeffs

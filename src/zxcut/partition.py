@@ -13,6 +13,18 @@ Fiduccia-Mattheyses refinement.  A spider whose incident edges span more
 than one part is a cut spider; parts are balanced on the T-weight of the
 spiders they fully contain.
 
+The refinement keeps every node's gain (the drop in cut size if it alone
+moved, between -2 and 2, as a node has at most two spiders) up to date: a
+move changes the gains of its hyperedges' other pins only where a side's pin
+count crosses 0, 1 or 2 (Fiduccia and Mattheyses, 1982).  Each pass takes
+nodes highest gain first, lowest node id on ties, locks a node that would
+break a floor or cap when its turn comes, and keeps the first prefix of
+moves with the least (cut, imbalance).  These are the moves, and so the
+plans, of a refinement that recomputes the gain of every neighbour after
+each move; ``tests/test_partition.py`` holds that refinement as a reference.
+The hypergraph's neighbour lists and components are computed once and shared
+by every start and every k.
+
 Every candidate is priced with the one leaf rate of the cost model:
 2^(alpha*t_i + c_i) leaves per part plus the cross-referencing products.  A
 component's k = 1 candidate therefore costs exactly what plain decomposition
@@ -25,6 +37,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from numpy.random import default_rng
 
@@ -50,6 +63,19 @@ class PartitionHypergraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_edges)
+
+    @cached_property
+    def nbrs(self) -> list[list[int]]:
+        """Node -> the nodes sharing a hyperedge with it, itself included,
+        sorted."""
+        return [sorted({m for e in nets for m in self.pins[e]})
+                for nets in self.node_edges]
+
+    @cached_property
+    def components(self) -> tuple[list[list[int]], list[int]]:
+        """The connected pieces of the whole node set (see
+        ``_node_components``)."""
+        return _node_components(range(self.n_nodes), self.nbrs, self.n_nodes)
 
 
 def to_partition_hypergraph(d: ZxDiagram) -> PartitionHypergraph:
@@ -91,179 +117,250 @@ class _Bisection:
 
     Only hyperedges entirely inside the subset ("alive") carry weight or
     gain: a spider already cut by an enclosing split stays cut no matter
-    what happens here.
+    what happens here.  ``side``, ``nets`` (alive hyperedges) and ``nbrs``
+    are indexed by hypergraph node; entries outside the subset are unused.
     """
 
     def __init__(self, h: PartitionHypergraph, nodes: list[int]):
         self.h = h
-        self.nodes = list(nodes)
-        node_set = set(nodes)
-        self.side = {n: 1 for n in nodes}
+        self.nodes = nodes
+        pins = h.pins
+        if len(nodes) == h.n_nodes:
+            self.alive = list(range(len(pins)))
+            self.nets = h.node_edges
+            self.nbrs = h.nbrs
+            self.components = h.components
+        else:
+            inside = [0] * len(pins)
+            member = bytearray(h.n_nodes)
+            touched = []
+            for n in nodes:
+                member[n] = 1
+                for e in h.node_edges[n]:
+                    if not inside[e]:
+                        touched.append(e)
+                    inside[e] += 1
+            self.alive = [e for e in touched if inside[e] == len(pins[e])]
+            # only the pins of a dead hyperedge lose nets and neighbours
+            self.nets = list(h.node_edges)
+            self.nbrs = list(h.nbrs)
+            for e in touched:
+                if inside[e] < len(pins[e]):
+                    for n in pins[e]:
+                        if member[n]:
+                            own = self.nets[n] = [x for x in h.node_edges[n]
+                                                  if inside[x] == len(pins[x])]
+                            self.nbrs[n] = sorted({m for x in own for m in pins[x]})
+            self.components = _node_components(nodes, self.nbrs, h.n_nodes)
+        self.side = [1] * h.n_nodes
         self.ncount = [0, len(nodes)]
-        self.alive = [e for e in {e for n in nodes for e in h.node_edges[n]}
-                      if all(p in node_set for p in h.pins[e])]
-        self.cnt = {e: [0, len(set(h.pins[e]))] for e in self.alive}
+        self.cnt = {e: [0, len(pins[e])] for e in self.alive}
         self.total_t = sum(h.weights[e] for e in self.alive)
         self.tw = [0, self.total_t]
-        self._edges_of = {
-            n: [e for e in set(h.node_edges[n]) if e in self.cnt] for n in nodes
-        }
-        # every node's neighbours through alive hyperedges, itself included
-        self.nbrs = {
-            n: sorted({m for e in self._edges_of[n] for m in h.pins[e]}) for n in nodes
-        }
         self.cut = 0  # alive hyperedges with pins on both sides
 
     def cut_size(self) -> int:
         return self.cut
 
-    def imbalance(self, targets) -> float:
-        return max(0.0, self.tw[0] - targets[0], self.tw[1] - targets[1])
-
-    def gain(self, n: int) -> int:
-        s = self.side[n]
-        g = 0
-        for e in self._edges_of[n]:
-            c = self.cnt[e]
-            if c[1 - s] == 0 and c[s] > 1:
-                g -= 1
-            elif c[s] == 1 and c[1 - s] > 0:
-                g += 1
-        return g
+    def gains(self) -> list[int]:
+        """Every node's gain: how much the cut shrinks if it alone moves."""
+        gain = [0] * len(self.side)
+        side, cnt = self.side, self.cnt
+        for n in self.nodes:
+            s = side[n]
+            g = 0
+            for e in self.nets[n]:
+                c = cnt[e]
+                if not c[1 - s]:
+                    g -= c[s] > 1
+                elif c[s] == 1:
+                    g += 1
+            gain[n] = g
+        return gain
 
     def move(self, n: int) -> None:
         s = self.side[n]
-        for e in self._edges_of[n]:
+        o = 1 - s
+        tw, weights = self.tw, self.h.weights
+        for e in self.nets[n]:
             c = self.cnt[e]
-            w = self.h.weights[e]
-            was_cut = c[1 - s] > 0
-            if not was_cut:
-                self.tw[s] -= w
-            c[s] -= 1
-            c[1 - s] += 1
-            if c[s] == 0:
-                self.tw[1 - s] += w
-            self.cut += (c[s] > 0) - was_cut
-        self.side[n] = 1 - s
+            cs, co = c[s], c[o]
+            c[s] = cs - 1
+            c[o] = co + 1
+            if not co:
+                tw[s] -= weights[e]
+            if cs == 1:
+                tw[o] += weights[e]
+            self.cut += (cs > 1) - (co > 0)
+        self.side[n] = o
         self.ncount[s] -= 1
-        self.ncount[1 - s] += 1
+        self.ncount[o] += 1
 
-    def feasible(self, n: int, caps, floors) -> bool:
-        s = self.side[n]
-        if self.ncount[s] - 1 < floors[s]:
-            return False
-        arriving = sum(self.h.weights[e] for e in self._edges_of[n]
-                       if self.cnt[e][s] == 1 and self.cnt[e][1 - s] > 0)
-        return self.tw[1 - s] + arriving <= caps[1 - s]
+    def undo(self, moved: list[int], cut: int, tw: list[int]) -> None:
+        """Move every node of ``moved`` back, returning to a state recorded
+        as its cut size and side T-weights: only pin counts need redoing."""
+        side, cnt, ncount = self.side, self.cnt, self.ncount
+        for n in moved:
+            s = side[n]
+            o = 1 - s
+            side[n] = o
+            ncount[s] -= 1
+            ncount[o] += 1
+            for e in self.nets[n]:
+                c = cnt[e]
+                c[s] -= 1
+                c[o] += 1
+        self.cut = cut
+        self.tw[:] = tw
 
 
-def _node_components(bis: _Bisection) -> list[list[int]]:
-    seen: set[int] = set()
+def _node_components(nodes, nbrs, size) -> tuple[list[list[int]], list[int]]:
+    """The connected pieces of a node set, each led by its smallest node,
+    and the piece of every node."""
+    comp_of = [-1] * size
     comps = []
-    for start in bis.nodes:
-        if start in seen:
+    for start in nodes:
+        if comp_of[start] >= 0:
             continue
+        comp_of[start] = len(comps)
         comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m in bis.nbrs[n]:
-                if m not in seen:
-                    seen.add(m)
+        for n in comp:
+            for m in nbrs[n]:
+                if comp_of[m] < 0:
+                    comp_of[m] = len(comps)
                     comp.append(m)
-                    stack.append(m)
         comps.append(comp)
-    return comps
+    return comps, comp_of
 
 
 def _seed_side0(bis: _Bisection, target0: float, floors, rng) -> None:
     """Grow side 0 to roughly its T-weight target, keeping the best stop
     within the node-floor window."""
-    comps = _node_components(bis)
+    comps, comp_of = bis.components
     if len(comps) > 1:
         # pack whole components: no cut needed between them.  choose_k hands
         # partition_k one connected component at a time, but this is still
         # reached: a bisection for k >= 3 can leave one side in disconnected
         # pieces, and partition_k is public.
-        def cw(comp):
-            cset = set(comp)
-            t = sum(bis.h.weights[e] for e in bis.alive
-                    if all(p in cset for p in bis.h.pins[e]))
-            return t if t else len(comp) * 1e-6
+        t = [0] * len(comps)
+        for e in bis.alive:  # an alive hyperedge lies inside one piece
+            t[comp_of[bis.h.pins[e][0]]] += bis.h.weights[e]
+        weight = [ti if ti else len(comp) * 1e-6 for ti, comp in zip(t, comps)]
         targets = (max(target0, 1e-9), max(bis.total_t - target0, 1e-9))
         load = [0.0, 0.0]
-        ordered = sorted(comps, key=lambda c: (-cw(c), -len(c), c[0]))
-        for comp in ordered:
+        ordered = sorted(range(len(comps)),
+                         key=lambda i: (-weight[i], -len(comps[i]), comps[i][0]))
+        for i in ordered:
             s = 0 if load[0] / targets[0] <= load[1] / targets[1] else 1
             if s == 0:
-                for n in comp:
+                for n in comps[i]:
                     bis.move(n)
-            load[s] += cw(comp)
+            load[s] += weight[i]
         if bis.ncount[0] == 0 or bis.ncount[1] == 0:
-            for n in ordered[-1]:
+            for n in comps[ordered[-1]]:
                 bis.move(n)
         return
-    order = []
-    start = bis.nodes[int(rng.integers(len(bis.nodes)))]
-    seen = {start}
-    queue = [start]
-    while queue:
-        n = queue.pop(0)
-        order.append(n)
+    # breadth-first from a random start; the order list is its own queue
+    order = [bis.nodes[int(rng.integers(len(bis.nodes)))]]
+    seen = bytearray(len(bis.side))
+    seen[order[0]] = 1
+    for n in order:
         for m in bis.nbrs[n]:
-            if m not in seen:
-                seen.add(m)
-                queue.append(m)
+            if not seen[m]:
+                seen[m] = 1
+                order.append(m)
+    # side 0 takes a prefix of order: the first with the best
+    # (T-weight miss, cut) among lengths lo..hi
     lo = max(1, floors[0])
-    hi = max(lo, len(order) - max(1, floors[1]))
+    hi = min(max(lo, len(order) - max(1, floors[1])), len(order) - 1)
     best = None
     best_idx = lo
-    for i, n in enumerate(order[:-1], start=1):
-        bis.move(n)
-        if not (lo <= i <= hi):
+    for i in range(1, hi + 1):
+        bis.move(order[i - 1])
+        if i < lo:
             continue
-        key = (abs(bis.tw[0] - target0), bis.cut_size(), i)
+        key = (abs(bis.tw[0] - target0), bis.cut)
         if best is None or key < best:
             best = key
             best_idx = i
-    for n in reversed(order[best_idx:-1]):
-        bis.move(n)
+            best_tw = bis.tw[:]
+    if best_idx < hi:
+        bis.undo(order[best_idx:hi], best[1], best_tw)
 
 
 def _fm_refine(bis: _Bisection, caps, floors, targets) -> None:
+    """Up to FM_PASSES passes with incremental gains (see the module
+    docstring); a pass that keeps no move ends the refinement.
+
+    A pass takes every node once, moving it or locking it, then rolls back
+    to its best prefix.  Heap keys encode (gain, node) as one int, pushed
+    whenever a gain changes; a key whose gain is no longer current is
+    dropped when popped.
+    """
+    pins, weights = bis.h.pins, bis.h.weights
+    nets, cnt, side, tw, ncount = bis.nets, bis.cnt, bis.side, bis.tw, bis.ncount
+    size = len(side)
+    t0, t1 = targets
     for _ in range(FM_PASSES):
-        locked: set[int] = set()
-        heap = [(-bis.gain(n), n) for n in bis.nodes]
+        gain = bis.gains()
+        heap = [(2 - gain[n]) * size + n for n in bis.nodes]  # gains lie in -2..2
         heapq.heapify(heap)
+        locked = bytearray(size)
         history: list[int] = []
-        trace = [(bis.cut_size(), bis.imbalance(targets))]
+        cut = bis.cut
+        best_cut, best_imb, best_tw = cut, max(0.0, tw[0] - t0, tw[1] - t1), tw[:]
+        best = 0
         while heap:
-            negg, n = heapq.heappop(heap)
-            if n in locked:
+            key = heapq.heappop(heap)
+            n = key % size
+            if locked[n] or (2 - gain[n]) * size + n != key:
                 continue
-            g = bis.gain(n)
-            if -negg != g:
-                heapq.heappush(heap, (-g, n))
+            locked[n] = 1
+            s = side[n]
+            o = 1 - s
+            if ncount[s] - 1 < floors[s]:
                 continue
-            if not bis.feasible(n, caps, floors):
-                locked.add(n)
+            arriving = 0
+            for e in nets[n]:
+                c = cnt[e]
+                if c[s] == 1 and c[o]:
+                    arriving += weights[e]
+            if tw[o] + arriving > caps[o]:
                 continue
-            bis.move(n)
-            locked.add(n)
+            for e in nets[n]:
+                c = cnt[e]
+                cs, co = c[s], c[o]
+                c[s] = cs - 1
+                c[o] = co + 1
+                if not co:
+                    tw[s] -= weights[e]
+                if cs == 1:
+                    tw[o] += weights[e]
+                cut += (cs > 1) - (co > 0)
+                # gain change of the pins left on side s, and on side o
+                d_s = (not co) + (cs == 2)
+                d_o = -(co == 1) - (cs == 1)
+                if d_s or d_o:
+                    for m in pins[e]:
+                        if not locked[m]:
+                            d = d_s if side[m] == s else d_o
+                            if d:
+                                gain[m] += d
+                                heapq.heappush(heap, (2 - gain[m]) * size + m)
+            side[n] = o
+            ncount[s] -= 1
+            ncount[o] += 1
             history.append(n)
-            trace.append((bis.cut_size(), bis.imbalance(targets)))
-            for m in bis.nbrs[n]:
-                if m not in locked:
-                    heapq.heappush(heap, (-bis.gain(m), m))
-        best = min(range(len(trace)), key=lambda i: (trace[i], i))
-        for n in reversed(history[best:]):
-            bis.move(n)
+            if cut <= best_cut:
+                imb = max(0.0, tw[0] - t0, tw[1] - t1)
+                if cut < best_cut or imb < best_imb:
+                    best_cut, best_imb, best_tw, best = cut, imb, tw[:], len(history)
+        bis.undo(history[best:], best_cut, best_tw)
         if best == 0:
             break
 
 
-def _fm_bisect(h, nodes, k0, k1, rng) -> dict[int, int]:
+def _fm_bisect(h, nodes, k0, k1, rng) -> _Bisection:
     bis = _Bisection(h, nodes)
     frac = k0 / (k0 + k1)
     targets = (bis.total_t * frac, bis.total_t * (1 - frac))
@@ -276,10 +373,11 @@ def _fm_bisect(h, nodes, k0, k1, rng) -> dict[int, int]:
     _fm_refine(bis, caps, floors, targets)
     if bis.ncount[0] == 0 or bis.ncount[1] == 0:
         lone = 0 if bis.ncount[0] == 0 else 1
-        flip = max(bis.nodes, key=lambda n: (bis.gain(n), -n))
+        gain = bis.gains()
+        flip = max(nodes, key=lambda n: (gain[n], -n))
         if bis.side[flip] != lone:
             bis.move(flip)
-    return dict(bis.side)
+    return bis
 
 
 def _recursive_partition(h, nodes, k, rng, next_part, assignment):
@@ -290,7 +388,7 @@ def _recursive_partition(h, nodes, k, rng, next_part, assignment):
         return
     k0 = k // 2
     k1 = k - k0
-    side = _fm_bisect(h, nodes, k0, k1, rng)
+    side = _fm_bisect(h, nodes, k0, k1, rng).side
     left = [n for n in nodes if side[n] == 0]
     right = [n for n in nodes if side[n] == 1]
     _recursive_partition(h, left, k0, rng, next_part, assignment)
@@ -509,8 +607,8 @@ def choose_k(
     if len(comps) <= 1:
         parts = [_plan_component(d, cm, k_max, seed, force_partition)]
     else:
-        parts = [_plan_component(d.subdiagram(c), cm, k_max, seed, False)
-                 for c in comps]
+        # planning only reads the components, so they need no copies
+        parts = [_plan_component(c, cm, k_max, seed, False) for c in d.carve(comps)]
     chosen = _cheapest([whole, _merge(parts, whole, cm)], force_partition)
     chosen.overhead_seconds = time.perf_counter() - started
     return chosen

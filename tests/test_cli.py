@@ -232,21 +232,53 @@ def test_calibrate_writes_config(tmp_path):
 
 def test_calibrate_measures_in_the_random_t_window(tmp_path, monkeypatch):
     # the leaf rate comes from runs with enough leaves to outweigh set-up,
-    # and tOverhead from planning the same circuits
+    # and tOverhead from planning the same diagrams
     import zxcut.cli as cli
-    seen = []
-    real = cli.simulate_amplitude
+    reports, plans = [], []
+    real_run, real_plan = cli.run_plan, cli.choose_k
 
-    def recording(*args, **kwargs):
-        amp, report = real(*args, **kwargs)
-        seen.append(report)
-        return amp, report
+    def run_recording(*args, **kwargs):
+        reports.append(real_run(*args, **kwargs))
+        return reports[-1]
 
-    monkeypatch.setattr(cli, "simulate_amplitude", recording)
+    def plan_recording(*args, **kwargs):
+        plans.append(real_plan(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(cli, "run_plan", run_recording)
+    monkeypatch.setattr(cli, "choose_k", plan_recording)
     assert main(["calibrate", "--out", str(tmp_path / "rates.json")]) == 0
-    assert len(seen) == 12
-    for report in seen:
-        assert 12 <= report.t_count <= 20
+    assert len(reports) == len(plans) == 6
+    for report, plan in zip(reports, plans):
+        assert report.method == "direct"
+        assert 12 <= report.t_count == plan.t_total <= 20
+
+
+def test_calibrate_simplifies_each_candidate_once(tmp_path, monkeypatch):
+    # seed 0 draws ten candidate circuits and keeps six; both measurements
+    # run on the kept simplified diagrams, so nothing is simplified again,
+    # and the direct runs evaluate the same leaves as when each run
+    # simplified its circuit itself
+    import zxcut.cli as cli
+    import zxcut.engine as engine
+    calls = []
+    reports = []
+    for module in (cli, engine):
+        def counting(*args, _real=module.clifford_simplify, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "clifford_simplify", counting)
+    real_run = cli.run_plan
+
+    def run_recording(*args, **kwargs):
+        reports.append(real_run(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_plan", run_recording)
+    assert main(["calibrate", "--seed", "0", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 10
+    assert [r.leaf_evals for r in reports] == [21, 29, 15, 17, 4, 50]
+    assert [r.t_count for r in reports] == [16, 20, 13, 20, 14, 19]
 
 
 def test_spec_json_input(tmp_path):

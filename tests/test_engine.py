@@ -11,8 +11,8 @@ from zxcut.engine import (METHODS, Report, ResourceCapError, ResourceCaps,
                           split_segments)
 from zxcut.generators import CompoundSpec, gen_compound
 from zxcut.oracle import MAX_QUBITS, statevector_amplitude
-from zxcut.cutting import instantiate
-from zxcut.diagram import Phase, diagram_from_circuit, plug
+from zxcut.cutting import cut_spiders, instantiate
+from zxcut.diagram import Phase, ZxDiagram, diagram_from_circuit, plug
 from zxcut.partition import choose_k, unsplit_plan
 from zxcut.simplify import clifford_simplify
 from zxcut.tensor import tensor_of
@@ -110,6 +110,82 @@ def test_split_segments_reassembles_tensor():
         ref = tensor_of(g)
         assert abs(total - ref) < 1e-9 * max(1.0, abs(ref))
     assert tested >= 3
+
+
+def _copied_subdiagram(d, keep):
+    """The induced subdiagram built spider by spider and row by row."""
+    keep = set(keep)
+    out = ZxDiagram()
+    out._next = d._next
+    for v in sorted(keep):
+        out.spiders[v] = d.spiders[v].copy()
+        out.adj[v] = {}
+    for v in sorted(keep):
+        for u, row in d.adj[v].items():
+            if u in keep and u >= v:
+                fresh = row.copy()
+                out.adj[v][u] = fresh
+                if u != v:
+                    out.adj[u][v] = fresh
+    return out
+
+
+def _split_by_copies(g, plan):
+    """Segments as split_segments built them by copying every part out of
+    the cut copy: the reference for carving them from it."""
+    cut = cut_spiders(g, {w: w for w in plan.cut_spiders})
+    part_of = dict(plan.assignment)
+    for piece in cut.spiders.keys() - g.spiders.keys():
+        (u,) = cut.adj[piece]
+        (w,) = cut.spiders[piece].phase.params
+        x = u if u in g.spiders else min(cut.spiders[u].phase.params)
+        part_of[piece] = plan.edge_parts[(min(w, x), max(w, x))]
+    part_params = plan.part_params()
+    segs = []
+    for part, params in enumerate(part_params):
+        seg = _copied_subdiagram(cut, (v for v, p in part_of.items() if p == part))
+        seg.params = set(params)
+        segs.append(seg)
+    for p, coeffs in cut.param_coeffs.items():
+        home = min(i for i, params in enumerate(part_params) if p in params)
+        segs[home].param_coeffs[p] = coeffs
+    return segs, part_params, cut.scalar
+
+
+def _layout(d):
+    return ([(v, s.kind, s.phase) for v, s in d.spiders.items()],
+            [(v, [(u, list(row)) for u, row in nbrs.items()]) for v, nbrs in d.adj.items()])
+
+
+def test_split_segments_carves_the_cut_copy_as_the_copies_were():
+    # forced plans whose cut spiders share legs: every segment has the
+    # parameters, coefficients, layout and tensor of the copied part, and
+    # the diagram itself is left unchanged
+    rng = default_rng(7)
+    tested = 0
+    for _ in range(40):
+        c = random_circuit(8, 80, rng)
+        g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 8, "+" * 8))
+        plan = choose_k(g, CostModel(), force_partition=True)
+        if not any(u != v and {u, v} <= plan.cut_spiders for u, v, _ in g.edges()):
+            continue
+        tested += 1
+        before = g.to_json()
+        segs, params, overall = split_segments(g, plan)
+        assert g.to_json() == before
+        want_segs, want_params, want_overall = _split_by_copies(g, plan)
+        assert params == want_params
+        assert overall.to_complex() == want_overall.to_complex()
+        for seg, want in zip(segs, want_segs):
+            assert seg.params == want.params
+            assert seg.param_coeffs == want.param_coeffs
+            assert _layout(seg) == _layout(want)
+            ps = sorted(seg.params)
+            for bits in itertools.product((0, 1), repeat=len(ps)):
+                asg = dict(zip(ps, bits))
+                assert np.array_equal(tensor_of(instantiate(seg, asg)),
+                                      tensor_of(instantiate(want, asg)))
+    assert tested >= 4
 
 
 def test_split_segments_rejects_a_parameterised_cut_spider():

@@ -1,11 +1,16 @@
+import heapq
 import itertools
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
+import zxcut.partition as partition
 from zxcut.costmodel import CostModel
 from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
 from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
@@ -338,3 +343,178 @@ def test_partition_k_runs_only_inside_components(monkeypatch):
         t_c = sum(1 for v in comp if g.spiders[v].phase.is_t())
         budget += min(16, max(t_c // 4, 2)) - 1
     assert len(seen) <= budget
+
+
+# -- incremental-gain FM against the full-rescan refinement --------------------
+# The reference below is the lazy-heap refinement that incremental gains
+# replaced: after every move it recomputes the gain of every unlocked
+# neighbour and re-pushes it.  It reads a bisection only through its side,
+# pin counts, nets, neighbours, T-weights and ``move``, so it runs on
+# ``_Bisection`` as it stands and must make the same moves.
+
+def _ref_gain(bis, n):
+    s = bis.side[n]
+    g = 0
+    for e in bis.nets[n]:
+        c = bis.cnt[e]
+        if c[1 - s] == 0 and c[s] > 1:
+            g -= 1
+        elif c[s] == 1 and c[1 - s] > 0:
+            g += 1
+    return g
+
+
+def _ref_feasible(bis, n, caps, floors):
+    s = bis.side[n]
+    if bis.ncount[s] - 1 < floors[s]:
+        return False
+    arriving = sum(bis.h.weights[e] for e in bis.nets[n]
+                   if bis.cnt[e][s] == 1 and bis.cnt[e][1 - s] > 0)
+    return bis.tw[1 - s] + arriving <= caps[1 - s]
+
+
+def _ref_imbalance(bis, targets):
+    return max(0.0, bis.tw[0] - targets[0], bis.tw[1] - targets[1])
+
+
+def reference_fm_refine(bis, caps, floors, targets):
+    for _ in range(partition.FM_PASSES):
+        locked = set()
+        heap = [(-_ref_gain(bis, n), n) for n in bis.nodes]
+        heapq.heapify(heap)
+        history = []
+        trace = [(bis.cut_size(), _ref_imbalance(bis, targets))]
+        while heap:
+            negg, n = heapq.heappop(heap)
+            if n in locked:
+                continue
+            g = _ref_gain(bis, n)
+            if -negg != g:
+                heapq.heappush(heap, (-g, n))
+                continue
+            if not _ref_feasible(bis, n, caps, floors):
+                locked.add(n)
+                continue
+            bis.move(n)
+            locked.add(n)
+            history.append(n)
+            trace.append((bis.cut_size(), _ref_imbalance(bis, targets)))
+            for m in bis.nbrs[n]:
+                if m not in locked:
+                    heapq.heappush(heap, (-_ref_gain(bis, m), m))
+        best = min(range(len(trace)), key=lambda i: (trace[i], i))
+        for n in reversed(history[best:]):
+            bis.move(n)
+        if best == 0:
+            break
+
+
+def _recount(bis):
+    """Pin counts, cut size, side T-weights and node counts from ``side``."""
+    h = bis.h
+    cnt = {e: [sum(bis.side[p] == s for p in h.pins[e]) for s in (0, 1)]
+           for e in bis.alive}
+    cut = sum(1 for c in cnt.values() if c[0] and c[1])
+    tw = [sum(h.weights[e] for e in bis.alive if not cnt[e][1 - s]) for s in (0, 1)]
+    ncount = [sum(bis.side[n] == s for n in bis.nodes) for s in (0, 1)]
+    return cnt, cut, tw, ncount
+
+
+def _assert_consistent(bis):
+    cnt, cut, tw, ncount = _recount(bis)
+    assert bis.cut == cut
+    assert bis.tw == tw
+    assert bis.ncount == ncount
+    assert {e: bis.cnt[e] for e in bis.alive} == cnt
+
+
+def _simplified(circ, rng):
+    n = circ.n_qubits
+    ins = "".join("01++"[int(x)] for x in rng.integers(4, size=n))
+    outs = "".join("01++"[int(x)] for x in rng.integers(4, size=n))
+    return clifford_simplify(plug(diagram_from_circuit(circ), ins, outs))
+
+
+@pytest.fixture(scope="module")
+def fm_corpus():
+    """Hypergraphs with a k each: the largest component of random circuits at
+    sigma 0.5, 2 and inf, and whole compound diagrams of several components."""
+    rng = default_rng(11)
+    out = []
+    seed = 0
+    while len(out) < 150:
+        seed += 1
+        sigma = (0.5, 2.0, math.inf)[seed % 3]
+        circ = gen_clifford_t(CircuitSpec(int(rng.integers(8, 15)),
+                                          int(rng.integers(80, 240)), sigma, seed))
+        g = _simplified(circ, rng)
+        if not g.spiders:
+            continue
+        (biggest,) = g.carve([max(g.connected_components(), key=len)])
+        h = to_partition_hypergraph(biggest)
+        if h.n_nodes >= 8:
+            out.append((f"connected/{sigma}/{seed}", h))
+    while len(out) < 210:
+        seed += 1
+        spec = CompoundSpec(int(rng.integers(2, 5)), int(rng.integers(3, 5)),
+                            int(rng.integers(40, 120)), int(rng.integers(0, 3)),
+                            1.0, seed)
+        g = _simplified(gen_compound(spec), rng)
+        h = to_partition_hypergraph(g)
+        if len(g.connected_components()) > 1 and h.n_nodes >= 8:
+            out.append((f"compound/{seed}", h))
+    return [(label, h, min(2 + i % 7, len(h.pins), h.n_nodes))
+            for i, (label, h) in enumerate(out)]
+
+
+def test_partition_k_matches_full_rescan_refinement(monkeypatch, fm_corpus):
+    corpus = fm_corpus
+    assert len(corpus) >= 200
+    assert {k for _, _, k in corpus} == set(range(2, 9))
+    assert sum(label.startswith("compound") for label, _, _ in corpus) >= 50
+    got = [partition_k(h, k, seed=3) for _, h, k in corpus]
+    monkeypatch.setattr(partition, "_fm_refine", reference_fm_refine)
+    for (label, h, k), result in zip(corpus, got):
+        assert result == partition_k(h, k, seed=3), (label, k)
+
+
+def test_fm_bisect_on_node_subsets_matches_and_recounts(monkeypatch, fm_corpus):
+    corpus = [(label, h) for label, h, _ in fm_corpus[::5]]
+    rng = default_rng(12)
+    cases = []
+    for label, h in corpus:
+        size = int(rng.integers(max(4, h.n_nodes // 4), h.n_nodes + 1))
+        nodes = sorted(int(n) for n in rng.choice(h.n_nodes, size, replace=False))
+        k0 = int(rng.integers(1, 4))
+        cases.append((label, h, nodes, k0, k0 + int(rng.integers(0, 2))))
+    got = []
+    for i, (label, h, nodes, k0, k1) in enumerate(cases):
+        bis = partition._fm_bisect(h, nodes, k0, k1, default_rng(i))
+        _assert_consistent(bis)
+        got.append([bis.side[n] for n in nodes])
+    monkeypatch.setattr(partition, "_fm_refine", reference_fm_refine)
+    for i, ((label, h, nodes, k0, k1), sides) in enumerate(zip(cases, got)):
+        bis = partition._fm_bisect(h, nodes, k0, k1, default_rng(i))
+        assert [bis.side[n] for n in nodes] == sides, label
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(4, 12), st.integers(20, 200),
+       st.sampled_from((0.0, 0.5, 2.0, math.inf)), st.integers(0, 2 ** 16),
+       st.integers(2, 8))
+def test_partition_k_matches_full_rescan_refinement_generated(qubits, depth, sigma,
+                                                                seed, k):
+    g = _simplified(gen_clifford_t(CircuitSpec(qubits, depth, sigma, seed)),
+                    default_rng(seed))
+    h = to_partition_hypergraph(g)
+    k = min(k, len(h.pins), h.n_nodes)
+    if k < 2:
+        return
+    got = partition_k(h, k, seed=seed)
+    original = partition._fm_refine
+    partition._fm_refine = reference_fm_refine
+    try:
+        assert got == partition_k(h, k, seed=seed)
+    finally:
+        partition._fm_refine = original

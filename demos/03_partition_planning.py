@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Choosing how many parts to cut a diagram into: the planner prices every
-candidate k with the projected-runtime model and keeps the cheapest, so
-partitioning never looks worse than plain decomposition.  It plans each
-connected component of the simplified diagram alone and merges the results,
-so components that are already apart cost no cuts and no search between
-them."""
+"""Choosing how many parts to cut a diagram into: the planner prices
+candidate k = 1, 2, 3, ... with the projected-runtime model, stops at the
+first k that prices no lower than the cheapest so far, and keeps the
+cheapest, so partitioning never looks worse than plain decomposition.  It
+plans each connected component of the simplified diagram alone and merges
+the results, so components that are already apart cost no cuts and no
+search between them, and a component too small for any split to pay
+(alpha*(t+1) <= 4) is not searched at all."""
 import json
 
 from zxcut import (CompoundSpec, CostModel, choose_k, clifford_simplify,

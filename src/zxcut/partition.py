@@ -31,6 +31,15 @@ component's k = 1 candidate therefore costs exactly what plain decomposition
 of it costs.  The merged plan pays the configured overhead once and competes
 with plain decomposition of the whole diagram, so partitioning never looks
 worse than not partitioning.
+
+A component is searched only where a split can pay.  When
+alpha*(t_c + 1) <= 4 for its T-count t_c, no 2-way split can beat k = 1: both
+parts carry every one of the C >= 1 cut spiders as a parameter, so they cost
+at least 2^(2 + alpha*(t_c - 1)/2) >= 2^(alpha*t_c) leaves, and the component
+is planned as k = 1 without a search.  Otherwise k grows from 2 and the
+search stops at the first k whose candidate prices no lower than the cheapest
+so far, k = 1 included.  A forced search of a connected diagram still prices
+every k from 2 to k_max.
 """
 from __future__ import annotations
 
@@ -528,9 +537,14 @@ def _plan_component(
     seed: int,
     force_partition: bool,
 ) -> PartitionPlan:
-    """The candidate loop: price k = 1..k_max for one connected diagram and
-    keep the cheapest.  Its splits are priced without overhead, which the
-    merged plan pays once."""
+    """The candidate loop for one connected diagram: price k = 1, 2, ... up
+    to k_max and keep the cheapest.  Its splits are priced without overhead,
+    which the merged plan pays once.
+
+    A free search tries no split when alpha*(t+1) <= 4, as none can beat
+    k = 1 then (see below), and otherwise stops at the first k whose
+    candidate prices no lower than the cheapest so far, k = 1 included.  A
+    forced search prices every k from 2 to k_max."""
     base = unsplit_plan(d, cm)
     t = base.t_total
     if k_max is None:
@@ -545,6 +559,16 @@ def _plan_component(
         upper = min(k_max, len(h.pins), h.n_nodes)
         if force_partition:
             upper = max(upper, min(2, len(h.pins), h.n_nodes))
+        elif cm.alpha * (t + 1) <= 4:
+            # No 2-way split of a connected diagram beats k = 1.  Each cut
+            # spider has edges in both parts, so both parts have the same C
+            # >= 1 parameters, and the uncut T-counts sum to at least t - C.
+            # By convexity the parts cost at least
+            # 2 * 2^(alpha*(t - C)/2 + C) >= 2^(2 + alpha*(t - 1)/2) leaves
+            # (C >= 1, alpha <= 1), which is at least 2^(alpha*t) when
+            # alpha*(t + 1) <= 4.  The k = 2 candidate would end the loop
+            # below, so it is not built.
+            upper = 1
         for k in range(2, upper + 1):
             spider_part, cut, node_assignment = partition_k(h, k, seed=seed)
             plan = PartitionPlan(k=k, assignment=spider_part, cut_spiders=cut,
@@ -557,6 +581,11 @@ def _plan_component(
                 if d.spiders[v].phase.is_t():
                     part_t[part] += 1
             _price(plan, part_t, cm, 0.0)
+            # a free search keeps its candidates strictly falling in price,
+            # so the last one is the cheapest so far
+            if (not force_partition
+                    and plan.t_smart_est >= candidates[-1].t_smart_est):
+                break
             candidates.append(plan)
     return _cheapest(candidates, force_partition)
 
@@ -589,15 +618,18 @@ def choose_k(
     """Pick the plan with the lowest projected runtime, one connected
     component at a time.
 
-    Each component, in order of its smallest spider id, tries k = 1 to k_max
-    parts (default min(16, max(t_c/4, 2)) for its T-count t_c), priced
-    without overhead.  The cheapest component plans merge into one plan,
-    which pays the overhead once and competes with plain decomposition of
-    the whole diagram, so the winner never projects slower than that unless
-    ``force_partition`` excludes it.  A diagram with one component is
-    planned as itself, and only then does ``force_partition`` reach the
-    component's candidates.  ``overhead_seconds`` is the time of the whole
-    call.
+    Each component, in order of its smallest spider id, prices k = 1 and
+    then k = 2, 3, ... up to k_max parts (default min(16, max(t_c/4, 2)) for
+    its T-count t_c), without overhead, and stops at the first k that prices
+    no lower than the cheapest so far.  A component with
+    alpha*(t_c + 1) <= 4 is not searched at all, as no split of it can beat
+    k = 1 (see the module docstring).  The cheapest component plans merge
+    into one plan, which pays the overhead once and competes with plain
+    decomposition of the whole diagram, so the winner never projects slower
+    than that unless ``force_partition`` excludes it.  A diagram with one
+    component is planned as itself, and only then does ``force_partition``
+    reach the component's candidates: it prices every k from 2 to k_max.
+    ``overhead_seconds`` is the time of the whole call.
     """
     if d.inputs or d.outputs:
         raise ValueError("choose_k needs a scalar diagram")

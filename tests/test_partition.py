@@ -15,7 +15,7 @@ from zxcut.costmodel import CostModel
 from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
 from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
 from zxcut.partition import (PartitionPlan, _Bisection, choose_k, partition_k,
-                             to_partition_hypergraph)
+                             to_partition_hypergraph, unsplit_plan)
 from zxcut.regroup import plan_schedule
 from zxcut.simplify import clifford_simplify
 
@@ -343,6 +343,15 @@ def test_partition_k_runs_only_inside_components(monkeypatch):
         t_c = sum(1 for v in comp if g.spiders[v].phase.is_t())
         budget += min(16, max(t_c // 4, 2)) - 1
     assert len(seen) <= budget
+    # every component's k = 2 loses to its k = 1, which ends its search: one
+    # run per component (the full k loop made 28), and the same plan
+    per_comp = Counter(next(i for i, comp in enumerate(comps)
+                            if set(h.spider_of) <= comp) for h in seen)
+    assert max(per_comp.values()) == 1
+    assert len(seen) == len(comps) == 5
+    assert plan.k == 5
+    assert not plan.cut_spiders
+    assert plan.t_smart_est == pytest.approx(1.2842038152656439, rel=1e-12)
 
 
 # -- incremental-gain FM against the full-rescan refinement --------------------
@@ -518,3 +527,191 @@ def test_partition_k_matches_full_rescan_refinement_generated(qubits, depth, sig
         assert got == partition_k(h, k, seed=seed)
     finally:
         partition._fm_refine = original
+
+
+# -- the candidate loop: where a split can pay ----------------------------------
+# The reference below is the full k loop the candidate loop replaced: it
+# prices every k from 1 to k_max, free or forced.  The free search now skips
+# components that no split can help and stops at the first k that does not
+# pay, so its plan must be the cheapest of a prefix of these candidates.
+
+def _split_candidate(d, h, k, cm, seed=0):
+    """The k-way candidate of the full k loop, priced without overhead."""
+    spider_part, cut, node_assignment = partition_k(h, k, seed=seed)
+    plan = PartitionPlan(k=k, assignment=spider_part, cut_spiders=cut,
+                         alpha=cm.alpha, t_total=d.t_count())
+    plan.edge_parts = {h.edge_keys[n]: part for n, part in node_assignment.items()}
+    part_t = [0] * k
+    for v, part in spider_part.items():
+        if d.spiders[v].phase.is_t():
+            part_t[part] += 1
+    partition._price(plan, part_t, cm, 0.0)
+    return plan
+
+
+def reference_candidates(d, cm, seed=0, force_partition=False):
+    base = unsplit_plan(d, cm)
+    t = base.t_total
+    k_max = min(16, max(t // 4, 2))
+    h = to_partition_hypergraph(d) if d.spiders else None
+    candidates = [base]
+    if h is not None and h.n_nodes:
+        base.edge_parts = dict.fromkeys(h.edge_keys, 0)
+        upper = min(k_max, len(h.pins), h.n_nodes)
+        if force_partition:
+            upper = max(upper, min(2, len(h.pins), h.n_nodes))
+        for k in range(2, upper + 1):
+            candidates.append(_split_candidate(d, h, k, cm, seed))
+    return candidates
+
+
+def reference_choose_k(d, cm, force_partition=False):
+    """``choose_k`` over the full k loop: (plan, candidates per component)."""
+    whole = unsplit_plan(d, cm)
+    comps = sorted(d.connected_components(), key=min)
+    if len(comps) <= 1:
+        per_comp = [reference_candidates(d, cm, force_partition=force_partition)]
+    else:
+        per_comp = [reference_candidates(c, cm) for c in d.carve(comps)]
+    parts = [partition._cheapest(c, force_partition and len(comps) <= 1)
+             for c in per_comp]
+    merged = partition._merge(parts, whole, cm)
+    return partition._cheapest([whole, merged], force_partition), per_comp
+
+
+def _plan_key(plan):
+    got = plan.to_json_dict()
+    got.pop("overheadSeconds")
+    return (json.dumps(got, sort_keys=True), tuple(sorted(plan.assignment.items())),
+            tuple(sorted(plan.edge_parts.items())))
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    original = getattr(partition, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(partition, name, counting)
+    return calls
+
+
+def _small_components():
+    """Carved components of random circuits at sigma 0.5, 2 and inf and of
+    small compound blocks, each with at least two spiders and two edges and
+    a T-count of at most 30."""
+    rng = default_rng(21)
+    out = []
+    for seed in range(1, 1000):
+        if seed % 4:
+            sigma = (0.5, 2.0, math.inf)[seed % 4 - 1]
+            circ = gen_clifford_t(CircuitSpec(int(rng.integers(3, 10)),
+                                              int(rng.integers(20, 150)), sigma, seed))
+        else:
+            circ = gen_compound(CompoundSpec(int(rng.integers(2, 4)), 3,
+                                             int(rng.integers(15, 40)), 0, 1.0, seed))
+        g = _simplified(circ, rng)
+        for c in g.carve(sorted(g.connected_components(), key=min)):
+            h = to_partition_hypergraph(c)
+            if len(h.pins) >= 2 and h.n_nodes >= 2 and c.t_count() <= 30:
+                out.append((f"{seed}/{min(c.spiders)}", c, h))
+        if len(out) >= 600:
+            break
+    return out
+
+
+def test_skipped_components_cannot_gain_from_a_split(monkeypatch):
+    corpus = _small_components()
+    calls = _count_calls(monkeypatch, "partition_k")
+    for alpha in (0.25, 0.32, 0.5):
+        cm = CostModel(alpha=alpha)
+        skipped = [(label, c, h) for label, c, h in corpus
+                   if alpha * (c.t_count() + 1) <= 4]
+        searched = [c for _, c, _ in corpus if alpha * (c.t_count() + 1) > 4]
+        assert len(skipped) >= 200, alpha
+        assert len(searched) >= 10, alpha
+        for label, c, h in skipped:
+            t = c.t_count()
+            split = _split_candidate(c, h, 2, cm)
+            assert split.cut_spiders, label
+            assert split.t_smart_est > unsplit_plan(c, cm).t_smart_est, (label, alpha)
+            assert split.s_precomp >= 2.0 ** (2 + alpha * (t - 1) / 2) * (1 - 1e-12)
+            calls[0] = 0
+            plan = choose_k(c, cm)
+            assert calls[0] == 0, (label, alpha)
+            assert plan.k == 1
+        for c in searched:
+            calls[0] = 0
+            choose_k(c, cm)
+            assert calls[0] >= 1, alpha
+
+
+@pytest.fixture(scope="module")
+def loop_corpus():
+    """Connected diagrams (the largest component of random circuits at sigma
+    0.5, 1, 2 and inf, sized like the benchmark's) and whole compound
+    diagrams of several components."""
+    rng = default_rng(22)
+    connected, multi = [], []
+    seed = 0
+    while len(connected) < 100:
+        seed += 1
+        sigma = (0.5, 1.0, 2.0, math.inf)[seed % 4]
+        circ = gen_clifford_t(CircuitSpec(int(rng.integers(12, 17)),
+                                          int(rng.integers(150, 300)), sigma, seed))
+        g = _simplified(circ, rng)
+        if not g.spiders:
+            continue
+        (biggest,) = g.carve([max(g.connected_components(), key=len)])
+        if to_partition_hypergraph(biggest).n_nodes >= 4:
+            connected.append((f"connected/{sigma}/{seed}", biggest))
+    while len(multi) < 20:
+        seed += 1
+        spec = CompoundSpec(int(rng.integers(2, 5)), int(rng.integers(3, 5)),
+                            int(rng.integers(40, 120)), int(rng.integers(0, 3)),
+                            1.0, seed)
+        g = _simplified(gen_compound(spec), rng)
+        if len(g.connected_components()) > 1:
+            multi.append((f"compound/{seed}", g))
+    return connected, multi
+
+
+def test_candidate_loop_plans_a_prefix_of_the_full_loop(monkeypatch, loop_corpus):
+    connected, multi = loop_corpus
+    assert len(connected) >= 100 and len(multi) >= 20
+    cm = CostModel()
+    bisections = _count_calls(monkeypatch, "_fm_bisect")
+    got_total = ref_total = 0.0
+    got_fm = ref_fm = 0
+    for label, g in connected + multi:
+        bisections[0] = 0
+        got = choose_k(g, cm)
+        got_calls = bisections[0]
+        bisections[0] = 0
+        ref, per_comp = reference_choose_k(g, cm)
+        ref_calls = bisections[0]
+        assert got_calls <= ref_calls, label
+        got_fm += got_calls
+        ref_fm += ref_calls
+        got_total += got.t_smart_est
+        ref_total += ref.t_smart_est
+        assert got.t_smart_est <= unsplit_plan(g, cm).t_smart_est * (1 + 1e-12), label
+        comps = g.carve(sorted(g.connected_components(), key=min))
+        for c, candidates in zip(comps, per_comp):
+            plan = partition._plan_component(c, cm, None, 0, False)
+            prefixes = {_plan_key(partition._cheapest(candidates[:m], False))
+                        for m in range(1, len(candidates) + 1)}
+            assert _plan_key(plan) in prefixes, label
+    assert got_total <= ref_total * 1.01
+    assert 3 * got_fm <= ref_fm, (got_fm, ref_fm)
+
+
+def test_forced_plans_of_connected_diagrams_keep_the_full_loop(loop_corpus):
+    connected, _ = loop_corpus
+    cm = CostModel()
+    for label, g in connected:
+        ref, _ = reference_choose_k(g, cm, force_partition=True)
+        got = choose_k(g, cm, force_partition=True)
+        assert _plan_key(got) == _plan_key(ref), label

@@ -110,22 +110,35 @@ def derive_one_t_coefficients() -> Decomposition:
     return _solve_terms(1, [("down", _single_down), ("up", _single_up)])
 
 
+class LeafCapError(RuntimeError):
+    """More leaves were evaluated than ``DecomposeStats.leaf_cap`` allows."""
+
+
 @dataclass
 class DecomposeStats:
+    """Counts of a decomposition, summed over every call it is passed to;
+    the call that evaluates leaf number ``leaf_cap + 1`` raises
+    :class:`LeafCapError`."""
+
     leaves: int = 0
     t_initial: int = 0
+    leaf_cap: float = math.inf
 
 
 def _pick_t_pair(g: ZxDiagram, ts: list[int]) -> tuple[int, int]:
     """The two T-spiders with the most shared neighbourhood, ties by id."""
-    nbrs = [set(g.adj[v]) for v in ts]
+    adj = g.adj
+    nbrs = [adj[v].keys() for v in ts]
     best, pair = -1, None
-    for i, v1 in enumerate(ts):
-        n1 = nbrs[i]
+    for i, n1 in enumerate(nbrs):
+        if len(n1) <= best:
+            continue  # no pair with this spider can share more
         for j in range(i + 1, len(ts)):
-            shared = len(n1 & nbrs[j])
-            if shared > best:
-                best, pair = shared, (v1, ts[j])
+            n2 = nbrs[j]
+            if len(n2) > best:
+                shared = len(n1 & n2)
+                if shared > best:
+                    best, pair = shared, (ts[i], ts[j])
     return pair
 
 
@@ -139,7 +152,8 @@ def decompose_to_scalar(
     Depth-first over the decomposition tree, re-simplifying after every
     exchange; zero-scalar branches are pruned on the spot.  A term may change
     only the spiders it targets and those it adds, since simplification
-    resumes from there.
+    resumes from there.  ``stats``, if given, counts the leaves and caps
+    them at ``stats.leaf_cap``.
     """
     if d.inputs or d.outputs:
         raise ValueError("decompose_to_scalar needs a scalar diagram")
@@ -158,9 +172,12 @@ def decompose_to_scalar(
         if g.scalar.is_zero or not g.spiders:
             if stats is not None:
                 stats.leaves += 1
+                if stats.leaves > stats.leaf_cap:
+                    raise LeafCapError(f"evaluated {stats.leaves} leaves, past the "
+                                       f"cap of {stats.leaf_cap:.3g}")
             total = total.plus(g.scalar)
             continue
-        ts = [v for v, s in sorted(g.spiders.items()) if s.phase.is_t()]
+        ts = sorted([v for v, s in g.spiders.items() if s.phase.fixed & 1])
         if not ts:
             raise AssertionError("Clifford scalar diagram failed to fully reduce")
         if len(ts) >= pair_rule.t_cost:

@@ -11,7 +11,8 @@ All three agree on the amplitude; they differ in how many calculations they
 spend, which the report itemises.  ``method_seconds`` is the one price of
 each method for a plan, and ``run_plan`` the one producer of an amplitude
 from a plan.  Any stage whose projection exceeds the resource caps aborts
-with the plan attached instead of running.  Cuts are built by ``cutting``.
+with the plan attached instead of running, and so does a run whose leaves
+actually evaluated pass the cap.  Cuts are built by ``cutting``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from .circuits import Circuit
 from .costmodel import CostModel
 from .cutting import cut_spiders, instantiate
-from .decompose import DecomposeStats, decompose_to_scalar
+from .decompose import DecomposeStats, LeafCapError, decompose_to_scalar
 from .diagram import ZxDiagram, diagram_from_circuit, plug
 from .partition import PartitionPlan, choose_k, unsplit_plan
 from .regroup import precompute_segment, regroup_all
@@ -39,15 +40,18 @@ class ResourceCaps:
 
 
 class ResourceCapError(RuntimeError):
-    """A stage's projected work exceeds the configured caps."""
+    """A stage's projected work exceeds the configured caps, or, when
+    ``measured``, the leaves it has evaluated so far do."""
 
-    def __init__(self, stage: str, projected: float, cap: float, plan: PartitionPlan):
-        super().__init__(
-            f"{stage}: projected {projected:.3g} exceeds cap {cap:.3g}")
+    def __init__(self, stage: str, projected: float, cap: float, plan: PartitionPlan,
+                 measured: bool = False):
+        done = "evaluated" if measured else "projected"
+        super().__init__(f"{stage}: {done} {projected:.3g} exceeds cap {cap:.3g}")
         self.stage = stage
         self.projected = projected
         self.cap = cap
         self.plan = plan
+        self.measured = measured
 
 
 @dataclass
@@ -148,45 +152,52 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
         raise ValueError(f"method {method!r} cannot run a {plan.k}-part plan")
     started = time.perf_counter()
     report = _planned_report(plan, method, cm)
-    stats = DecomposeStats()
-    if plan.k == 1:
-        if plan.s_decomp > caps.leaf_evals:
-            raise ResourceCapError("decompose", plan.s_decomp, caps.leaf_evals, plan)
-        value = decompose_to_scalar(g, stats=stats)
-    elif method == "smart":
-        segs, part_params, overall = split_segments(g, plan)
-        if plan.s_precomp > caps.leaf_evals:
-            raise ResourceCapError("precompute", plan.s_precomp, caps.leaf_evals, plan)
-        entries = sum(2 ** len(ps) for ps in part_params)
-        if entries > caps.table_entries:
-            raise ResourceCapError("precompute", entries, caps.table_entries, plan)
-        biggest_step = max((2 ** p for _, _, p in plan.schedule), default=0)
-        if biggest_step > caps.table_entries:
-            raise ResourceCapError("crossref", biggest_step, caps.table_entries, plan)
-        result = regroup_all([precompute_segment(seg, stats=stats) for seg in segs])
-        value = result.value.times(overall)
-        report.table_entries = entries
-        report.crossref_products = result.s_crossref
-    else:
-        # naive: brute-force sum over all 2^C assignments, fully re-reducing
-        # every segment for every term
-        segs, part_params, overall = split_segments(g, plan)
-        projected = _naive_leaves(plan, cm)
-        if projected > caps.leaf_evals:
-            raise ResourceCapError("naive-sum", projected, caps.leaf_evals, plan)
-        all_params = sorted(plan.cut_spiders)
-        total = ScalarC.zero()
-        for bits in itertools.product((0, 1), repeat=len(all_params)):
-            assignment = dict(zip(all_params, bits))
-            term = ScalarC.one()
-            for seg, ps in zip(segs, part_params):
-                local = {p: assignment[p] for p in sorted(ps)}
-                term.mul(decompose_to_scalar(instantiate(seg, local), stats=stats))
-                if term.is_zero:
-                    break
-            total = total.plus(term)
-        value = total.times(overall)
-        report.crossref_products = 2 ** len(all_params)
+    # the projected checks come first; the leaves evaluated, summed over
+    # every segment and assignment, are capped as they are counted
+    stats = DecomposeStats(leaf_cap=caps.leaf_evals)
+    stage = "decompose" if plan.k == 1 else "precompute" if method == "smart" else "naive-sum"
+    try:
+        if plan.k == 1:
+            if plan.s_decomp > caps.leaf_evals:
+                raise ResourceCapError(stage, plan.s_decomp, caps.leaf_evals, plan)
+            value = decompose_to_scalar(g, stats=stats)
+        elif method == "smart":
+            segs, part_params, overall = split_segments(g, plan)
+            if plan.s_precomp > caps.leaf_evals:
+                raise ResourceCapError(stage, plan.s_precomp, caps.leaf_evals, plan)
+            entries = sum(2 ** len(ps) for ps in part_params)
+            if entries > caps.table_entries:
+                raise ResourceCapError("precompute", entries, caps.table_entries, plan)
+            biggest_step = max((2 ** p for _, _, p in plan.schedule), default=0)
+            if biggest_step > caps.table_entries:
+                raise ResourceCapError("crossref", biggest_step, caps.table_entries, plan)
+            result = regroup_all([precompute_segment(seg, stats=stats) for seg in segs])
+            value = result.value.times(overall)
+            report.table_entries = entries
+            report.crossref_products = result.s_crossref
+        else:
+            # naive: brute-force sum over all 2^C assignments, fully re-reducing
+            # every segment for every term
+            segs, part_params, overall = split_segments(g, plan)
+            projected = _naive_leaves(plan, cm)
+            if projected > caps.leaf_evals:
+                raise ResourceCapError(stage, projected, caps.leaf_evals, plan)
+            all_params = sorted(plan.cut_spiders)
+            total = ScalarC.zero()
+            for bits in itertools.product((0, 1), repeat=len(all_params)):
+                assignment = dict(zip(all_params, bits))
+                term = ScalarC.one()
+                for seg, ps in zip(segs, part_params):
+                    local = {p: assignment[p] for p in sorted(ps)}
+                    term.mul(decompose_to_scalar(instantiate(seg, local), stats=stats))
+                    if term.is_zero:
+                        break
+                total = total.plus(term)
+            value = total.times(overall)
+            report.crossref_products = 2 ** len(all_params)
+    except LeafCapError:
+        raise ResourceCapError(stage, stats.leaves, caps.leaf_evals, plan,
+                               measured=True) from None
 
     report.leaf_evals = stats.leaves
     report.amplitude = value.to_complex()

@@ -29,12 +29,19 @@ def phase8_complex(k: int) -> complex:
 
 
 class ScalarC:
-    """A complex number in the form coeff * sqrt(2)**sqrt2_pow."""
+    """A complex number in the form coeff * sqrt(2)**sqrt2_pow.
+
+    The constructor and :meth:`mul_complex`, the two entry points for an
+    arbitrary complex, refuse an infinite or NaN value."""
 
     __slots__ = ("coeff", "sqrt2_pow", "is_zero")
 
     def __init__(self, coeff: complex = 1.0, sqrt2_pow: int = 0):
-        self.coeff = complex(coeff)
+        coeff = complex(coeff)
+        # z - z is 0 when both parts are finite and NaN otherwise
+        if coeff - coeff:
+            raise ValueError(f"scalar factor {coeff!r} is not finite")
+        self.coeff = coeff
         self.sqrt2_pow = sqrt2_pow
         self.is_zero = False
         self._normalize()
@@ -81,6 +88,9 @@ class ScalarC:
     # in-place accumulation (the common case during rewriting)
 
     def mul_complex(self, z: complex) -> None:
+        z = complex(z)
+        if z - z:
+            raise ValueError(f"scalar factor {z!r} is not finite")
         if self.is_zero:
             return
         self.coeff *= z

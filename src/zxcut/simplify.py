@@ -10,9 +10,15 @@ scalar.
 
 Worklist: a rule can only start to match at or next to a change, so the
 rules look only at spiders on a worklist.  Every rewrite appends the spiders
-whose phase or edges it changed to one log, and each rule reads the log from
-where it last stopped, together with the neighbours of the logged spiders
-where its match depends on them.  The rules keep their priority
+whose phase, kind or edges it changed to one log.  Each new batch of log
+entries is read once: one pass spreads it to the neighbours and reads each
+spider's phase, and every rule is handed only the spiders of its phase class
+that it could now match at (identity removal phase 0, local complementation
++-pi/2, copy a Pauli spider with one neighbour, pivoting the Pauli spiders
+and their Pauli neighbours, gadget fusion phase 0 and the neighbours, scalar
+elimination a spider with at most one neighbour).  A spider that changes
+class later is logged again, so nothing a rule could match is missed, and a
+rule with nothing handed to it does not run.  The rules keep their priority
 (fusion, identity and copy to a fixed point, then local complementation,
 pivoting, gadget fusion and scalar elimination) and every pass visits its
 spiders in id order, so the rewrites are those a rescan of the whole diagram
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .scalars import ScalarC
@@ -68,82 +75,104 @@ def _snap(g: ZxDiagram, trace: Trace | None) -> ScalarC | None:
 
 # -- the worklist ------------------------------------------------------------
 
-# readers of the worklist log, one per pass but fusion
+# readers of the worklist, one per pass but fusion
 _ID, _COPY, _LCOMP, _PIVOT, _GADGET, _SCALAR = range(6)
 
 
 class _Worklist:
     """Spiders whose phase, kind or edges changed, kept as one append-only
-    log that every pass but fusion reads from its own position.
+    log, and per reader the set of spiders handed to it and not yet read.
 
-    Identity removal, local complementation and scalar elimination look only
+    ``flush`` hands every batch of new log entries out at once.  A rule
+    matches only at a parameter-free Z-spider of its phase class, so that is
+    all a reader gets: identity removal and local complementation look only
     at a spider's own phase and edges (and its neighbours' kinds, which only
-    a colour change alters, touching them too); copy, pivoting and gadget
-    fusion also look at the neighbours, so they read the touched spiders
-    together with their neighbours.  Fusion has a list of its own, ``plain``,
+    a colour change alters, touching them too), so they get logged spiders
+    alone.  Copy needs a Pauli spider with one neighbour, which a change at
+    that neighbour can make match; pivoting a pair of Pauli neighbours, one
+    of them changed; gadget fusion a phase-0 hub at or next to a change; and
+    scalar elimination a changed spider with at most one neighbour.  A
+    spider whose class or edges change later is logged again, and so is
+    every end of an edge a rewrite adds or removes, so a reader never misses
+    a spider it would match; a handed-out spider that no longer matches is
+    refused by the rule itself.  Fusion has a list of its own, ``plain``,
     holding an end of every plain edge between Z-spiders; only the caller, a
     colour change and identity removal make such edges outside fusion, which
     removes them all.
     """
 
-    __slots__ = ("adj", "log", "read", "carry", "plain")
+    __slots__ = ("spiders", "adj", "log", "done", "todo", "plain")
 
     def __init__(self, g: ZxDiagram, touched: list[int]):
+        self.spiders = g.spiders
         self.adj = g.adj
         self.log = list(touched)
-        self.read = [0] * 6
-        # spiders a sweep saw touched behind its position, for its next sweep
-        self.carry: list[list[int]] = [[] for _ in range(6)]
+        self.done = 0
+        self.todo: list[set[int]] = [set(), set(), set(), set(), set(), set()]
         self.plain = list(touched)
 
-    def touch(self, v: int) -> None:
-        """``v``'s phase, kind or edges changed."""
-        self.log.append(v)
+    def touch(self, *vs: int) -> None:
+        """The phase, kind or edges of the spiders ``vs`` changed."""
+        self.log.extend(vs)
 
-    def spread(self, touched: list[int], near: bool) -> set[int]:
-        """``touched``, with their neighbours when ``near``."""
-        found = set(touched)
-        if near:
-            adj = self.adj
-            for v in list(found):
-                if v in adj:
-                    found.update(adj[v])
-        return found
+    def flush(self) -> None:
+        """Hand the spiders logged since the last flush to their readers."""
+        log, done = self.log, self.done
+        if done == len(log):
+            return
+        self.done = len(log)
+        spiders, adj = self.spiders, self.adj
+        ident, copy, lcomp, pivot, gadget, scalar = self.todo
+        z = SpiderKind.Z
+        near = set()  # the logged spiders and their neighbours
+        beside = set()  # the neighbours of the logged Pauli spiders
+        for v in set(log[done:]):
+            row = adj.get(v)
+            if row is None:
+                continue  # removed
+            near.add(v)
+            near.update(row)
+            if len(row) < 2 or (len(row) == 2 and v in row):
+                scalar.add(v)  # no more than one neighbour
+            s = spiders[v]
+            if s.kind != z or s.phase.params:
+                continue
+            k = s.phase.fixed
+            if k == 2 or k == 6:
+                lcomp.add(v)
+            elif not k & 3:
+                if not k:
+                    ident.add(v)
+                pivot.add(v)
+                beside.update(row)
+        for u in near:
+            s = spiders[u]
+            k = s.phase.fixed
+            if k & 3 or s.kind != z or s.phase.params:
+                continue
+            if not k:
+                gadget.add(u)
+            if u in beside:
+                pivot.add(u)
+            if len(adj[u]) == 1:
+                copy.add(u)
 
-    def take(self, reader: int, near: bool) -> set[int]:
-        """The spiders ``reader`` has to look at since it last took its share."""
-        start, end = self.read[reader], len(self.log)
-        if start == end and not self.carry[reader]:
-            return set()
-        found = self.spread(self.log[start:], near)
-        self.read[reader] = end
-        if self.carry[reader]:
-            found.update(self.carry[reader])
-            self.carry[reader] = []
-        return found
+    def take(self, reader: int) -> set[int]:
+        """The spiders handed to ``reader``, leaving it none."""
+        todo = self.todo[reader]
+        self.todo[reader] = set()
+        return todo
 
 
-def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, near: bool, fire,
-           phases: tuple[int, ...], trace: Trace | None) -> int:
-    """Try ``fire`` in id order at the reader's worklist spiders that are
-    parameter-free Z-spiders with a phase in ``phases`` (in units of pi/4),
-    the only ones at which the sweeping rules match.
+def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, fire, trace: Trace | None) -> int:
+    """Try ``fire`` in id order at the reader's worklist spiders.
 
     A spider that a rewrite touches joins this sweep when its id lies ahead
     and waits for the next sweep otherwise, as in one pass over every spider.
+    Every rewrite is flushed at once, so the sweep leaves nothing unhanded.
     """
-    todo = wl.take(reader, near)
-    if not todo:
-        return 0
     spiders = g.spiders
-    z = SpiderKind.Z
-    heap = [v for v in todo
-            if (s := spiders.get(v)) is not None and s.kind == z
-            and s.phase.fixed in phases and not s.phase.params]
-    if not heap:
-        return 0
-    heap.sort()
-    log = wl.log
+    heap = sorted(wl.take(reader))
     applied = 0
     last = -1
     while heap:
@@ -151,17 +180,17 @@ def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, near: bool, fire,
         if v == last or v not in spiders:
             continue  # a spider pushed twice pops twice in a row
         last = v
-        start = len(log)
         if not fire(g, wl, v, trace):
             continue
         applied += 1
-        for u in wl.spread(log[start:], near):
-            if u <= v:
-                wl.carry[reader].append(u)
-            elif (s := spiders.get(u)) is not None and s.kind == z \
-                    and s.phase.fixed in phases and not s.phase.params:
-                heapq.heappush(heap, u)
-    wl.read[reader] = len(log)
+        wl.flush()
+        # what this rewrite touched ahead of v joins this sweep; the rest
+        # stays for the next
+        waiting = wl.todo[reader]
+        ahead = [u for u in waiting if u > v]
+        for u in ahead:
+            waiting.discard(u)
+            heapq.heappush(heap, u)
     return applied
 
 
@@ -250,9 +279,7 @@ def _to_graph_like(g: ZxDiagram, vs: list[int], wl: _Worklist, trace: Trace | No
             s.kind = SpiderKind.Z
             # every edge changed kind, at both of its ends
             wl.plain.append(v)
-            wl.touch(v)
-            for u in adj[v]:
-                wl.touch(u)
+            wl.touch(v, *adj[v])
     for v in vs:
         if v in adj[v]:
             _clear_self_loops(g, v, trace)
@@ -264,8 +291,7 @@ def _to_graph_like(g: ZxDiagram, vs: list[int], wl: _Worklist, trace: Trace | No
         for u in [u for u, row in adj[v].items() if row[1] >= 2]:
             if (u > v or u not in members) and spiders[u].kind == SpiderKind.Z:
                 _reduce_parallel_h(g, v, u, trace)
-                wl.touch(v)
-                wl.touch(u)
+                wl.touch(v, u)
 
 
 # -- rules -------------------------------------------------------------------
@@ -279,8 +305,9 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     # Z-spiders, and their plain edges are queued in the order edges() gives
     rows = set()
     for w in set(wl.plain):
-        if w in adj:
-            for x, row in adj[w].items():
+        row_w = adj.get(w)
+        if row_w:
+            for x, row in row_w.items():
                 if row[0]:
                     rows.add(x if x < w else w)
     wl.plain = []
@@ -295,8 +322,8 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
             continue
         if spiders[u].kind != SpiderKind.Z or spiders[v].kind != SpiderKind.Z:
             continue
-        plain, _ = g.edge_counts(u, v)
-        if plain < 1:
+        row = adj[u].get(v)
+        if not row or not row[0]:
             continue
         if v < u:
             u, v = v, u  # lower id survives
@@ -305,16 +332,20 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
         g.remove_edge(u, v, EdgeKind.PLAIN)
         # absorb v into u: remaining u-v edges become self-loops on u
         moved = list(adj[v].items())
+        row_u = adj[u]
         for x, row in moved:
-            p, h = row[0], row[1]
-            row[0] = row[1] = 0
             if x != v:
                 del adj[x][v]
-            target = u if x in (u, v) else x
-            if p:
-                g.add_edge(u, target, EdgeKind.PLAIN, p)
-            if h:
-                g.add_edge(u, target, EdgeKind.HADAMARD, h)
+            target = u if x == u or x == v else x
+            # the row of u and target, shared by both ends (ZxDiagram.add_edge)
+            kept = row_u.get(target)
+            if kept is None:
+                kept = row_u[target] = [0, 0]
+                if target != u:
+                    adj[target][u] = kept
+            kept[0] += row[0]
+            kept[1] += row[1]
+            row[0] = row[1] = 0
         adj[v].clear()
         g.remove_spider(v)
         spiders[u].phase = spiders[u].phase.add(absorbed_phase)
@@ -327,10 +358,7 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
                 _reduce_parallel_h(g, u, x, trace)
             if row[0]:
                 queue.append((u, x))
-        for x, _ in moved:
-            if x != u and x != v:
-                wl.touch(x)
-        wl.touch(u)
+        wl.touch(*[x for x, _ in moved if x != u and x != v], u)
         applied += 1
     return applied
 
@@ -339,10 +367,11 @@ def _identity_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bo
     s = g.spiders[v]
     if s.kind != SpiderKind.Z or s.phase.fixed or s.phase.params:
         return False
-    if v in g.adj[v]:
+    row_v = g.adj[v]
+    if v in row_v or len(row_v) > 2:
         return False
     legs = []
-    for u, row in g.adj[v].items():
+    for u, row in row_v.items():
         legs += [(u, EdgeKind.PLAIN)] * row[0] + [(u, EdgeKind.HADAMARD)] * row[1]
     if len(legs) != 2:
         return False
@@ -355,8 +384,7 @@ def _identity_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bo
         wl.plain.append(x)
     if trace is not None:
         trace.record(g, RULE_IDENTITY, [v, x, y], before)
-    wl.touch(x)
-    wl.touch(y)
+    wl.touch(x, y)
     return True
 
 
@@ -364,23 +392,25 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     s = g.spiders[v]
     if s.kind != SpiderKind.Z or s.phase.params or s.phase.fixed % 4:
         return False
-    if g.degree(v) != 1:
+    row_v = g.adj[v]
+    if len(row_v) != 1:
         return False
-    w = next(iter(g.adj[v]))
-    _, had = g.edge_counts(v, w)
-    if not had:
-        return False  # plain edge: fusion's job
-    sw = g.spiders[w]
+    ((w, row),) = row_v.items()
+    if w == v or row[0] or row[1] != 1:
+        return False  # not one leg, or a plain one: fusion's job
+    spiders = g.spiders
+    sw = spiders[w]
     if sw.kind != SpiderKind.Z:
         return False
     a = s.phase.fixed // 4
     if a and sw.phase.params:
         return False  # e^(i*a*beta) would depend on the assignment
-    others = [t for t in g.adj[w] if t != v]
-    if any(g.spiders[t].kind != SpiderKind.Z for t in others):
-        return False
-    if any(g.edge_counts(w, t)[0] for t in others):
-        return False
+    others = []
+    for t, row in g.adj[w].items():
+        if t != v:
+            if row[0] or spiders[t].kind != SpiderKind.Z:
+                return False
+            others.append(t)
     before = _snap(g, trace)
     # pushing the X-basis state through w: each neighbour gains a*pi,
     # w and the copier disappear
@@ -400,15 +430,19 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
 
 
 def _interior(g: ZxDiagram, v: int) -> bool:
-    return all(g.spiders[u].kind == SpiderKind.Z for u in g.adj[v] if u != v)
+    """Every edge at ``v`` is a Hadamard edge to a Z-spider: no plain leg
+    pending fusion, no boundary or X neighbour."""
+    spiders = g.spiders
+    for u, row in g.adj[v].items():
+        if row[0] or (u != v and spiders[u].kind != SpiderKind.Z):
+            return False
+    return True
 
 
 def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     s = g.spiders[v]
     if s.kind != SpiderKind.Z or s.phase.params or s.phase.fixed not in (2, 6):
         return False
-    if any(row[0] for row in g.adj[v].values()):
-        return False  # plain legs pending fusion
     if not _interior(g, v):
         return False
     nbrs = sorted(g.adj[v])
@@ -420,12 +454,10 @@ def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     for t in nbrs:
         g.spiders[t].phase = g.spiders[t].phase.add_fixed(shift)
     g.remove_spider(v)
-    _toggle_pairs(g, ((nbrs[i], nbrs[j]) for i in range(n) for j in range(i + 1, n)),
-                  trace)
+    _toggle_pairs(g, itertools.combinations(nbrs, 2), trace)
     if trace is not None:
         trace.record(g, RULE_LCOMP, [v] + nbrs, before)
-    for t in nbrs:
-        wl.touch(t)
+    wl.touch(*nbrs)
     return True
 
 
@@ -433,7 +465,7 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
     su = g.spiders[u]
     if su.kind != SpiderKind.Z or su.phase.params or su.phase.fixed % 4:
         return False
-    if any(row[0] for row in g.adj[u].values()) or not _interior(g, u):
+    if not _interior(g, u):
         return False
     for v in sorted(g.adj[u]):
         if v <= u:
@@ -441,7 +473,7 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
         sv = g.spiders[v]
         if sv.phase.params or sv.phase.fixed % 4:
             continue
-        if any(row[0] for row in g.adj[v].values()) or not _interior(g, v):
+        if not _interior(g, v):
             continue
         a, b = su.phase.fixed // 4, sv.phase.fixed // 4
         nu = set(g.adj[u]) - {v}
@@ -468,8 +500,7 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
         _toggle_pairs(g, pairs, trace)
         if trace is not None:
             trace.record(g, RULE_PIVOT, [u, v] + only_u + only_v + common, before)
-        for t in only_u + only_v + common:
-            wl.touch(t)
+        wl.touch(*only_u, *only_v, *common)
         return True
     return False
 
@@ -479,9 +510,10 @@ def _gadget_at(g: ZxDiagram, h: int) -> tuple[int, frozenset[int]] | None:
     s = g.spiders[h]
     if s.kind != SpiderKind.Z or s.phase.fixed or s.phase.params:
         return None
-    if any(row[0] for row in g.adj[h].values()) or not _interior(g, h):
+    if not _interior(g, h):
         return None
-    carriers = [t for t in g.adj[h] if g.degree(t) == 1]
+    adj = g.adj
+    carriers = [t for t in adj[h] if len(adj[t]) == 1 and g.degree(t) == 1]
     if len(carriers) != 1:
         return None
     conn = frozenset(t for t in g.adj[h] if t != carriers[0])
@@ -492,9 +524,8 @@ def _gadget_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     """Fuse phase gadgets whose connectivity sets coincide."""
     spiders = g.spiders
     gadgets: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for h in wl.take(_GADGET, True):
-        s = spiders.get(h)
-        found = s is not None and s.phase.fixed == 0 and _gadget_at(g, h)
+    for h in wl.take(_GADGET):
+        found = h in spiders and _gadget_at(g, h)
         if not found or found[1] in gadgets:
             continue
         conn = found[1]
@@ -547,15 +578,17 @@ def _scalar_elim_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     """Evaluate connected components of one or two spiders."""
     spiders, adj = g.spiders, g.adj
     comps: dict[int, list[int]] = {}
-    for v in wl.take(_SCALAR, False):
+    for v in wl.take(_SCALAR):
         row = adj.get(v)
         if row is None or len(row) > 2:
             continue
         nbrs = [u for u in row if u != v]
         if not nbrs:
             comps[v] = [v]
-        elif len(nbrs) == 1 and all(x in (v, nbrs[0]) for x in adj[nbrs[0]]):
-            comps[min(v, nbrs[0])] = sorted((v, nbrs[0]))
+        elif len(nbrs) == 1:
+            u = nbrs[0]
+            if len(adj[u]) <= 2 and adj[u].keys() <= {u, v}:
+                comps[min(u, v)] = sorted((u, v))
     applied = 0
     for _, comp in sorted(comps.items()):
         if any(spiders[v].kind == SpiderKind.BOUNDARY or spiders[v].phase.params
@@ -594,28 +627,36 @@ def simplify_in_place(g: ZxDiagram, touched=None, trace: Trace | None = None) ->
     wl = _Worklist(g, touched)
     # only a changed spider can be an X-spider or have a loop or parallel edge
     _to_graph_like(g, touched, wl, trace)
+    todo = wl.todo
     while True:
         if g.scalar.is_zero:
             if not g.inputs and not g.outputs:
                 for v in list(g.spiders):
                     g.remove_spider(v)
             return
-        while (_fuse_pass(g, wl, trace)
-               + _sweep(g, wl, _ID, False, _identity_at, (0,), trace)
-               + _sweep(g, wl, _COPY, True, _copy_at, (0, 4), trace)):
-            if g.scalar.is_zero:
+        # a pass runs only when the worklist handed it a spider to look at;
+        # the sweeps flush as they go, so only here is the log behind
+        while True:
+            fired = _fuse_pass(g, wl, trace)
+            wl.flush()
+            if todo[_ID]:
+                fired += _sweep(g, wl, _ID, _identity_at, trace)
+            if todo[_COPY]:
+                fired += _sweep(g, wl, _COPY, _copy_at, trace)
+            if not fired or g.scalar.is_zero:
                 break
         if g.scalar.is_zero:
             continue
-        if _sweep(g, wl, _LCOMP, False, _lcomp_at, (2, 6), trace):
+        if todo[_LCOMP] and _sweep(g, wl, _LCOMP, _lcomp_at, trace):
             continue
-        if _sweep(g, wl, _PIVOT, True, _pivot_at, (0, 4), trace):
+        if todo[_PIVOT] and _sweep(g, wl, _PIVOT, _pivot_at, trace):
             continue
-        if _gadget_pass(g, wl, trace):
+        if todo[_GADGET] and _gadget_pass(g, wl, trace):
             continue
         # evaluating whole components changes no other spider, so no rule
         # can match anew: only a zero scalar is left to handle
-        _scalar_elim_pass(g, wl, trace)
+        if todo[_SCALAR]:
+            _scalar_elim_pass(g, wl, trace)
         if not g.scalar.is_zero:
             return
 

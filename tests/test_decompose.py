@@ -142,7 +142,9 @@ def test_measure_alpha_range():
 
 # (qubits, depth, sigma, generator seed, in plugs, out plugs, simplified T,
 # leaves, amplitude): leaves and amplitudes as the one-rescan-per-rule
-# simplifier gave them
+# simplifier gave them (the first eight) and as the worklist with one log
+# position per rule gave them (the last three); a change to the rewrite
+# sequence or to any scalar factor moves them
 PINNED_DECOMPOSITIONS = [
     (10, 120, 0.5, 3, '00+1+0+++0', '10++100000', 12, 11,
      -0.015624999999999976 + 0.00781249999999999j),
@@ -160,6 +162,13 @@ PINNED_DECOMPOSITIONS = [
      0.043638956543960154 - 0.08515230419227855j),
     (12, 150, 1.0, 76, '10011++0+000', '++++1++0+1++', 12, 9,
      -0.0004739075920298522 + 0.003432342407970142j),
+    # the size of the direct benchmark workload: hundreds of leaves
+    (14, 250, math.inf, 228, '0111+1+0+0+010', '+++01+++1+1+++', 32, 785,
+     0.0022452878762453305 - 0.0011798677027397336j),
+    (16, 300, 1.0, 204, '10+011+01+000+++', '+0+1+++0+++11001', 36, 615,
+     -0.000866234628627017 - 0.000745062669750154j),
+    (14, 300, 1.0, 200, '+001+1++0+101+', '+0+01+0+101011', 31, 349,
+     -0.01325299591002484 - 0.007847201080012411j),
 ]
 
 
@@ -171,5 +180,5 @@ def test_pinned_leaves_and_amplitudes(row):
     stats = DecomposeStats()
     val = decompose_to_scalar(d, None, stats)
     assert (stats.t_initial, stats.leaves) == (t, leaves)
-    assert abs(val.to_complex() - amp) < 1e-12
+    assert val.to_complex() == amp  # bit for bit
     assert d.to_json() == before

@@ -297,6 +297,33 @@ def test_resource_cap_direct():
     assert err.value.plan is not None
 
 
+@pytest.mark.parametrize("method,leaves", [("direct", 5), ("naive", 16), ("smart", 16)])
+def test_resource_cap_on_leaves_evaluated(method, leaves):
+    # alpha = 0.05 projects fewer leaves than each method evaluates, so only
+    # the count of leaves actually evaluated can stop the run; the 2-part
+    # plan has two cut spiders, which naive sums over
+    c = random_circuit(6, 60, default_rng(3))
+    cm = CostModel(alpha=0.05)
+    args = (c, "+" * 6, "+" * 6, method, cm)
+    amp, full = simulate_amplitude(*args, force_partition=True)
+    assert full.leaf_evals == leaves
+    assert method == "direct" or len(full.plan.cut_spiders) == 2
+    projected = {"direct": full.plan.s_decomp, "smart": full.plan.s_precomp,
+                 "naive": 2 ** 2 * sum(2 ** (cm.alpha * t) for t, _ in full.plan.per_part)}
+    assert projected[method] <= leaves - 1
+    with pytest.raises(ResourceCapError) as err:
+        simulate_amplitude(*args, caps=ResourceCaps(leaf_evals=leaves - 1),
+                           force_partition=True)
+    assert err.value.measured
+    assert err.value.stage == {"direct": "decompose", "smart": "precompute",
+                               "naive": "naive-sum"}[method]
+    assert (err.value.projected, err.value.cap) == (leaves, leaves - 1)
+    assert err.value.plan.cut_spiders == full.plan.cut_spiders
+    again, rep = simulate_amplitude(*args, caps=ResourceCaps(leaf_evals=leaves),
+                                    force_partition=True)
+    assert (again, rep.leaf_evals) == (amp, leaves)
+
+
 def gen_deep_compound():
     from zxcut.generators import CompoundSpec, gen_compound
     return gen_compound(CompoundSpec(2, 3, 80, 2, 1.0, 0))

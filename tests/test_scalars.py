@@ -71,3 +71,26 @@ def test_huge_exponents_stay_finite():
     # magnitude field stays bounded even though the value is astronomically
     # large; only the final conversion may overflow
     assert 0.5 <= abs(s.coeff) < 2.0
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   complex("nan"), complex(1.0, float("inf")),
+                                   complex(float("nan"), 0.0)])
+def test_non_finite_values_are_refused(value):
+    with pytest.raises(ValueError):
+        ScalarC(value)
+    s = ScalarC(1.5 - 0.5j, 3)
+    with pytest.raises(ValueError):
+        s.mul_complex(value)
+    assert (s.coeff, s.sqrt2_pow) == (ScalarC(1.5 - 0.5j, 3).coeff, 3)
+    with pytest.raises(ValueError):
+        ScalarC.zero().mul_complex(value)
+
+
+def test_finite_extremes_are_kept():
+    tiny = ScalarC(5e-324)
+    assert 0.5 <= abs(tiny.coeff) < 2.0
+    big = ScalarC(1e300 - 1e300j)
+    assert 0.5 <= abs(big.coeff) < 2.0
+    big.mul_complex(1e-300)
+    assert 0.5 <= abs(big.coeff) < 2.0

@@ -228,8 +228,9 @@ def _canonical(g: ZxDiagram):
 
 def test_resuming_from_touched_spiders_equals_a_fresh_simplification():
     # the decomposition tree rewrites a simplified diagram and resumes from
-    # the spiders it changed; that must give what a fresh call gives, down
-    # the whole tree and for target pairs other than the ones it picks
+    # the spiders it changed; that must give what a fresh call gives, rewrite
+    # for rewrite, down the whole tree and for target pairs other than the
+    # ones it picks
     rng = default_rng(13)
     pair, single = derive_two_t_coefficients(), derive_one_t_coefficients()
     checked = 0
@@ -248,9 +249,13 @@ def test_resuming_from_touched_spiders_equals_a_fresh_simplification():
                 branch = g.copy()
                 fresh = branch._next
                 term.apply(branch, targets)
-                expected = clifford_simplify(branch)
-                simplify_in_place(branch, [*targets, *range(fresh, branch._next)])
+                fresh_trace, resumed_trace = Trace(), Trace()
+                expected = clifford_simplify(branch, fresh_trace)
+                simplify_in_place(branch, [*targets, *range(fresh, branch._next)],
+                                  resumed_trace)
                 assert _canonical(branch) == _canonical(expected)
+                # the same rewrites at the same spiders, in the same order
+                assert resumed_trace.steps == fresh_trace.steps
                 checked += 1
                 stack.append(branch)
     assert checked > 200

@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram
 from .scalars import ScalarC, phase8_complex
-from .simplify import _clear_self_loops
+from .simplify import _clear_self_loops, _colour_change
 from .tensor import solve_identity, tensor_of
 
 
@@ -89,11 +89,10 @@ def cut_spiders(d: ZxDiagram, params: dict[int, int]) -> ZxDiagram:
         if p in out.params:
             raise ValueError(f"parameter {p} already in use")
         s = out.spiders[v]
-        _clear_self_loops(out, v, None)  # before a colour change, which would flip them
         if s.kind == SpiderKind.X:
-            for row in out.adj[v].values():
-                row[0], row[1] = row[1], row[0]
-            s.kind = SpiderKind.Z
+            _colour_change(out, v, None)
+        else:
+            _clear_self_loops(out, v, None)
         if s.phase.params:
             w = out.add_spider(SpiderKind.Z, Phase(0, s.phase.params))
             out.add_edge(v, w, EdgeKind.PLAIN)
@@ -113,14 +112,16 @@ def cut_spiders(d: ZxDiagram, params: dict[int, int]) -> ZxDiagram:
 
 
 def instantiate(d: ZxDiagram, assignment: dict[int, int]) -> ZxDiagram:
-    """Resolve a subset of the diagram's parameters to concrete bits.
+    """Resolve a subset of the diagram's parameters to bits, each 0 or 1.
 
     A bit of 1 adds pi to every spider carrying the parameter; the
     parameter's pending cut weight multiplies into the global scalar.
     """
-    for p in assignment:
+    for p, bit in assignment.items():
         if p not in d.params:
             raise ValueError(f"unknown parameter {p}")
+        if bit != 0 and bit != 1:
+            raise ValueError(f"parameter {p} needs a bit 0 or 1, got {bit!r}")
     out = d.copy()
     assigned = set(assignment)
     for s in out.spiders.values():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .circuits import Circuit
-from .scalars import ScalarC, phase8_complex
+from .scalars import ScalarC
 
 
 class SpiderKind(IntEnum):
@@ -55,12 +55,6 @@ class Phase:
     def is_t(self) -> bool:
         """Odd multiple of pi/4; parameter terms shift by pi and do not matter."""
         return self.fixed % 2 == 1
-
-    def value(self) -> complex:
-        """e^(i*phase) for a parameter-free phase."""
-        if self.params:
-            raise ValueError("phase still carries parameters")
-        return phase8_complex(self.fixed)
 
     def __repr__(self) -> str:
         if self.params:
@@ -172,10 +166,6 @@ class ZxDiagram:
 
     def edge_count(self) -> int:
         return sum(1 for _ in self.edges())
-
-    @property
-    def boundary(self) -> list[int]:
-        return self.inputs + self.outputs
 
     def t_count(self) -> int:
         return sum(

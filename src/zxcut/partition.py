@@ -39,7 +39,7 @@ at least 2^(2 + alpha*(t_c - 1)/2) >= 2^(alpha*t_c) leaves, and the component
 is planned as k = 1 without a search.  Otherwise k grows from 2 and the
 search stops at the first k whose candidate prices no lower than the cheapest
 so far, k = 1 included.  A forced search of a connected diagram still prices
-every k from 2 to k_max.
+every k from 2 to min(16, max(t_c // 4, 2)).
 """
 from __future__ import annotations
 
@@ -168,9 +168,6 @@ class _Bisection:
         self.tw = [0, self.total_t]
         self.cut = 0  # alive hyperedges with pins on both sides
 
-    def cut_size(self) -> int:
-        return self.cut
-
     def gains(self) -> list[int]:
         """Every node's gain: how much the cut shrinks if it alone moves."""
         gain = [0] * len(self.side)
@@ -247,10 +244,10 @@ def _seed_side0(bis: _Bisection, target0: float, floors, rng) -> None:
     within the node-floor window."""
     comps, comp_of = bis.components
     if len(comps) > 1:
-        # pack whole components: no cut needed between them.  choose_k hands
-        # partition_k one connected component at a time, but this is still
-        # reached: a bisection for k >= 3 can leave one side in disconnected
-        # pieces, and partition_k is public.
+        # pack whole components, heaviest first: no cut is needed between
+        # them, and the first two go to different sides.  choose_k hands
+        # partition_k one component at a time, but a bisection for k >= 3 can
+        # leave one side in disconnected pieces, and partition_k is public.
         t = [0] * len(comps)
         for e in bis.alive:  # an alive hyperedge lies inside one piece
             t[comp_of[bis.h.pins[e][0]]] += bis.h.weights[e]
@@ -265,9 +262,6 @@ def _seed_side0(bis: _Bisection, target0: float, floors, rng) -> None:
                 for n in comps[i]:
                     bis.move(n)
             load[s] += weight[i]
-        if bis.ncount[0] == 0 or bis.ncount[1] == 0:
-            for n in comps[ordered[-1]]:
-                bis.move(n)
         return
     # breadth-first from a random start; the order list is its own queue
     order = [bis.nodes[int(rng.integers(len(bis.nodes)))]]
@@ -374,18 +368,12 @@ def _fm_bisect(h, nodes, k0, k1, rng) -> _Bisection:
     frac = k0 / (k0 + k1)
     targets = (bis.total_t * frac, bis.total_t * (1 - frac))
     caps = ((1 + FM_EPS) * targets[0] + 1e-9, (1 + FM_EPS) * targets[1] + 1e-9)
-    # node floors guard against one side degenerating to a sliver of edges
-    # that contains no whole spider
+    # node floors, at least 1, keep either side from emptying or degenerating
+    # to a sliver of edges that contains no whole spider
     floors = (max(k0, int(0.6 * len(nodes) * frac)),
               max(k1, int(0.6 * len(nodes) * (1 - frac))))
     _seed_side0(bis, targets[0], floors, rng)
     _fm_refine(bis, caps, floors, targets)
-    if bis.ncount[0] == 0 or bis.ncount[1] == 0:
-        lone = 0 if bis.ncount[0] == 0 else 1
-        gain = bis.gains()
-        flip = max(nodes, key=lambda n: (gain[n], -n))
-        if bis.side[flip] != lone:
-            bis.move(flip)
     return bis
 
 
@@ -533,7 +521,6 @@ def _cheapest(candidates: list[PartitionPlan], force_partition: bool) -> Partiti
 def _plan_component(
     d: ZxDiagram,
     cm: CostModel,
-    k_max: int | None,
     seed: int,
     force_partition: bool,
 ) -> PartitionPlan:
@@ -547,19 +534,15 @@ def _plan_component(
     forced search prices every k from 2 to k_max."""
     base = unsplit_plan(d, cm)
     t = base.t_total
-    if k_max is None:
-        # floor of 2 so the free search always sees the first split; a bare
-        # t/4 would stop forced k>=2 runs from ever being comparable
-        k_max = min(16, max(t // 4, 2))
+    # floor of 2 so every search sees the first split
+    k_max = min(16, max(t // 4, 2))
 
     h = to_partition_hypergraph(d) if d.spiders else None
     candidates = [base]
     if h is not None and h.n_nodes:
         base.edge_parts = dict.fromkeys(h.edge_keys, 0)
         upper = min(k_max, len(h.pins), h.n_nodes)
-        if force_partition:
-            upper = max(upper, min(2, len(h.pins), h.n_nodes))
-        elif cm.alpha * (t + 1) <= 4:
+        if not force_partition and cm.alpha * (t + 1) <= 4:
             # No 2-way split of a connected diagram beats k = 1.  Each cut
             # spider has edges in both parts, so both parts have the same C
             # >= 1 parameters, and the uncut T-counts sum to at least t - C.
@@ -611,7 +594,6 @@ def _merge(parts: list[PartitionPlan], whole: PartitionPlan, cm: CostModel) -> P
 def choose_k(
     d: ZxDiagram,
     cm: CostModel,
-    k_max: int | None = None,
     seed: int = 0,
     force_partition: bool = False,
 ) -> PartitionPlan:
@@ -619,8 +601,8 @@ def choose_k(
     component at a time.
 
     Each component, in order of its smallest spider id, prices k = 1 and
-    then k = 2, 3, ... up to k_max parts (default min(16, max(t_c/4, 2)) for
-    its T-count t_c), without overhead, and stops at the first k that prices
+    then k = 2, 3, ... up to k_max = min(16, max(t_c // 4, 2)) parts for its
+    T-count t_c, without overhead, and stops at the first k that prices
     no lower than the cheapest so far.  A component with
     alpha*(t_c + 1) <= 4 is not searched at all, as no split of it can beat
     k = 1 (see the module docstring).  The cheapest component plans merge
@@ -637,10 +619,10 @@ def choose_k(
     whole = unsplit_plan(d, cm)
     comps = sorted(d.connected_components(), key=min)
     if len(comps) <= 1:
-        parts = [_plan_component(d, cm, k_max, seed, force_partition)]
+        parts = [_plan_component(d, cm, seed, force_partition)]
     else:
         # planning only reads the components, so they need no copies
-        parts = [_plan_component(c, cm, k_max, seed, False) for c in d.carve(comps)]
+        parts = [_plan_component(c, cm, seed, False) for c in d.carve(comps)]
     chosen = _cheapest([whole, _merge(parts, whole, cm)], force_partition)
     chosen.overhead_seconds = time.perf_counter() - started
     return chosen

@@ -111,9 +111,6 @@ class SegmentHypergraph:
     def __init__(self, segments):
         self.segments: list[Segment | None] = list(segments)
 
-    def live(self) -> list[int]:
-        return [i for i, s in enumerate(self.segments) if s is not None]
-
     def param_sets(self) -> list[set[int] | None]:
         return [None if s is None else set(s.local_params) for s in self.segments]
 

@@ -32,7 +32,8 @@ class ScalarC:
     """A complex number in the form coeff * sqrt(2)**sqrt2_pow.
 
     The constructor and :meth:`mul_complex`, the two entry points for an
-    arbitrary complex, refuse an infinite or NaN value."""
+    arbitrary complex, refuse an infinite or NaN value and keep a finite one
+    finite."""
 
     __slots__ = ("coeff", "sqrt2_pow", "is_zero")
 
@@ -67,7 +68,12 @@ class ScalarC:
             self.coeff = 0j
             self.sqrt2_pow = 0
             return
-        m = abs(self.coeff)
+        try:
+            m = abs(self.coeff)
+        except OverflowError:  # finite parts, but the modulus overflows
+            self.coeff /= 4
+            self.sqrt2_pow += 4
+            m = abs(self.coeff)
         # only exact factor-2 steps
         while m >= 2.0:
             self.coeff /= 2
@@ -88,13 +94,9 @@ class ScalarC:
     # in-place accumulation (the common case during rewriting)
 
     def mul_complex(self, z: complex) -> None:
-        z = complex(z)
-        if z - z:
-            raise ValueError(f"scalar factor {z!r} is not finite")
-        if self.is_zero:
-            return
-        self.coeff *= z
-        self._normalize()
+        # the constructor refuses a non-finite z and scales a finite one into
+        # [1/2, 2) exactly, so the product rounds as before but cannot overflow
+        self.mul(ScalarC(z))
 
     def mul_sqrt2(self, n: int) -> None:
         if not self.is_zero:

@@ -213,6 +213,15 @@ def _clear_self_loops(g: ZxDiagram, v: int, trace: Trace | None) -> None:
         trace.record(g, RULE_HADAMARD_CANCEL, [v], before)
 
 
+def _colour_change(g: ZxDiagram, v: int, trace: Trace | None) -> None:
+    """Turn X-spider ``v`` into a Z-spider: clear its self-loops, whose kind a
+    colour change keeps as both ends flip, then toggle its other edges."""
+    _clear_self_loops(g, v, trace)
+    for row in g.adj[v].values():
+        row[0], row[1] = row[1], row[0]
+    g.spiders[v].kind = SpiderKind.Z
+
+
 def _reduce_parallel_h(g: ZxDiagram, u: int, v: int, trace: Trace | None) -> None:
     """Cancel Hadamard edges between two Z-spiders in pairs, 1/2 per pair."""
     if u == v:
@@ -272,16 +281,12 @@ def _to_graph_like(g: ZxDiagram, vs: list[int], wl: _Worklist, trace: Trace | No
     graph-like already."""
     spiders, adj = g.spiders, g.adj
     for v in vs:
-        s = spiders[v]
-        if s.kind == SpiderKind.X:
-            for row in adj[v].values():
-                row[0], row[1] = row[1], row[0]
-            s.kind = SpiderKind.Z
+        if spiders[v].kind == SpiderKind.X:
+            _colour_change(g, v, trace)
             # every edge changed kind, at both of its ends
             wl.plain.append(v)
             wl.touch(v, *adj[v])
-    for v in vs:
-        if v in adj[v]:
+        elif v in adj[v]:
             _clear_self_loops(g, v, trace)
             wl.touch(v)
     members = set(vs)

@@ -3,7 +3,7 @@
 This is the ground truth every rewrite is checked against, so it contracts
 spider tensors directly from their definitions and knows nothing about the
 simplifier.  Contraction order is greedy (absorb the node sharing the most
-legs with the frontier first) with a hard cap on open legs.
+legs with the frontier first) with a hard cap of ``MAX_LEGS`` open legs.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .scalars import phase8_complex
 
 _SQRT2_INV = 2.0 ** -0.5
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+MAX_LEGS = 22  # open legs of a contraction frontier: 2^22 complex entries
 
 
 class TensorSizeError(RuntimeError):
@@ -36,17 +37,17 @@ def _spider_tensor(kind: SpiderKind, fixed: int, degree: int) -> np.ndarray:
     return flat.reshape([2] * degree)
 
 
-def tensor_of(d: ZxDiagram, max_legs: int = 22):
+def tensor_of(d: ZxDiagram):
     """Contract the diagram to a dense matrix of shape (2^outputs, 2^inputs),
     or a single complex number when the boundary is empty.
 
     The first listed output/input wire is the most significant bit.  Rejects
     diagrams that still carry boolean parameters and diagrams whose
-    contraction frontier would exceed ``max_legs`` open legs.
+    contraction frontier would exceed ``MAX_LEGS`` open legs.
     """
     if d.params or d.param_coeffs or any(s.phase.params for s in d.spiders.values()):
         raise ValueError("diagram contains unassigned parameters")
-    if len(d.inputs) + len(d.outputs) > max_legs:
+    if len(d.inputs) + len(d.outputs) > MAX_LEGS:
         raise TensorSizeError("too many boundary wires for dense evaluation")
 
     # nodes: (tensor, leg ids); every edge instance gets one leg id, with an
@@ -97,8 +98,8 @@ def tensor_of(d: ZxDiagram, max_legs: int = 22):
         tensor, legs = nodes[pick]
         out = [l for l in acc_legs if l not in legs or l in keep]
         out += [l for l in legs if l not in acc_legs and (legs.count(l) == 1 or l in keep)]
-        if len(out) > max_legs:
-            raise TensorSizeError(f"contraction frontier exceeded {max_legs} legs")
+        if len(out) > MAX_LEGS:
+            raise TensorSizeError(f"contraction frontier exceeded {MAX_LEGS} legs")
         # einsum sublist mode needs small integer labels
         labels = {l: i for i, l in enumerate(dict.fromkeys(acc_legs + legs + out))}
         acc = np.einsum(acc, [labels[l] for l in acc_legs],

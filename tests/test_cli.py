@@ -291,6 +291,18 @@ def test_spec_json_input(tmp_path):
     assert (json.loads(a.stdout)["amplitude"] == json.loads(b.stdout)["amplitude"])
 
 
+def test_spec_json_compound_input(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"compound": {"blocks": 2, "qubitsPerBlock": 3, "depthPerBlock": 40,
+                      "externalCnots": 1, "blockSigma": 1, "seed": 5}}))
+    a = run_cli(["simulate", "--spec", str(spec), "--plus", "--json"])
+    b = run_cli(["simulate", "--compound", "2,3,40,1,1,5", "--plus", "--json"])
+    assert a.returncode == b.returncode == 0
+    assert (strip_wall_clock(json.loads(a.stdout))
+            == strip_wall_clock(json.loads(b.stdout)))
+
+
 def test_trace_jsonl(tmp_path):
     out = tmp_path / "trace.jsonl"
     res = run_cli(["simulate", "--random", "4,25,inf,3", "--plus",

@@ -161,6 +161,22 @@ def test_instantiate_unknown_parameter():
         instantiate(d, {4: 1})
 
 
+@pytest.mark.parametrize("bit", [2, -1, 0.5, None])
+def test_instantiate_rejects_a_bit_other_than_0_or_1(bit):
+    # on a T-phase cut a bit of 2 would shift the phase as 0 does but take
+    # the coefficient of 1, a value neither branch has
+    d = ZxDiagram()
+    v = d.add_spider(SpiderKind.Z, Phase(1))
+    b = d.add_spider(SpiderKind.BOUNDARY)
+    d.outputs = [b]
+    d.add_edge(v, b)
+    cut = cut_spider(d, v, 0)
+    with pytest.raises(ValueError, match="bit 0 or 1"):
+        instantiate(cut, {0: bit})
+    total = sum(tensor_of(instantiate(cut, {0: one_or_zero})) for one_or_zero in (0, 1))
+    assert np.allclose(total, tensor_of(d))
+
+
 def test_cut_errors():
     d = ZxDiagram()
     v = d.add_spider(SpiderKind.Z)

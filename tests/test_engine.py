@@ -74,7 +74,7 @@ def test_estimates_are_method_seconds_of_the_plan():
                     direct = rep.plan
         g = clifford_simplify(plug(diagram_from_circuit(c), ins, outs))
         if len(g.connected_components()) == 1:
-            planned = choose_k(g, cm, k_max=1)
+            planned = unsplit_plan(g, cm)
             assert planned.k == 1
             assert ({**direct.to_json_dict(), "overheadSeconds": 0}
                     == {**planned.to_json_dict(), "overheadSeconds": 0})
@@ -322,6 +322,25 @@ def test_resource_cap_on_leaves_evaluated(method, leaves):
     again, rep = simulate_amplitude(*args, caps=ResourceCaps(leaf_evals=leaves),
                                     force_partition=True)
     assert (again, rep.leaf_evals) == (amp, leaves)
+
+
+@pytest.mark.parametrize("method,stage", [("smart", "precompute"), ("naive", "naive-sum")])
+def test_resource_cap_on_projected_leaves_of_a_split_plan(method, stage):
+    # the 2-cut plan above: a cap below its projected leaves stops the run
+    # before a leaf is evaluated
+    c = random_circuit(6, 60, default_rng(3))
+    cm = CostModel(alpha=0.05)
+    g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 6, "+" * 6))
+    plan = choose_k(g, cm, force_partition=True)
+    assert len(plan.cut_spiders) == 2
+    projected = {"smart": plan.s_precomp,
+                 "naive": 2 ** 2 * sum(2 ** (cm.alpha * t) for t, _ in plan.per_part)}
+    cap = projected[method] / 2
+    with pytest.raises(ResourceCapError) as err:
+        run_plan(g, plan, method, cm, ResourceCaps(leaf_evals=cap))
+    assert (err.value.stage, err.value.projected, err.value.cap) == (stage, projected[method], cap)
+    assert err.value.plan is plan
+    assert not err.value.measured
 
 
 def gen_deep_compound():

@@ -255,10 +255,10 @@ def test_cut_size_matches_recount_after_every_move():
         return sum(1 for e in bis.alive
                    if len({bis.side[n] for n in h.pins[e]}) == 2)
 
-    assert bis.cut_size() == recount() == 0
+    assert bis.cut == recount() == 0
     for n in rng.choice(nodes, 300):
         bis.move(int(n))
-        assert bis.cut_size() == recount()
+        assert bis.cut == recount()
 
 
 def add_t_path(d, n):
@@ -392,7 +392,7 @@ def reference_fm_refine(bis, caps, floors, targets):
         heap = [(-_ref_gain(bis, n), n) for n in bis.nodes]
         heapq.heapify(heap)
         history = []
-        trace = [(bis.cut_size(), _ref_imbalance(bis, targets))]
+        trace = [(bis.cut, _ref_imbalance(bis, targets))]
         while heap:
             negg, n = heapq.heappop(heap)
             if n in locked:
@@ -407,7 +407,7 @@ def reference_fm_refine(bis, caps, floors, targets):
             bis.move(n)
             locked.add(n)
             history.append(n)
-            trace.append((bis.cut_size(), _ref_imbalance(bis, targets)))
+            trace.append((bis.cut, _ref_imbalance(bis, targets)))
             for m in bis.nbrs[n]:
                 if m not in locked:
                     heapq.heappush(heap, (-_ref_gain(bis, m), m))
@@ -505,6 +505,54 @@ def test_fm_bisect_on_node_subsets_matches_and_recounts(monkeypatch, fm_corpus):
     for i, ((label, h, nodes, k0, k1), sides) in enumerate(zip(cases, got)):
         bis = partition._fm_bisect(h, nodes, k0, k1, default_rng(i))
         assert [bis.side[n] for n in nodes] == sides, label
+
+
+def test_fm_bisect_never_leaves_a_side_empty(monkeypatch, fm_corpus):
+    # both node floors are at least 1, so seeding, every move and every
+    # rollback keep a node on each side
+    seeded = []
+    seed_side0 = partition._seed_side0
+
+    def checked_seed(bis, *args):
+        seed_side0(bis, *args)
+        seeded.append(min(bis.ncount))
+
+    monkeypatch.setattr(partition, "_seed_side0", checked_seed)
+    rng = default_rng(21)
+    bisections = 0
+    for label, h, _ in fm_corpus:
+        for _ in range(3):
+            size = int(rng.integers(2, h.n_nodes + 1))
+            nodes = sorted(int(n) for n in rng.choice(h.n_nodes, size, replace=False))
+            k0, k1 = (int(k) for k in rng.integers(1, 5, size=2))
+            bis = partition._fm_bisect(h, nodes, k0, k1, default_rng(bisections))
+            _assert_consistent(bis)
+            assert min(bis.ncount) >= 1, (label, k0, k1)
+            bisections += 1
+    assert len(seeded) == bisections and min(seeded) >= 1
+
+
+def test_seeding_splits_the_two_heaviest_pieces(fm_corpus):
+    rng = default_rng(22)
+    disconnected = 0
+    for label, h, _ in fm_corpus:
+        size = int(rng.integers(2, h.n_nodes + 1))
+        nodes = sorted(int(n) for n in rng.choice(h.n_nodes, size, replace=False))
+        bis = _Bisection(h, nodes)
+        comps, comp_of = bis.components
+        if len(comps) < 2:
+            continue
+        disconnected += 1
+        partition._seed_side0(bis, bis.total_t * float(rng.random()), (1, 1), rng)
+        t = [0] * len(comps)
+        for e in bis.alive:
+            t[comp_of[h.pins[e][0]]] += h.weights[e]
+        weight = [ti if ti else len(c) * 1e-6 for ti, c in zip(t, comps)]
+        first, second = sorted(range(len(comps)),
+                               key=lambda i: (-weight[i], -len(comps[i]), comps[i][0]))[:2]
+        assert {bis.side[n] for n in comps[first]} == {0}, label
+        assert {bis.side[n] for n in comps[second]} == {1}, label
+    assert disconnected >= 100
 
 
 @settings(derandomize=True, deadline=None, max_examples=60,
@@ -700,7 +748,7 @@ def test_candidate_loop_plans_a_prefix_of_the_full_loop(monkeypatch, loop_corpus
         assert got.t_smart_est <= unsplit_plan(g, cm).t_smart_est * (1 + 1e-12), label
         comps = g.carve(sorted(g.connected_components(), key=min))
         for c, candidates in zip(comps, per_comp):
-            plan = partition._plan_component(c, cm, None, 0, False)
+            plan = partition._plan_component(c, cm, 0, False)
             prefixes = {_plan_key(partition._cheapest(candidates[:m], False))
                         for m in range(1, len(candidates) + 1)}
             assert _plan_key(plan) in prefixes, label

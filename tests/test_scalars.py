@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import pytest
 from numpy.random import default_rng
@@ -94,3 +95,21 @@ def test_finite_extremes_are_kept():
     assert 0.5 <= abs(big.coeff) < 2.0
     big.mul_complex(1e-300)
     assert 0.5 <= abs(big.coeff) < 2.0
+
+
+def test_a_finite_value_whose_modulus_overflows_is_kept():
+    s = ScalarC(1.7e308 + 1.7e308j)
+    part = math.ldexp(1.7e308, -1024)  # exact
+    assert (s.coeff, s.sqrt2_pow) == (complex(part, part), 2048)
+
+
+@pytest.mark.parametrize("start,factor", [(1.5, 1.7e308), (1.5 + 1j, 1.7e308 - 1.7e308j),
+                                          (-1.9j, -1e308 + 1e300j)])
+def test_a_product_that_overflows_is_kept_finite(start, factor):
+    s = ScalarC(start)
+    s.mul_complex(factor)
+    # the same product with the factor brought into range exactly
+    scaled = ScalarC(complex(factor) * 2.0 ** -1024, 2048)
+    ref = ScalarC(start).times(scaled)
+    assert (s.coeff, s.sqrt2_pow) == (ref.coeff, ref.sqrt2_pow)
+    assert 0.5 <= abs(s.coeff) < 2.0

@@ -6,7 +6,8 @@ from numpy.random import default_rng
 
 from zxcut.circuits import parse_circuit
 from zxcut.cutting import cut_spider, instantiate
-from zxcut.decompose import derive_one_t_coefficients, derive_two_t_coefficients
+from zxcut.decompose import (decompose_to_scalar, derive_one_t_coefficients,
+                             derive_two_t_coefficients)
 from zxcut.diagram import (EdgeKind, Phase, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug)
 from zxcut.oracle import statevector_amplitude
@@ -276,3 +277,76 @@ def test_resuming_reaches_a_rule_at_a_lower_neighbour():
     simplify_in_place(g, [v], tr)
     assert ("pivot", [y, v]) in [(s["rule"], s["spiders"][:2]) for s in tr.steps]
     assert _canonical(g) == _canonical(expected)
+
+
+def _looped_diagram(rng, n_spiders, boundary=0, params=0):
+    """Random Z- and X-spiders joined by parallel plain and Hadamard edges,
+    with plain and Hadamard self-loops on the X-spiders and ``boundary``
+    output wires; spider i < ``params`` carries parameter i."""
+    d = ZxDiagram()
+    vs = []
+    for i in range(n_spiders):
+        kind = SpiderKind.X if rng.random() < 0.6 else SpiderKind.Z
+        ps = frozenset({i}) if i < params else frozenset()
+        vs.append(d.add_spider(kind, Phase(int(rng.integers(8)), ps)))
+    for v in vs:
+        if d.spiders[v].kind == SpiderKind.X:
+            for kind in EdgeKind:
+                loops = int(rng.integers(3))
+                if loops:
+                    d.add_edge(v, v, kind, loops)
+    for a, b in itertools.combinations(vs, 2):
+        if rng.random() < 0.5:
+            d.add_edge(a, b, EdgeKind(int(rng.integers(2))), int(rng.integers(1, 3)))
+    for _ in range(boundary):
+        b = d.add_spider(SpiderKind.BOUNDARY)
+        d.outputs.append(b)
+        d.add_edge(b, vs[int(rng.integers(n_spiders))], EdgeKind(int(rng.integers(2))))
+    return d
+
+
+def _assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_colour_change_keeps_a_self_loop_of_an_x_spider():
+    # X(0) on a wire with a plain self-loop is the identity; swapping the
+    # loop's kind with the other edges would make it X/sqrt(2)
+    d = ZxDiagram()
+    a, b = d.add_spider(SpiderKind.BOUNDARY), d.add_spider(SpiderKind.BOUNDARY)
+    x = d.add_spider(SpiderKind.X)
+    d.inputs, d.outputs = [a], [b]
+    d.add_edge(a, x)
+    d.add_edge(x, b)
+    d.add_edge(x, x)
+    _assert_close(tensor_of(d), np.eye(2))
+    _assert_close(tensor_of(clifford_simplify(d)), np.eye(2))
+    cut = cut_spider(d, x, 0)
+    _assert_close(sum(tensor_of(instantiate(cut, {0: bit})) for bit in (0, 1)), np.eye(2))
+
+
+def test_x_spiders_with_loops_and_parallel_edges_simplify_exactly():
+    rng = default_rng(31)
+    for _ in range(150):
+        d = _looped_diagram(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        _assert_close(tensor_of(clifford_simplify(d)), tensor_of(d))
+
+
+def test_x_spiders_with_loops_and_parallel_edges_decompose_exactly():
+    rng = default_rng(32)
+    for _ in range(100):
+        d = _looped_diagram(rng, int(rng.integers(1, 5)))
+        _assert_close(decompose_to_scalar(d).to_complex(), tensor_of(d))
+
+
+def test_x_spiders_with_loops_and_parameters_simplify_for_every_assignment():
+    rng = default_rng(33)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        d = _looped_diagram(rng, n, int(rng.integers(0, 3)), int(rng.integers(1, n + 1)))
+        g = param_safe_simplify(d)
+        params = sorted(d.params)
+        for bits in itertools.product((0, 1), repeat=len(params)):
+            asg = dict(zip(params, bits))
+            _assert_close(tensor_of(instantiate(g, asg)), tensor_of(instantiate(d, asg)))

@@ -4,8 +4,8 @@ global parameter sum.
 Kept deliberately separate from the diagram machinery: gates act on state
 vectors by their matrix definitions, HSH is applied as three gates, and the
 global sum below extracts bits in a per-bit loop and multiplies table entries
-one assignment at a time, sharing nothing with the einsum contraction of the
-regrouping code.
+one assignment at a time, sharing nothing with the batched-matmul contraction
+of the regrouping code.
 """
 from __future__ import annotations
 
@@ -106,6 +106,7 @@ def naive_global_sum(segments) -> complex:
     all_params = sorted({p for s in segs for p in s.local_params})
     if len(all_params) > MAX_GLOBAL_PARAMS:
         raise ValueError(f"more than {MAX_GLOBAL_PARAMS} global parameters")
+    tables = [[complex(x) for x in s.scalars] for s in segs]
     total = 0j
     for global_idx in range(2 ** len(all_params)):
         bit_of = {}
@@ -113,10 +114,10 @@ def naive_global_sum(segments) -> complex:
             # per-bit reference extraction: first parameter is the MSB
             bit_of[p] = (global_idx >> (len(all_params) - 1 - pos)) & 1
         prod = 1 + 0j
-        for s in segs:
+        for s, table in zip(segs, tables):
             local = 0
             for p in s.local_params:
                 local = (local << 1) | bit_of[p]
-            prod *= complex(s.scalars[local])
+            prod *= table[local]
         total += prod
     return total

@@ -6,9 +6,11 @@ indexed by its c local cut parameters (first parameter in ascending id order
 the connected pair with the fewest collective local parameters; parameters
 appearing in no third segment are summed out by the step.
 
-Every step is one ``np.einsum`` over ``(2,)*c`` arrays, one axis per
-parameter in ascending id order, each array carrying one shared sqrt(2)
-exponent.  After each step the result is rescaled by an exact power of two
+A table is stored once, when its segment is built, as a read-only ``(2,)*c``
+complex array (one axis per parameter in ascending id order) with one shared
+sqrt(2) exponent.  Every step is one batched ``np.matmul``: the parameters
+both tables keep are the batch, the ones the step sums out are the inner
+dimension.  After each step the result is rescaled by an exact power of two
 that moves into the exponent, so a long chain of steps cannot overflow.
 ``local_index`` is the plain reference form of the bit extraction that the
 tests pin down; ``min_pair`` is the schedule's pair choice on a hypergraph.
@@ -35,15 +37,65 @@ NUMPY_TABLE_THRESHOLD = 2 ** 14  # selects nothing; bench/test_bench.py imports 
 _MAX_POW_SPREAD = 2 * 1020
 
 
-@dataclass
-class Segment:
-    local_params: tuple[int, ...]
-    scalars: list[ScalarC]
+def shared_exponent(coeffs: list[complex], pows: list[int]
+                    ) -> tuple[np.ndarray, int]:
+    """The table of values ``coeffs[n] * sqrt(2)**pows[n]`` as one flat
+    complex array and one shared sqrt(2) exponent: the largest exponent of a
+    nonzero entry.  Refuses a table whose entries span so much that the
+    smallest would turn subnormal or zero."""
+    base = max(itertools.compress(pows, coeffs), default=0)
+    if min(itertools.compress(pows, coeffs), default=0) - base < -_MAX_POW_SPREAD:
+        raise ValueError("table entries span more than 2^1020 in magnitude; "
+                         "a shared exponent would flush the smallest to zero")
+    # only a zero entry can lie above the base; its factor stays finite
+    shift = np.minimum(np.subtract(pows, base), 0)
+    return np.array(coeffs, dtype=complex) * np.exp2(0.5 * shift), base
 
-    def __post_init__(self):
-        self.local_params = tuple(sorted(self.local_params))
-        if len(self.scalars) != 2 ** len(self.local_params):
+
+class Segment:
+    """A table of 2^c scalars over ``local_params`` (sorted), held as the
+    read-only ``(2,)*c`` array ``array`` times ``sqrt(2)**sqrt2_pow``."""
+
+    __slots__ = ("local_params", "array", "sqrt2_pow")
+
+    def __init__(self, local_params, scalars: list[ScalarC]):
+        if len(scalars) != 2 ** len(local_params):
             raise ValueError("table length must be 2^(number of local parameters)")
+        arr, pow_ = shared_exponent([s.coeff for s in scalars],
+                                    [s.sqrt2_pow for s in scalars])
+        self._set(local_params, arr, pow_)
+
+    @classmethod
+    def from_array(cls, local_params, array, sqrt2_pow: int) -> "Segment":
+        """A segment over ``local_params`` whose table is ``array`` (2^c
+        finite entries, first parameter = most significant bit) times
+        ``sqrt(2)**sqrt2_pow``.  The array is not copied: the caller must not
+        write to it afterwards."""
+        arr = np.asarray(array, dtype=complex)
+        if arr.size != 2 ** len(local_params):
+            raise ValueError("table length must be 2^(number of local parameters)")
+        if not np.isfinite(arr).all():
+            raise ValueError("table entries must be finite")
+        return cls._trusted(local_params, arr, int(sqrt2_pow))
+
+    @classmethod
+    def _trusted(cls, local_params, arr: np.ndarray, sqrt2_pow: int) -> "Segment":
+        """A segment from a complex array of 2^c entries known to be finite,
+        such as the output of :func:`shared_exponent`."""
+        seg = cls.__new__(cls)
+        seg._set(local_params, arr, sqrt2_pow)
+        return seg
+
+    def _set(self, local_params, arr: np.ndarray, sqrt2_pow: int) -> None:
+        self.local_params = tuple(sorted(local_params))
+        self.array = arr.reshape((2,) * len(self.local_params))
+        self.array.flags.writeable = False
+        self.sqrt2_pow = sqrt2_pow
+
+    @property
+    def scalars(self) -> list[ScalarC]:
+        """The table as a flat list of scalars, built on every call."""
+        return [ScalarC(z, self.sqrt2_pow) for z in self.array.reshape(-1).tolist()]
 
 
 # -- bit indexing (Appendix-style kernel, LSB-first shift order) --------------
@@ -94,12 +146,14 @@ def precompute_segment(seg_graph: ZxDiagram,
         raise ValueError("segment must be a scalar diagram (no boundary wires)")
     params = tuple(sorted(seg_graph.params))
     shared = param_safe_simplify(seg_graph)
-    table = []
+    coeffs, pows = [], []
     # the first parameter varies slowest: the table's MSB-first order
     for bits in itertools.product((0, 1), repeat=len(params)):
         inst = instantiate(shared, dict(zip(params, bits)))
-        table.append(decompose_to_scalar(inst, stats=stats))
-    return Segment(params, table)
+        value = decompose_to_scalar(inst, stats=stats)
+        coeffs.append(value.coeff)
+        pows.append(value.sqrt2_pow)
+    return Segment._trusted(params, *shared_exponent(coeffs, pows))
 
 
 # -- the segment hypergraph and regrouping ------------------------------------
@@ -144,34 +198,32 @@ def _merged(sets: list[set[int] | None], i: int, j: int) -> set[int]:
     return (sets[i] ^ sets[j]) | (sets[i] & sets[j] & elsewhere)
 
 
-def _table_to_array(seg: Segment) -> tuple[np.ndarray, int]:
-    """A segment's table as a ``(2,)*c`` array and one shared sqrt(2)
-    exponent, taken from its largest entry."""
-    coeffs = np.array([s.coeff for s in seg.scalars], dtype=complex)
-    pows = np.array([s.sqrt2_pow for s in seg.scalars])
-    nonzero = coeffs != 0
-    base = int(pows[nonzero].max()) if nonzero.any() else 0
-    shift = np.where(nonzero, pows - base, 0)
-    if shift.min() < -_MAX_POW_SPREAD:
-        raise ValueError("table entries span more than 2^1020 in magnitude; "
-                         "a shared exponent would flush the smallest to zero")
-    arr = coeffs * np.exp2(0.5 * shift)
-    return arr.reshape((2,) * len(seg.local_params)), base
-
-
 def _contract(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int],
               params_a: set[int], params_b: set[int], params_out: set[int]
               ) -> tuple[np.ndarray, int]:
-    """One regroup step: sum the product of tables a and b over every
-    parameter not in ``params_out``.  Returns the result rescaled so that its
-    largest magnitude lies in [1/2, 1), with the power of two moved into the
-    sqrt(2) exponent."""
-    label = {p: n for n, p in enumerate(params_a | params_b)}
+    """One regroup step: sum the product of tables a and b over every shared
+    parameter not in ``params_out``, which holds every parameter of only one
+    of the two.  Returns the result rescaled so that its largest magnitude
+    lies in [1/2, 1), with the power of two moved into the sqrt(2)
+    exponent."""
+    shared = params_a & params_b
+    kept = sorted(shared & params_out)
+    summed = sorted(shared - params_out)
+    free_a = sorted(params_a - params_b)
+    free_b = sorted(params_b - params_a)
 
-    def axes(params):
-        return [label[p] for p in sorted(params)]
+    def grouped(table, params, order, shape):
+        axis = {p: n for n, p in enumerate(sorted(params))}
+        return table.transpose([axis[p] for p in order]).reshape(shape)
 
-    arr = np.einsum(a[0], axes(params_a), b[0], axes(params_b), axes(params_out))
+    k, s = 2 ** len(kept), 2 ** len(summed)
+    arr = np.matmul(grouped(a[0], params_a, kept + free_a + summed,
+                            (k, 2 ** len(free_a), s)),
+                    grouped(b[0], params_b, kept + summed + free_b,
+                            (k, s, 2 ** len(free_b))))
+    out = kept + free_a + free_b
+    arr = arr.reshape((2,) * len(out)).transpose(
+        [out.index(p) for p in sorted(params_out)])
     largest = float(np.abs(arr).max())
     if largest == 0:
         return arr, 0
@@ -214,7 +266,7 @@ def regroup_all(segments) -> RegroupResult:
     """
     segments = list(segments)
     sets: list[set[int] | None] = [set(s.local_params) for s in segments]
-    tables = [_table_to_array(s) for s in segments]
+    tables = [(s.array, s.sqrt2_pow) for s in segments]
     steps, s_crossref = plan_schedule(sets)
     for i, j, _ in steps:
         merged = _merged(sets, i, j)

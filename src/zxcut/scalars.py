@@ -8,6 +8,10 @@ two, which is exact in binary floating point.
 """
 from __future__ import annotations
 
+import math
+
+_SQRT2 = math.sqrt(2)
+
 # e^(i*k*pi/4) split into an exact Gaussian-integer part and a sqrt(2) power,
 # so Clifford phase products never accumulate rounding error.
 _PHASE8 = (
@@ -142,7 +146,11 @@ class ScalarC:
     def to_complex(self) -> complex:
         if self.is_zero:
             return 0j
-        return self.coeff * 2.0 ** (0.5 * self.sqrt2_pow)
+        # the power of two goes into each part separately, so a value whose
+        # parts are finite floats never needs an overflowing factor
+        half, odd = divmod(self.sqrt2_pow, 2)
+        c = self.coeff * _SQRT2 if odd else self.coeff
+        return complex(math.ldexp(c.real, half), math.ldexp(c.imag, half))
 
     def __complex__(self) -> complex:
         return self.to_complex()

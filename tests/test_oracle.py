@@ -75,3 +75,24 @@ def test_naive_sum_param_cap():
             Segment(tuple(range(12, 25)), [ScalarC(1)] * 2 ** 13)]
     with pytest.raises(ValueError):
         naive_global_sum(segs)
+
+
+class CountingTable:
+    """A table that counts how often its scalars are read."""
+
+    def __init__(self, params, values):
+        self.local_params = params
+        self.values = [ScalarC(v) for v in values]
+        self.reads = 0
+
+    @property
+    def scalars(self):
+        self.reads += 1
+        return list(self.values)
+
+
+def test_naive_sum_reads_each_table_once():
+    a = CountingTable((0, 1), (1, 2, 3, 4))
+    b = CountingTable((1, 2), (5, 6, 7, 8))
+    assert naive_global_sum([a, b]) == pytest.approx(134)
+    assert (a.reads, b.reads) == (1, 1)

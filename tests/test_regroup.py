@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -7,10 +9,11 @@ from zxcut.decompose import DecomposeStats, decompose_to_scalar
 from zxcut.diagram import SpiderKind, diagram_from_circuit, plug
 from zxcut.oracle import naive_global_sum
 from zxcut.regroup import (Segment, SegmentHypergraph, _contract, _merged,
-                           _table_to_array, local_index, local_index_array,
-                           min_pair, plan_schedule, precompute_segment,
-                           regroup_all)
+                           local_index, local_index_array, min_pair,
+                           plan_schedule, precompute_segment, regroup_all,
+                           shared_exponent)
 from zxcut.scalars import ScalarC
+from zxcut.simplify import param_safe_simplify
 
 from helpers import random_circuit
 
@@ -24,9 +27,10 @@ def contract_pair(segs, i, j):
     parameters they leave open; the result as a Segment."""
     sets = [set(s.local_params) for s in segs]
     merged = _merged(sets, i, j)
-    arr, pow_ = _contract(_table_to_array(segs[i]), _table_to_array(segs[j]),
+    arr, pow_ = _contract((segs[i].array, segs[i].sqrt2_pow),
+                          (segs[j].array, segs[j].sqrt2_pow),
                           sets[i], sets[j], merged)
-    return Segment(tuple(merged), [ScalarC(z, pow_) for z in arr.reshape(-1).tolist()])
+    return Segment.from_array(merged, arr, pow_)
 
 
 def random_system(rng, k_max=6, p_max=10):
@@ -215,10 +219,11 @@ def test_large_steps_and_open_parameter_match_naive_sum():
 
 def test_tiny_entry_is_not_flushed_to_zero():
     # 1 * 0 + 2^-1100 * 2^1100 = 1: a shared-exponent table that flushed
-    # the tiny entry would return 0 without a word
-    a = Segment((0,), [ScalarC(1, 0), ScalarC(1, -2200)])
-    b = Segment((0,), [ScalarC(0), ScalarC(1, 2200)])
+    # the tiny entry would return 0 without a word; the spread check may
+    # refuse the table when the segment is built or when it is contracted
     try:
+        a = Segment((0,), [ScalarC(1, 0), ScalarC(1, -2200)])
+        b = Segment((0,), [ScalarC(0), ScalarC(1, 2200)])
         got = regroup_all([a, b]).value.to_complex()
     except ValueError:
         return
@@ -248,6 +253,138 @@ def test_sequential_reference_is_reproducible():
         copy = [Segment(s.local_params, [x.copy() for x in s.scalars]) for s in segs]
         vals.append(regroup_all(copy).value.to_complex())
     assert vals[0] == vals[1]  # bit-identical across runs
+
+
+def test_result_with_an_exponent_past_2047_converts():
+    # (1e308 + 0.7e308) * 1 carries a shared exponent of about 2048
+    segs = [Segment((0,), [ScalarC(1e308), ScalarC(0.7e308)]),
+            Segment((0,), [ScalarC(1), ScalarC(1)])]
+    value = regroup_all(segs).value
+    assert value.sqrt2_pow >= 2048
+    assert value.to_complex() == pytest.approx(1.7e308, rel=1e-15)
+
+
+def test_from_array_checks_its_table():
+    for bad in (np.inf, complex(0, -np.inf), np.nan):
+        with pytest.raises(ValueError):
+            Segment.from_array((0,), [1, bad], 0)
+    with pytest.raises(ValueError):
+        Segment.from_array((0,), [1, 2, 3], 0)
+
+
+# -- the contraction kernel and the array tables --------------------------------
+
+def random_table(rng, n):
+    return rng.standard_normal((2,) * n) + 1j * rng.standard_normal((2,) * n)
+
+
+def test_contract_matches_einsum():
+    rng = default_rng(12)
+    counts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+              (0, 0, 0, 1), (0, 0, 2, 2)]
+    counts += [tuple(int(x) for x in rng.integers(0, 4, size=4)) for _ in range(200)]
+    for n_kept, n_summed, n_free_a, n_free_b in counts:
+        # ids drawn out of order, so axis order and id order differ
+        ids = [int(x) for x in rng.choice(100, size=n_kept + n_summed + n_free_a
+                                          + n_free_b, replace=False)]
+        kept = set(ids[:n_kept])
+        summed = set(ids[n_kept:n_kept + n_summed])
+        free_a = set(ids[n_kept + n_summed:len(ids) - n_free_b])
+        free_b = set(ids[len(ids) - n_free_b:])
+        params_a, params_b = kept | summed | free_a, kept | summed | free_b
+        params_out = kept | free_a | free_b
+        a = random_table(rng, len(params_a))
+        b = random_table(rng, len(params_b))
+        got, pow_ = _contract((a, 3), (b, -6), params_a, params_b, params_out)
+        label = {p: n for n, p in enumerate(ids)}
+        want = np.einsum(a, [label[p] for p in sorted(params_a)],
+                         b, [label[p] for p in sorted(params_b)],
+                         [label[p] for p in sorted(params_out)])
+        assert got.shape == (2,) * len(params_out)
+        got = got * 2.0 ** (0.5 * (pow_ + 3))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_shared_exponent_matches_the_masked_reference():
+    rng = default_rng(16)
+    for c in range(7):
+        for zeros in (0.0, 0.3, 1.0):
+            coeffs = random_table(rng, c).reshape(-1)
+            coeffs[rng.random(2 ** c) < zeros] = 0
+            pows = rng.integers(-1100, 1100, size=2 ** c)
+            pows[coeffs == 0] = rng.integers(-3000, 3000)
+            nonzero = coeffs != 0
+            base = int(pows[nonzero].max()) if nonzero.any() else 0
+            if (pows[nonzero] - base < -2040).any():
+                with pytest.raises(ValueError):
+                    shared_exponent(coeffs.tolist(), pows.tolist())
+                continue
+            want = coeffs * np.exp2(0.5 * np.where(nonzero, pows - base, 0))
+            arr, pow_ = shared_exponent(coeffs.tolist(), pows.tolist())
+            assert arr.tobytes() == want.tobytes() and pow_ == base
+
+
+def test_segment_rebuilt_from_its_scalars_has_the_same_array():
+    rng = default_rng(13)
+    for c in range(6):
+        vals = random_table(rng, c).reshape(-1)
+        vals[rng.random(2 ** c) < 0.25] = 0
+        pows = rng.integers(-40, 41, size=2 ** c)
+        ids = [int(x) for x in rng.choice(50, size=c, replace=False)]
+        seg = Segment(ids, [ScalarC(complex(v), int(k)) for v, k in zip(vals, pows)])
+        again = Segment(seg.local_params, seg.scalars)
+        assert again.array.tobytes() == seg.array.tobytes()
+        assert again.sqrt2_pow == seg.sqrt2_pow
+        assert not seg.array.flags.writeable
+
+
+def test_precompute_builds_the_shared_exponent_table():
+    rng = default_rng(14)
+    for _ in range(6):
+        c = random_circuit(4, 20, rng)
+        d = plug(diagram_from_circuit(c), "+" * 4, "+" * 4)
+        cands = sorted(v for v, sp in d.spiders.items() if sp.kind != SpiderKind.BOUNDARY)
+        n_cuts = int(rng.integers(0, 4))
+        for p, v in enumerate(int(x) for x in rng.choice(cands, n_cuts, replace=False)):
+            d = cut_spider(d, v, p)
+        seg = precompute_segment(d)
+        shared = param_safe_simplify(d)
+        values = [decompose_to_scalar(instantiate(shared, dict(zip(seg.local_params, bits))))
+                  for bits in itertools.product((0, 1), repeat=len(seg.local_params))]
+        arr, pow_ = shared_exponent([v.coeff for v in values], [v.sqrt2_pow for v in values])
+        assert seg.array.tobytes() == arr.tobytes()
+        assert seg.sqrt2_pow == pow_
+
+
+def network_param_sets(shape, m, w):
+    """Parameter sets of a ring (segment i holds bundles i and i+1), a star
+    (a hub holding every bundle, one leaf per bundle) or an open chain (every
+    segment also holds one global parameter) of bundles of w parameters."""
+    bundles = [list(range(b * w, (b + 1) * w)) for b in range(m)]
+    if shape == "ring":
+        return [bundles[i] + bundles[(i + 1) % m] for i in range(m)]
+    if shape == "star":
+        return [sum(bundles, [])] + bundles
+    g = (m - 1) * w
+    chain = [bundles[0]] + [bundles[i] + bundles[i + 1] for i in range(m - 2)]
+    return [ps + [g] for ps in chain + [bundles[m - 2]]]
+
+
+@pytest.mark.parametrize("shape,m", [("ring", 3), ("ring", 5), ("star", 3),
+                                     ("star", 4), ("open", 3), ("open", 5)])
+def test_regroup_matches_einsum_on_networks(shape, m):
+    rng = default_rng([15, m])
+    segs, operands = [], []
+    for ps in network_param_sets(shape, m, 2):
+        vals = random_table(rng, len(ps)).reshape(-1)
+        pows = rng.integers(-2, 3, size=vals.size)
+        seg = Segment(ps, [ScalarC(complex(v), int(k)) for v, k in zip(vals, pows)])
+        segs.append(seg)
+        operands += [np.array([complex(x) for x in seg.scalars]).reshape(seg.array.shape),
+                     list(seg.local_params)]
+    want = complex(np.einsum(*operands, []))
+    got = regroup_all(segs).value.to_complex()
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # -- segment precomputation ----------------------------------------------------

@@ -113,3 +113,23 @@ def test_a_product_that_overflows_is_kept_finite(start, factor):
     ref = ScalarC(start).times(scaled)
     assert (s.coeff, s.sqrt2_pow) == (ref.coeff, ref.sqrt2_pow)
     assert 0.5 <= abs(s.coeff) < 2.0
+
+
+def test_a_value_with_an_exponent_past_2047_converts():
+    z = 1.7e308 + 1.7e308j
+    assert ScalarC(z).to_complex() == z
+    assert ScalarC(-1.7e308 + 1e300j).to_complex() == -1.7e308 + 1e300j
+    # 2^1023.5 lies past the exponent of 2^1023 but below the largest double
+    odd = ScalarC(1.0, 2047).to_complex()
+    assert odd.real == math.ldexp(math.sqrt(2), 1023) and math.isfinite(odd.real)
+    with pytest.raises(OverflowError):
+        ScalarC(1.0, 2050).to_complex()
+
+
+def test_to_complex_is_unchanged_in_the_normal_range():
+    # the conversion that overflowed past 2^1023, on values it could convert
+    rng = default_rng(11)
+    for _ in range(2000):
+        s = ScalarC(complex(rng.standard_normal(), rng.standard_normal()),
+                    int(rng.integers(-2000, 2000)))
+        assert s.to_complex() == s.coeff * 2.0 ** (0.5 * s.sqrt2_pow)

@@ -55,6 +55,13 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+# the fields of a --spec entry in the order of the --random and --compound values
+_SPEC_FIELDS = {"random": ("qubits", "depth", "sigma", "seed"),
+                "compound": ("blocks", "qubitsPerBlock", "depthPerBlock", "externalCnots",
+                             "blockSigma", "seed")}
+_SPEC_DEFAULTS = {"sigma": "inf", "blockSigma": 1.0, "seed": 0}
+
+
 def _load_circuit(args) -> Circuit:
     spec_json = getattr(args, "spec", None)
     sources = [bool(args.circuit), bool(args.random), bool(args.compound),
@@ -68,30 +75,27 @@ def _load_circuit(args) -> Circuit:
     if spec_json:
         with open(spec_json) as fh:
             doc = json.load(fh)
-        if "random" in doc:
-            f = doc["random"]
-            return gen_clifford_t(CircuitSpec(
-                f["qubits"], f["depth"],
-                _parse_sigma(str(f.get("sigma", "inf"))), f.get("seed", 0)))
-        if "compound" in doc:
-            f = doc["compound"]
-            return gen_compound(CompoundSpec(
-                f["blocks"], f["qubitsPerBlock"], f["depthPerBlock"],
-                f["externalCnots"], _parse_sigma(str(f.get("blockSigma", 1.0))),
-                f.get("seed", 0)))
-        raise CircuitParseError("spec JSON needs a 'random' or 'compound' key")
-    if args.random:
-        parts = args.random.split(",")
+        kind = next((k for k in _SPEC_FIELDS if isinstance(doc, dict) and k in doc), None)
+        entry = doc[kind] if kind else None
+        if not isinstance(entry, dict):
+            raise CircuitParseError("spec JSON needs a 'random' or 'compound' object")
+        for name in _SPEC_FIELDS[kind]:
+            if name not in entry and name not in _SPEC_DEFAULTS:
+                raise CircuitParseError(f"spec JSON {kind!r} object needs {name!r}")
+        parts = [str(entry.get(name, _SPEC_DEFAULTS.get(name))) for name in _SPEC_FIELDS[kind]]
+    else:
+        kind = "random" if args.random else "compound"
+        parts = (args.random or args.compound).split(",")
+    if kind == "random":
         if len(parts) != 4:
             raise CircuitParseError("--random needs n,d,sigma,seed")
-        n, d = int(parts[0]), int(parts[1])
-        return gen_clifford_t(CircuitSpec(n, d, _parse_sigma(parts[2]), int(parts[3])))
-    parts = args.compound.split(",")
+        n, d, sigma, seed = parts
+        return gen_clifford_t(CircuitSpec(int(n), int(d), _parse_sigma(sigma), int(seed)))
     if len(parts) != 6:
         raise CircuitParseError("--compound needs k,q,d,next,sigmab,seed")
-    return gen_compound(CompoundSpec(int(parts[0]), int(parts[1]), int(parts[2]),
-                                     int(parts[3]), _parse_sigma(parts[4]),
-                                     int(parts[5])))
+    k, q, d, ext, sigmab, seed = parts
+    return gen_compound(CompoundSpec(int(k), int(q), int(d), int(ext),
+                                     _parse_sigma(sigmab), int(seed)))
 
 
 def _plugs(args, n: int) -> tuple[str, str]:

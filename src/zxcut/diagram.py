@@ -111,7 +111,7 @@ class ZxDiagram:
         self.params |= phase.params
         return v
 
-    def add_edge(self, u: int, v: int, kind: EdgeKind = EdgeKind.PLAIN, count: int = 1) -> None:
+    def add_edge(self, u: int, v: int, kind: EdgeKind = EdgeKind.PLAIN) -> None:
         # adjacency rows are shared list objects, so both directions stay in sync
         row = self.adj[u].get(v)
         if row is None:
@@ -119,7 +119,7 @@ class ZxDiagram:
             self.adj[u][v] = row
             if u != v:
                 self.adj[v][u] = row
-        row[kind] += count
+        row[kind] += 1
 
     def remove_edge(self, u: int, v: int, kind: EdgeKind, count: int = 1) -> None:
         row = self.adj[u][v]

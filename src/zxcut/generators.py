@@ -72,39 +72,44 @@ def sample_span(rng: Generator, sigma: float, max_dq: int) -> int:
     return 1 + int(rng.choice(max_dq, p=w / total))
 
 
-def _place_cnot(rng: Generator, n: int, sigma: float) -> tuple[int, int]:
+def _spread_pair(rng: Generator, n: int, sigma: float) -> tuple[int, int]:
+    """A source drawn uniformly from 0..n-1 and a destination a span away,
+    the span drawn from the sigma-truncated normal over the spans that fit
+    and the direction uniformly from those that fit it."""
     c = int(rng.integers(n))
-    if math.isinf(sigma):
-        off = int(rng.integers(n - 1))
-        return c, off if off < c else off + 1
-    max_dq = max(c, n - 1 - c)
-    feasible = [dq for dq in range(1, max_dq + 1)
-                if c + dq < n or c - dq >= 0]
-    w = span_weights(sigma, max_dq)[[dq - 1 for dq in feasible]]
-    if w.sum() == 0:
-        dq = 1
-    else:
-        dq = feasible[int(rng.choice(len(feasible), p=w / w.sum()))]
+    dq = sample_span(rng, sigma, max(c, n - 1 - c))
     dirs = [d for d in (1, -1) if 0 <= c + d * dq < n]
-    d = dirs[int(rng.integers(len(dirs)))]
-    return c, c + d * dq
+    return c, c + dirs[int(rng.integers(len(dirs)))] * dq
+
+
+def _place_cnot(rng: Generator, n: int, sigma: float) -> tuple[int, int]:
+    if not math.isinf(sigma):
+        return _spread_pair(rng, n, sigma)
+    c, off = int(rng.integers(n)), int(rng.integers(n - 1))
+    return c, off if off < c else off + 1
+
+
+def _add_gates(circ: Circuit, rng: Generator, qubits: int, depth: int, sigma: float,
+               base: int = 0) -> None:
+    """Append ``depth`` gates drawn uniformly from {T, S, HSH, CNOT} on qubits
+    ``base`` to ``base + qubits - 1``, CNOT targets spread by ``sigma``.  On a
+    single qubit a drawn CNOT is redrawn until a one-qubit gate comes up."""
+    for _ in range(depth):
+        kind = int(rng.integers(4))
+        while kind == 3 and qubits == 1:
+            kind = int(rng.integers(4))
+        if kind == 3:
+            c, t = _place_cnot(rng, qubits, sigma)
+            circ.add("CNOT", base + c, base + t)
+        else:
+            circ.add(GATE_KINDS[kind], base + int(rng.integers(qubits)))
 
 
 def gen_clifford_t(spec: CircuitSpec) -> Circuit:
     """d gates drawn uniformly from {T, S, HSH, CNOT}; CNOT targets spread
-    by the sigma-truncated normal.  On a single qubit a drawn CNOT is
-    redrawn until a one-qubit gate comes up."""
-    rng = default_rng(spec.seed)
+    by the sigma-truncated normal."""
     circ = Circuit(spec.qubits)
-    for _ in range(spec.depth):
-        kind = int(rng.integers(4))
-        while kind == 3 and spec.qubits == 1:
-            kind = int(rng.integers(4))
-        if kind == 3:
-            c, t = _place_cnot(rng, spec.qubits, spec.sigma)
-            circ.add("CNOT", c, t)
-        else:
-            circ.add(GATE_KINDS[kind], int(rng.integers(spec.qubits)))
+    _add_gates(circ, default_rng(spec.seed), spec.qubits, spec.depth, spec.sigma)
     return circ
 
 
@@ -116,29 +121,8 @@ def gen_compound(spec: CompoundSpec) -> Circuit:
     k, q = spec.blocks, spec.qubits_per_block
     circ = Circuit(k * q)
     for b in range(k):
-        base = b * q
-        for _ in range(spec.depth_per_block):
-            kind = int(rng.integers(4))
-            while kind == 3 and q == 1:
-                kind = int(rng.integers(4))
-            if kind == 3:
-                c, t = _place_cnot(rng, q, math.inf)
-                circ.add("CNOT", base + c, base + t)
-            else:
-                circ.add(GATE_KINDS[kind], base + int(rng.integers(q)))
+        _add_gates(circ, rng, q, spec.depth_per_block, math.inf, b * q)
     for _ in range(spec.external_cnots):
-        src = int(rng.integers(k))
-        max_db = max(src, k - 1 - src)
-        feasible = [db for db in range(1, max_db + 1)
-                    if src + db < k or src - db >= 0]
-        w = span_weights(spec.block_sigma, max_db)[[db - 1 for db in feasible]]
-        if w.sum() == 0:
-            db = 1
-        else:
-            db = feasible[int(rng.choice(len(feasible), p=w / w.sum()))]
-        dirs = [d for d in (1, -1) if 0 <= src + d * db < k]
-        dst = src + dirs[int(rng.integers(len(dirs)))] * db
-        c = src * q + int(rng.integers(q))
-        t = dst * q + int(rng.integers(q))
-        circ.add("CNOT", c, t)
+        src, dst = _spread_pair(rng, k, spec.block_sigma)
+        circ.add("CNOT", src * q + int(rng.integers(q)), dst * q + int(rng.integers(q)))
     return circ

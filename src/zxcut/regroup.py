@@ -76,14 +76,8 @@ class Segment:
             raise ValueError("table length must be 2^(number of local parameters)")
         if not np.isfinite(arr).all():
             raise ValueError("table entries must be finite")
-        return cls._trusted(local_params, arr, int(sqrt2_pow))
-
-    @classmethod
-    def _trusted(cls, local_params, arr: np.ndarray, sqrt2_pow: int) -> "Segment":
-        """A segment from a complex array of 2^c entries known to be finite,
-        such as the output of :func:`shared_exponent`."""
         seg = cls.__new__(cls)
-        seg._set(local_params, arr, sqrt2_pow)
+        seg._set(local_params, arr, int(sqrt2_pow))
         return seg
 
     def _set(self, local_params, arr: np.ndarray, sqrt2_pow: int) -> None:
@@ -146,14 +140,10 @@ def precompute_segment(seg_graph: ZxDiagram,
         raise ValueError("segment must be a scalar diagram (no boundary wires)")
     params = tuple(sorted(seg_graph.params))
     shared = param_safe_simplify(seg_graph)
-    coeffs, pows = [], []
     # the first parameter varies slowest: the table's MSB-first order
-    for bits in itertools.product((0, 1), repeat=len(params)):
-        inst = instantiate(shared, dict(zip(params, bits)))
-        value = decompose_to_scalar(inst, stats=stats)
-        coeffs.append(value.coeff)
-        pows.append(value.sqrt2_pow)
-    return Segment._trusted(params, *shared_exponent(coeffs, pows))
+    values = [decompose_to_scalar(instantiate(shared, dict(zip(params, bits))), stats=stats)
+              for bits in itertools.product((0, 1), repeat=len(params))]
+    return Segment(params, values)
 
 
 # -- the segment hypergraph and regrouping ------------------------------------

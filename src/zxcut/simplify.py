@@ -54,23 +54,23 @@ RULE_SCALAR_ELIM = "scalarElim"
 
 
 class Trace:
-    """Optional rewrite log: one entry per rule application."""
+    """Optional rewrite log: one entry per rule application, each with the
+    factor ``scalarDelta`` that the global scalar gained since the entry
+    before it (since the start of simplification for the first)."""
 
     def __init__(self):
         self.steps: list[dict] = []
+        self.mark = ScalarC.one()  # the scalar as of the last entry
 
-    def record(self, g: ZxDiagram, rule: str, spiders, before: ScalarC) -> None:
-        after = g.scalar
+    def record(self, g: ZxDiagram, rule: str, spiders) -> None:
+        before, after = self.mark, g.scalar
         if before.is_zero or after.is_zero:
             delta = [0.0, 0.0, 0]
         else:
             d = after.coeff / before.coeff
             delta = [d.real, d.imag, after.sqrt2_pow - before.sqrt2_pow]
         self.steps.append({"rule": rule, "spiders": sorted(spiders), "scalarDelta": delta})
-
-
-def _snap(g: ZxDiagram, trace: Trace | None) -> ScalarC | None:
-    return g.scalar.copy() if trace is not None else None
+        self.mark = after.copy()
 
 
 # -- the worklist ------------------------------------------------------------
@@ -200,7 +200,6 @@ def _clear_self_loops(g: ZxDiagram, v: int, trace: Trace | None) -> None:
     row = g.adj[v].get(v)
     if not row:
         return
-    before = _snap(g, trace)
     plain, had = row[0], row[1]
     # a plain self-loop contracts to nothing; a Hadamard self-loop adds pi
     # and a 1/sqrt(2)
@@ -210,7 +209,7 @@ def _clear_self_loops(g: ZxDiagram, v: int, trace: Trace | None) -> None:
     row[0] = row[1] = 0
     del g.adj[v][v]
     if trace is not None and (plain or had):
-        trace.record(g, RULE_HADAMARD_CANCEL, [v], before)
+        trace.record(g, RULE_HADAMARD_CANCEL, [v])
 
 
 def _colour_change(g: ZxDiagram, v: int, trace: Trace | None) -> None:
@@ -230,22 +229,18 @@ def _reduce_parallel_h(g: ZxDiagram, u: int, v: int, trace: Trace | None) -> Non
     if not row or row[1] < 2:
         return
     pairs = row[1] // 2
-    before = _snap(g, trace)
     g.remove_edge(u, v, EdgeKind.HADAMARD, 2 * pairs)
     g.scalar.mul_sqrt2(-2 * pairs)
     if trace is not None:
-        trace.record(g, RULE_HADAMARD_CANCEL, [u, v], before)
+        trace.record(g, RULE_HADAMARD_CANCEL, [u, v])
 
 
 def _add_edge_norm(g: ZxDiagram, u: int, v: int, kind: EdgeKind, trace: Trace | None) -> None:
     """Add an edge and immediately resolve the loop/parallel it may create."""
     if u == v:
-        if kind == EdgeKind.HADAMARD:
-            before = _snap(g, trace)
-            g.spiders[u].phase = g.spiders[u].phase.add_fixed(4)
-            g.scalar.mul_sqrt2(-1)
-            if trace is not None:
-                trace.record(g, RULE_HADAMARD_CANCEL, [u], before)
+        if kind == EdgeKind.HADAMARD:  # a plain loop contracts to nothing
+            g.add_edge(u, u, kind)
+            _clear_self_loops(g, u, trace)
         return
     g.add_edge(u, v, kind)
     if kind == EdgeKind.HADAMARD and g.spiders[u].kind == SpiderKind.Z \
@@ -266,13 +261,12 @@ def _toggle_pairs(g: ZxDiagram, pairs, trace: Trace | None) -> None:
         if row[1] < 2:
             continue
         n = row[1] // 2
-        before = _snap(g, trace)
         row[1] -= 2 * n
         if not row[0] and not row[1]:
             del adj[s][t], adj[t][s]
         g.scalar.mul_sqrt2(-2 * n)
         if trace is not None:
-            trace.record(g, RULE_HADAMARD_CANCEL, [s, t], before)
+            trace.record(g, RULE_HADAMARD_CANCEL, [s, t])
 
 
 def _to_graph_like(g: ZxDiagram, vs: list[int], wl: _Worklist, trace: Trace | None) -> None:
@@ -333,7 +327,6 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
         if v < u:
             u, v = v, u  # lower id survives
         absorbed_phase = spiders[v].phase
-        before = _snap(g, trace)
         g.remove_edge(u, v, EdgeKind.PLAIN)
         # absorb v into u: remaining u-v edges become self-loops on u
         moved = list(adj[v].items())
@@ -355,7 +348,7 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
         g.remove_spider(v)
         spiders[u].phase = spiders[u].phase.add(absorbed_phase)
         if trace is not None:
-            trace.record(g, RULE_FUSE, [u, v], before)
+            trace.record(g, RULE_FUSE, [u, v])
         if u in adj[u]:
             _clear_self_loops(g, u, trace)
         for x, row in list(adj[u].items()):
@@ -381,14 +374,13 @@ def _identity_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bo
     if len(legs) != 2:
         return False
     (x, k1), (y, k2) = legs
-    before = _snap(g, trace)
     g.remove_spider(v)
     kind = EdgeKind.PLAIN if k1 == k2 else EdgeKind.HADAMARD
     _add_edge_norm(g, x, y, kind, trace)
     if kind == EdgeKind.PLAIN:
         wl.plain.append(x)
     if trace is not None:
-        trace.record(g, RULE_IDENTITY, [v, x, y], before)
+        trace.record(g, RULE_IDENTITY, [v, x, y])
     wl.touch(x, y)
     return True
 
@@ -416,7 +408,6 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
             if row[0] or spiders[t].kind != SpiderKind.Z:
                 return False
             others.append(t)
-    before = _snap(g, trace)
     # pushing the X-basis state through w: each neighbour gains a*pi,
     # w and the copier disappear
     if a:
@@ -427,7 +418,7 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     g.remove_spider(v)
     g.remove_spider(w)
     if trace is not None:
-        trace.record(g, RULE_COPY, [v, w] + others, before)
+        trace.record(g, RULE_COPY, [v, w] + others)
     for t in others:
         if t in g.spiders:
             wl.touch(t)
@@ -452,16 +443,16 @@ def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
         return False
     nbrs = sorted(g.adj[v])
     n = len(nbrs)
-    before = _snap(g, trace)
-    g.scalar.mul_phase8(1 if s.phase.fixed == 2 else 7)
-    g.scalar.mul_sqrt2((n - 1) * (n - 2) // 2)
     shift = -2 if s.phase.fixed == 2 else 2
     for t in nbrs:
         g.spiders[t].phase = g.spiders[t].phase.add_fixed(shift)
     g.remove_spider(v)
     _toggle_pairs(g, itertools.combinations(nbrs, 2), trace)
+    # after the cancels, so that their trace entries hold only their own factor
+    g.scalar.mul_phase8(1 if s.phase.fixed == 2 else 7)
+    g.scalar.mul_sqrt2((n - 1) * (n - 2) // 2)
     if trace is not None:
-        trace.record(g, RULE_LCOMP, [v] + nbrs, before)
+        trace.record(g, RULE_LCOMP, [v] + nbrs)
     wl.touch(*nbrs)
     return True
 
@@ -486,11 +477,6 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
         common = sorted(nu & nv)
         only_u = sorted(nu - set(common))
         only_v = sorted(nv - set(common))
-        p, q, r = len(only_u), len(only_v), len(common)
-        before = _snap(g, trace)
-        if a and b:
-            g.scalar.mul_phase8(4)
-        g.scalar.mul_sqrt2(p * q + p * r + q * r + 1 - p - q - 2 * r)
         for x in only_u:
             g.spiders[x].phase = g.spiders[x].phase.add_fixed(4 * b)
         for y in only_v:
@@ -503,8 +489,13 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
         pairs += [(x, z) for x in only_u for z in common]
         pairs += [(y, z) for y in only_v for z in common]
         _toggle_pairs(g, pairs, trace)
+        # after the cancels, so that their trace entries hold only their own factor
+        if a and b:
+            g.scalar.mul_phase8(4)
+        p, q, r = len(only_u), len(only_v), len(common)
+        g.scalar.mul_sqrt2(p * q + p * r + q * r + 1 - p - q - 2 * r)
         if trace is not None:
-            trace.record(g, RULE_PIVOT, [u, v] + only_u + only_v + common, before)
+            trace.record(g, RULE_PIVOT, [u, v] + only_u + only_v + common)
         wl.touch(*only_u, *only_v, *common)
         return True
     return False
@@ -545,13 +536,12 @@ def _gadget_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     for conn, group in sorted(gadgets.items(), key=lambda kv: kv[1][0]):
         keep_h, keep_c = group[0]
         for h, c in group[1:]:
-            before = _snap(g, trace)
             spiders[keep_c].phase = spiders[keep_c].phase.add(spiders[c].phase)
             g.remove_spider(c)
             g.remove_spider(h)
             g.scalar.mul_sqrt2(1 - len(conn))
             if trace is not None:
-                trace.record(g, RULE_GADGET_FUSE, [keep_h, keep_c, h, c], before)
+                trace.record(g, RULE_GADGET_FUSE, [keep_h, keep_c, h, c])
             wl.touch(keep_c)
             for t in conn:
                 if t in spiders:
@@ -599,7 +589,6 @@ def _scalar_elim_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
         if any(spiders[v].kind == SpiderKind.BOUNDARY or spiders[v].phase.params
                for v in comp):
             continue
-        before = _snap(g, trace)
         if len(comp) == 1:
             value = _component_value(spiders[comp[0]].phase.fixed)
         else:
@@ -611,7 +600,7 @@ def _scalar_elim_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
             g.remove_spider(v)
         g.scalar.mul(value)
         if trace is not None:
-            trace.record(g, RULE_SCALAR_ELIM, comp, before)
+            trace.record(g, RULE_SCALAR_ELIM, comp)
         applied += 1
         if g.scalar.is_zero:
             break
@@ -629,6 +618,8 @@ def simplify_in_place(g: ZxDiagram, touched=None, trace: Trace | None = None) ->
     on the worklist.  ``None`` puts every spider on it.
     """
     touched = sorted(g.spiders) if touched is None else sorted(set(touched))
+    if trace is not None:
+        trace.mark = g.scalar.copy()
     wl = _Worklist(g, touched)
     # only a changed spider can be an X-spider or have a loop or parallel edge
     _to_graph_like(g, touched, wl, trace)

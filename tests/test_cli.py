@@ -303,6 +303,19 @@ def test_spec_json_compound_input(tmp_path):
             == strip_wall_clock(json.loads(b.stdout)))
 
 
+@pytest.mark.parametrize("doc", [
+    {"random": {"qubits": 3}},
+    5,
+    {"compound": {"blocks": 2, "qubitsPerBlock": 3, "depthPerBlock": "x",
+                  "externalCnots": 1}},
+], ids=["missing-field", "not-an-object", "not-a-number"])
+def test_malformed_spec_exit_2(tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", str(spec), "--plus"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_trace_jsonl(tmp_path):
     out = tmp_path / "trace.jsonl"
     res = run_cli(["simulate", "--random", "4,25,inf,3", "--plus",

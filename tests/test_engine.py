@@ -73,14 +73,13 @@ def test_estimates_are_method_seconds_of_the_plan():
                 if method == "direct":
                     direct = rep.plan
         g = clifford_simplify(plug(diagram_from_circuit(c), ins, outs))
-        if len(g.connected_components()) == 1:
-            planned = unsplit_plan(g, cm)
-            assert planned.k == 1
-            assert ({**direct.to_json_dict(), "overheadSeconds": 0}
-                    == {**planned.to_json_dict(), "overheadSeconds": 0})
-            assert direct.assignment == planned.assignment
-            compared += 1
-    assert compared >= 3
+        planned = unsplit_plan(g, cm)
+        assert planned.k == 1
+        assert ({**direct.to_json_dict(), "overheadSeconds": 0}
+                == {**planned.to_json_dict(), "overheadSeconds": 0})
+        assert direct.assignment == planned.assignment
+        compared += 1
+    assert compared == 6
 
 
 def test_split_segments_reassembles_tensor():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -141,3 +143,47 @@ def test_compound_cut_bound_and_natural_separation():
     g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 12, "+" * 12))
     _, cut, _ = partition_k(to_partition_hypergraph(g), 3)
     assert cut == set()
+
+
+# sha256 of each gate list as JSON; the benchmark catalog and
+# tests/data/pinned_plans.json rely on the generators keeping these circuits
+PINNED_GATE_LISTS = {
+    "clifford_t/1/0.0": "be05a31a1549273ef1c6c8c16fe907c40a05e1733d8c6ea6596cbbf52d9ed879",
+    "clifford_t/1/1.0": "be05a31a1549273ef1c6c8c16fe907c40a05e1733d8c6ea6596cbbf52d9ed879",
+    "clifford_t/1/inf": "be05a31a1549273ef1c6c8c16fe907c40a05e1733d8c6ea6596cbbf52d9ed879",
+    "clifford_t/2/0.0": "9fd2ff0533806b4a7fb8f538a8e7aeca1b7fa031142532da4ed6bfc82a1c0ab6",
+    "clifford_t/2/1.0": "9fd2ff0533806b4a7fb8f538a8e7aeca1b7fa031142532da4ed6bfc82a1c0ab6",
+    "clifford_t/2/inf": "6e933cf38897b316d571a286f671a0ebb69d30243a768c6db0e6f6730b4c93f8",
+    "clifford_t/7/0.0": "25b6ce0d6c6a695fc0140689eeb741f8bb1ee922135f89fc1a2f925ab3837af2",
+    "clifford_t/7/1.0": "85e0f81a96fda67a5391cf606903e4406dad558347e2903d85118e0d5d016571",
+    "clifford_t/7/inf": "267738d38cec722cf2dd9719820b54a995ff3b5043a8573d7c62ada8df65ddec",
+    "compound/1/0.0/0": "2d916106d424d9ef394c890d6e3d19fd6529ea4646d44318557e49ae4309b439",
+    "compound/1/0.0/8": "a60f76bcfbc75a1f2f31196b85e059f6a1f348abf0cc77e1ad6064a01f775118",
+    "compound/1/1.0/0": "2d916106d424d9ef394c890d6e3d19fd6529ea4646d44318557e49ae4309b439",
+    "compound/1/1.0/8": "73815b0fd77edc93a7a0ae0a108220e0a9ccd189136494f453ca2d9327591137",
+    "compound/1/inf/0": "2d916106d424d9ef394c890d6e3d19fd6529ea4646d44318557e49ae4309b439",
+    "compound/1/inf/8": "e0b3cb22cf9425b584f26a7c8daf4589e567cfaeff3897ea270f9ae29a688940",
+    "compound/3/0.0/0": "c824b6f8e1f70ab7896ed74ba0f6440fd536feface9dd5b4f6be72cf4e4141d1",
+    "compound/3/0.0/8": "f35e52e073d681ab04759c85d695026eae01565f6de55a35d03f67b54bb0d725",
+    "compound/3/1.0/0": "c824b6f8e1f70ab7896ed74ba0f6440fd536feface9dd5b4f6be72cf4e4141d1",
+    "compound/3/1.0/8": "b6e94fb9687219fd77b09c20ede048198f658dc0d783db7d0bf45f42078cf0aa",
+    "compound/3/inf/0": "c824b6f8e1f70ab7896ed74ba0f6440fd536feface9dd5b4f6be72cf4e4141d1",
+    "compound/3/inf/8": "98f961a7a77b3f7e30b96997099fde5c09ef130ec9a85d4b018ecd93efeee658",
+}
+
+
+def _pinned_grid():
+    for n in (1, 2, 7):
+        for sigma in (0.0, 1.0, math.inf):
+            yield f"clifford_t/{n}/{sigma}", gen_clifford_t(CircuitSpec(n, 120, sigma, 11))
+    for q in (1, 3):
+        for bs in (0.0, 1.0, math.inf):
+            for ext in (0, 8):
+                yield (f"compound/{q}/{bs}/{ext}",
+                       gen_compound(CompoundSpec(4, q, 40, ext, bs, 5)))
+
+
+def test_gate_lists_are_pinned():
+    digests = {label: hashlib.sha256(json.dumps(c.gates).encode()).hexdigest()
+               for label, c in _pinned_grid()}
+    assert digests == PINNED_GATE_LISTS

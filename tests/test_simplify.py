@@ -11,6 +11,7 @@ from zxcut.decompose import (decompose_to_scalar, derive_one_t_coefficients,
 from zxcut.diagram import (EdgeKind, Phase, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug)
 from zxcut.oracle import statevector_amplitude
+from zxcut.scalars import ScalarC
 from zxcut.simplify import Trace, clifford_simplify, param_safe_simplify, simplify_in_place
 from zxcut.tensor import tensor_of
 
@@ -204,6 +205,31 @@ def test_trace_of_fixed_circuit_is_pinned():
     assert abs(g.scalar.to_complex() - (-0.1767766952966369 + 0.42677669529663687j)) < 1e-15
 
 
+def _trace_adds_up(d: ZxDiagram) -> bool | None:
+    """Whether the trace's factors times the scalar of ``d`` give the scalar
+    of its simplification, to 1e-12 relative; None when that scalar is 0."""
+    tr = Trace()
+    want = clifford_simplify(d, tr).scalar.to_complex()
+    if not want:
+        return None
+    got = d.scalar.copy()
+    for step in tr.steps:
+        re, im, k = step["scalarDelta"]
+        got.mul(ScalarC(complex(re, im), k))
+    return abs(got.to_complex() - want) <= 1e-12 * abs(want)
+
+
+def test_trace_factors_multiply_to_the_simplified_scalar():
+    # a Hadamard cancel inside a pivot, a local complementation or an
+    # identity removal is its own step, not also part of the enclosing one
+    assert _trace_adds_up(plug(diagram_from_circuit(parse_circuit(PINNED_CIRCUIT)),
+                               "++1", "0++"))
+    rng = default_rng(14)
+    checked = [_trace_adds_up(random_scalar_diagram(rng)) for _ in range(80)]
+    assert False not in checked
+    assert checked.count(True) >= 50
+
+
 def test_simplifiers_leave_their_input_unchanged():
     rng = default_rng(12)
     for _ in range(20):
@@ -292,12 +318,13 @@ def _looped_diagram(rng, n_spiders, boundary=0, params=0):
     for v in vs:
         if d.spiders[v].kind == SpiderKind.X:
             for kind in EdgeKind:
-                loops = int(rng.integers(3))
-                if loops:
-                    d.add_edge(v, v, kind, loops)
+                for _ in range(int(rng.integers(3))):
+                    d.add_edge(v, v, kind)
     for a, b in itertools.combinations(vs, 2):
         if rng.random() < 0.5:
-            d.add_edge(a, b, EdgeKind(int(rng.integers(2))), int(rng.integers(1, 3)))
+            kind = EdgeKind(int(rng.integers(2)))
+            for _ in range(int(rng.integers(1, 3))):
+                d.add_edge(a, b, kind)
     for _ in range(boundary):
         b = d.add_spider(SpiderKind.BOUNDARY)
         d.outputs.append(b)

@@ -81,7 +81,8 @@ def test_parallel_edges_and_self_loops():
     d = ZxDiagram()
     u = d.add_spider(SpiderKind.Z)
     v = d.add_spider(SpiderKind.Z)
-    d.add_edge(u, v, EdgeKind.HADAMARD, 2)
+    d.add_edge(u, v, EdgeKind.HADAMARD)
+    d.add_edge(u, v, EdgeKind.HADAMARD)
     assert abs(tensor_of(d) - 2.0) < 1e-12  # (1+1)(...)/2 = 4/2
     # plain self-loop on a spider changes nothing
     d2 = ZxDiagram()

@@ -254,8 +254,11 @@ def cmd_sweep_sigma(args) -> int:
 
 
 def _leaf_rate(reports) -> float:
-    """Leaves per second of the reports' run time outside planning."""
-    leaves = sum(r.leaf_evals for r in reports)
+    """Projected leaves (each plan's ``s_decomp``) per second of the reports'
+    run time outside planning, so that the cost model reproduces the seconds
+    the runs took.  The leaves actually evaluated would not: a tree that
+    ends in dense leaves evaluates far fewer than ``2^(alpha*t)``."""
+    leaves = sum(r.plan.s_decomp for r in reports)
     seconds = sum(r.wall_seconds - r.overhead_seconds for r in reports)
     return max(leaves / max(seconds, 1e-9), 1e-6)
 
@@ -283,11 +286,12 @@ def _calibration_diagrams(rng, count: int = 6) -> list[ZxDiagram]:
 def cmd_calibrate(args) -> int:
     """Measure local calculation rates and write them as a config file.
 
-    rDecomp is leaves per second of plain decomposition, read from the
-    ``direct`` reports of ``run_plan`` on six simplified seeded diagrams with
-    T-counts in ``CALIBRATE_T``; tOverhead is the mean time of ``choose_k``
-    on the same diagrams.  rCrossref times ``regroup_all`` on synthetic
-    2^10-entry tables.
+    rDecomp is projected leaves, ``2^(alpha*t)`` at the configured alpha,
+    per second of plain decomposition, read from the ``direct`` reports of
+    ``run_plan`` on six simplified seeded diagrams with T-counts in
+    ``CALIBRATE_T``; tOverhead is the mean time of ``choose_k`` on the same
+    diagrams.  rCrossref times ``regroup_all`` on synthetic 2^10-entry
+    tables.
     """
     cm = CostModel()
     rng = default_rng(args.seed)

@@ -9,10 +9,13 @@ pays tOverhead once.
 
 Default rates ship from measurements on commodity hardware (error bars in
 the comments below); ``zxcut calibrate`` re-measures rDecomp locally from
-the reports of ``direct`` runs, as leaves per second of a run's time outside
-planning, so planning time is counted only in tOverhead.  All estimates are
-labeled with the alpha used, since the implemented decomposition set may be
-weaker than the one the default alpha describes.
+the reports of ``direct`` runs, as projected leaves per second of a run's
+time outside planning, so planning time is counted only in tOverhead.
+rDecomp is thus a price per projected leaf, not a rate of leaves evaluated:
+the decomposition tree ends in dense leaves, each of which stands for a
+whole subtree, so it evaluates far fewer leaves than 2^(alpha*t).  All
+estimates are labeled with the alpha used, since the implemented
+decomposition set may be weaker than the one the default alpha describes.
 """
 from __future__ import annotations
 

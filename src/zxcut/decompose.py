@@ -5,6 +5,13 @@ Clifford terms, with full Clifford simplification between steps; a lone
 leftover T-spider falls back to a one-spider two-term split.  The term
 coefficients are solved numerically against the dense tensor of the T-state
 pattern instead of being hard-coded, and checked to machine precision.
+
+The tree ends early: a simplified node, which is graph-like, with at most
+``DENSE_MAX_SPIDERS`` spiders is one leaf, whose value is a path sum over
+its spiders (Amy, "Towards large-scale functional verification of universal
+quantum circuits", QPL 2018) that ``_path_sum`` evaluates exactly in about
+2^(n/2) rows of numpy work.  Only larger nodes branch.  ``tensor.tensor_of``
+stays the independent oracle: neither calls the other.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .diagram import EdgeKind, Phase, SpiderKind, ZxDiagram
-from .scalars import ScalarC
+from .scalars import ScalarC, phase8_complex
 from .simplify import clifford_simplify, simplify_in_place
 from .tensor import solve_identity, tensor_of
 
@@ -142,6 +149,98 @@ def _pick_t_pair(g: ZxDiagram, ts: list[int]) -> tuple[int, int]:
     return pair
 
 
+# A tree node with at most this many spiders is a leaf, evaluated exactly by
+# ``_path_sum`` in about 2^(n/2) rows of work; branching it would cost two
+# simplifications and a copy per step.  Chosen from a sweep over 16-22 on the
+# direct, random and compound benchmark workloads (BENCH_dense_leaves.json).
+DENSE_MAX_SPIDERS = 20
+
+_W4 = np.array([phase8_complex(k) for k in range(4)])  # w^0 .. w^3, w = e^(i*pi/4)
+# exponent rho + r of w^rho * w^r, for the rotation by H's own exponent rho
+_ROTATED = ((np.arange(8)[:, None] + np.arange(4)) % 8).ravel()
+
+
+@functools.cache
+def _assignments(m: int) -> np.ndarray:
+    """All 2^m assignments of m bits as the 0/1 rows of a read-only float
+    array; bit i of the row index is column i."""
+    bits = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    bits.flags.writeable = False
+    return bits
+
+
+@functools.cache
+def _hadamard(m: int) -> np.ndarray:
+    """The read-only 2^m x 2^m Walsh-Hadamard matrix, (-1)^(x.y) at [y, x]."""
+    bits = _assignments(m)
+    signs = 1.0 - 2 * ((bits @ bits.T).astype(np.intp) & 1)
+    signs.flags.writeable = False
+    return signs
+
+
+def _residues(bits: np.ndarray, phase: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """For each assignment x in ``bits``, the r in 0..7 with
+    w^r = w^(phase.x) * (-1)^(x.upper.x), ``upper`` being the strictly
+    upper-triangular Hadamard adjacency of the spiders."""
+    quad = ((bits @ upper) * bits).sum(axis=1)
+    return (bits @ phase + 4 * quad).astype(np.intp) & 7
+
+
+def _path_sum(g: ZxDiagram) -> ScalarC:
+    """The exact value of a graph-like scalar diagram: its scalar times
+    sqrt(2)^-|E| * sum_x w^(k.x) * (-1)^(sum over edges uv of x_u*x_v).
+
+    The spiders, in id order, are split into a low half L and a high half H.
+    The sum over L is tabulated per assignment as integer coefficients of
+    w^0 .. w^3 (w^r for r >= 4 is -w^(r-4)) and Walsh-Hadamard transformed,
+    as two matrix products with the Kronecker factors of the transform, one
+    over L's low bits and one over its high bits.  For each x_H the result
+    is read at the parities y = C^T x_H of x_H's edges into L, then rotated
+    by H's own exponent.  Every number before the final rounding is an
+    integer of magnitude at most 2^(n+3), which float64 holds, adds and
+    multiplies exactly in any order.  Raises AssertionError on anything but
+    Z-spiders without parameters joined by single Hadamard edges without
+    self-loops.
+    """
+    vs = sorted(g.spiders)
+    n = len(vs)
+    pos = {v: i for i, v in enumerate(vs)}
+    phase = np.empty(n)
+    upper = np.zeros((n, n))
+    edges = 0
+    for i, v in enumerate(vs):
+        s = g.spiders[v]
+        if s.kind != SpiderKind.Z or s.phase.params:
+            raise AssertionError(f"path sum needs graph-like input, got {s!r}")
+        phase[i] = s.phase.fixed
+        for u, row in g.adj[v].items():
+            if u == v or row[0] or row[1] != 1:
+                raise AssertionError(f"path sum needs graph-like input, got "
+                                     f"edges {row} between {v} and {u}")
+            if u > v:
+                upper[i, pos[u]] = 1
+                edges += 1
+    lo = n // 2
+    lo_bits, hi_bits = _assignments(lo), _assignments(n - lo)
+    r_lo = _residues(lo_bits, phase[:lo], upper[:lo, :lo])
+    coeffs = np.zeros((1 << lo, 4))
+    coeffs[np.arange(1 << lo), r_lo % 4] = 1 - 2 * (r_lo >> 2)
+    # coeffs[y] = sum_x (-1)^(x.y) coeffs[x]: the high bits of x, then the low
+    low = lo // 2
+    coeffs = _hadamard(lo - low) @ coeffs.reshape(1 << (lo - low), -1)
+    coeffs = (_hadamard(low) @ coeffs.reshape(1 << (lo - low), 1 << low, 4)).reshape(-1, 4)
+    y = ((hi_bits @ upper[:lo, lo:].T).astype(np.intp) & 1) @ (1 << np.arange(lo))
+    r_hi = _residues(hi_bits, phase[lo:], upper[lo:, lo:])
+    # by_rot[rho, r]: coefficients of w^r summed over the x_H whose own
+    # exponent is rho, then each moved to w^(rho + r)
+    by_rot = (r_hi == np.arange(8)[:, None]) @ coeffs[y]
+    c = np.bincount(_ROTATED, by_rot.ravel(), 8)
+    d = c[:4] - c[4:]
+    if not d.any():
+        return ScalarC.zero()
+    return g.scalar.times(ScalarC(complex(d @ _W4), -edges))
+
+
 def decompose_to_scalar(
     d: ZxDiagram,
     decomposition: Decomposition | None = None,
@@ -150,10 +249,11 @@ def decompose_to_scalar(
     """Reduce a parameter-free scalar diagram to its complex value.
 
     Depth-first over the decomposition tree, re-simplifying after every
-    exchange; zero-scalar branches are pruned on the spot.  A term may change
-    only the spiders it targets and those it adds, since simplification
-    resumes from there.  ``stats``, if given, counts the leaves and caps
-    them at ``stats.leaf_cap``.
+    exchange; zero-scalar branches are pruned on the spot, and a node with at
+    most ``DENSE_MAX_SPIDERS`` spiders is a leaf evaluated by ``_path_sum``.
+    A term may change only the spiders it targets and those it adds, since
+    simplification resumes from there.  ``stats``, if given, counts the
+    leaves and caps them at ``stats.leaf_cap``.
     """
     if d.inputs or d.outputs:
         raise ValueError("decompose_to_scalar needs a scalar diagram")
@@ -169,13 +269,14 @@ def decompose_to_scalar(
     stack = [first]
     while stack:
         g = stack.pop()
-        if g.scalar.is_zero or not g.spiders:
+        if g.scalar.is_zero or len(g.spiders) <= DENSE_MAX_SPIDERS:
             if stats is not None:
                 stats.leaves += 1
                 if stats.leaves > stats.leaf_cap:
                     raise LeafCapError(f"evaluated {stats.leaves} leaves, past the "
                                        f"cap of {stats.leaf_cap:.3g}")
-            total = total.plus(g.scalar)
+            if not g.scalar.is_zero:
+                total = total.plus(_path_sum(g))
             continue
         ts = sorted([v for v, s in g.spiders.items() if s.phase.fixed & 1])
         if not ts:
@@ -198,6 +299,9 @@ def decompose_to_scalar(
 def measure_alpha(sample_diagrams) -> tuple[float, float]:
     """Measured efficiency log2(leaves)/t over a sample, as (mean, std dev).
 
+    This is the leaf exponent of the tree as ``decompose_to_scalar`` builds
+    it, dense leaves included: a diagram with at most ``DENSE_MAX_SPIDERS``
+    spiders after simplification takes one leaf and adds a ratio of 0.
     Requires at least 10 diagrams of T-count >= 8 after simplification;
     Clifford-only inputs are rejected since the ratio is undefined.
     """

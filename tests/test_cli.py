@@ -252,6 +252,12 @@ def test_calibrate_measures_in_the_random_t_window(tmp_path, monkeypatch):
     for report, plan in zip(reports, plans):
         assert report.method == "direct"
         assert 12 <= report.t_count == plan.t_total <= 20
+    # rDecomp prices projected leaves, so the calibrated model reproduces the
+    # seconds these runs took outside planning
+    rates = json.loads((tmp_path / "rates.json").read_text())
+    busy = sum(r.wall_seconds - r.overhead_seconds for r in reports)
+    assert rates["rDecomp"] == pytest.approx(sum(r.plan.s_decomp for r in reports) / busy,
+                                             rel=1e-12)
 
 
 def test_calibrate_simplifies_each_candidate_once(tmp_path, monkeypatch):
@@ -277,7 +283,7 @@ def test_calibrate_simplifies_each_candidate_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_plan", run_recording)
     assert main(["calibrate", "--seed", "0", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 10
-    assert [r.leaf_evals for r in reports] == [21, 29, 15, 17, 4, 50]
+    assert [r.leaf_evals for r in reports] == [1, 2, 1, 3, 1, 2]
     assert [r.t_count for r in reports] == [16, 20, 13, 20, 14, 19]
 
 

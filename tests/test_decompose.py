@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from zxcut.decompose import (DecomposeStats, decompose_to_scalar,
+from zxcut.decompose import (DENSE_MAX_SPIDERS, DecomposeStats, decompose_to_scalar,
                              derive_one_t_coefficients, derive_two_t_coefficients,
-                             measure_alpha, _template_tensor)
-from zxcut.diagram import SpiderKind, ZxDiagram, diagram_from_circuit, plug
+                             measure_alpha, _path_sum, _template_tensor)
+from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
 from zxcut.generators import CircuitSpec, gen_clifford_t
 from zxcut.oracle import statevector_amplitude
 from zxcut.simplify import clifford_simplify
+from zxcut.tensor import TensorSizeError, tensor_of
 
-from helpers import random_circuit, random_plugs
+from helpers import random_circuit, random_graphlike_diagram, random_plugs
 
 
 def test_two_t_solve_residual():
@@ -69,6 +70,89 @@ def test_matches_oracle_on_random_clifford_t():
         d = plug(diagram_from_circuit(c), ins, outs)
         val = decompose_to_scalar(d)
         assert abs(val.to_complex() - statevector_amplitude(c, ins, outs)) < 1e-7
+    # 12-14 qubits, deep enough that most simplified diagrams have more than
+    # DENSE_MAX_SPIDERS spiders, so the pair rule, the single-T rule and zero
+    # pruning run before the nodes become dense leaves
+    rng = default_rng(7)
+    branched = 0
+    for _ in range(30):
+        n = int(rng.integers(12, 15))
+        c = random_circuit(n, 240, rng)
+        ins, outs = random_plugs(n, rng)
+        stats = DecomposeStats()
+        val = decompose_to_scalar(plug(diagram_from_circuit(c), ins, outs), stats=stats)
+        assert abs(val.to_complex() - statevector_amplitude(c, ins, outs)) < 1e-12
+        branched += stats.leaves >= 2
+    assert branched >= 20
+
+
+def _summed_path_sum(d: ZxDiagram) -> complex:
+    """The path sum of a graph-like scalar diagram straight from its
+    definition, one complex term per assignment of all its spiders."""
+    vs = sorted(d.spiders)
+    n = len(vs)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    phases = np.array([d.spiders[v].phase.fixed for v in vs])
+    edges = [(vs.index(u), vs.index(v)) for u, v, _ in d.edges()]
+    signs = np.ones(2 ** n)
+    for i, j in edges:
+        signs[(bits[:, i] & bits[:, j]) == 1] *= -1
+    terms = np.exp(1j * np.pi / 4 * (bits @ phases)) * signs
+    return complex(terms.sum()) * 2 ** (-len(edges) / 2) * d.scalar.to_complex()
+
+
+def test_path_sum_matches_tensor_of():
+    # graph-like diagrams of 1-14 spiders, every phase, edge density from 0
+    # to 1 and the complete graphs, under an exact nontrivial scalar; where
+    # tensor_of's contraction frontier would pass its cap (the densest
+    # diagrams above 8 spiders), the sum is taken term by term instead
+    rng = default_rng(15)
+    diagrams = [random_graphlike_diagram(rng, int(rng.integers(1, 15)), float(rng.random()))
+                for _ in range(640)]
+    diagrams += [random_graphlike_diagram(rng, n, 1.0) for n in range(1, 15)]
+    by_tensor = zeros = 0
+    for d in diagrams:
+        d.scalar.mul_phase8(int(rng.integers(8)))
+        d.scalar.mul_sqrt2(int(rng.integers(-3, 4)))
+        val = _path_sum(d)
+        try:
+            ref = tensor_of(d)
+            by_tensor += 1
+        except TensorSizeError:
+            ref = _summed_path_sum(d)
+        assert abs(val.to_complex() - ref) <= 1e-12 * max(1.0, abs(ref))
+        # the sum itself is an integer combination of w^0..w^3: exactly zero,
+        # or (on these diagrams) far from it
+        total = abs(ref) * 2 ** (d.edge_count() / 2) / abs(d.scalar.to_complex())
+        assert val.is_zero == (total < 1e-6)
+        zeros += val.is_zero
+    assert by_tensor >= 500 and zeros > 0
+
+
+def test_path_sum_of_z_pi_is_exactly_zero():
+    # Z(pi) alone is 1 + e^(i*pi)
+    d = ZxDiagram()
+    d.add_spider(SpiderKind.Z, Phase(4))
+    assert _path_sum(d).is_zero
+
+
+@pytest.mark.parametrize("defect", ["X-spider", "plain edge", "parallel edges",
+                                    "self-loop", "parameter"])
+def test_path_sum_rejects_what_is_not_graph_like(defect):
+    d = random_graphlike_diagram(default_rng(6), 4, 1.0)
+    if defect == "X-spider":
+        d.spiders[0].kind = SpiderKind.X
+    elif defect == "plain edge":
+        d.remove_edge(0, 1, EdgeKind.HADAMARD)
+        d.add_edge(0, 1, EdgeKind.PLAIN)
+    elif defect == "parallel edges":
+        d.add_edge(0, 1, EdgeKind.HADAMARD)
+    elif defect == "self-loop":
+        d.add_edge(2, 2, EdgeKind.HADAMARD)
+    else:
+        d.spiders[3].phase = Phase(1, frozenset({0}))
+    with pytest.raises(AssertionError):
+        _path_sum(d)
 
 
 def test_leaf_bound():
@@ -128,47 +212,58 @@ def test_measure_alpha_rejects_clifford_sample():
 
 
 def test_measure_alpha_range():
+    # only a diagram with more than DENSE_MAX_SPIDERS spiders branches; one at
+    # or below the cutoff is a single dense leaf
     rng = default_rng(5)
-    sample = []
+    sample, dense = [], 0
     while len(sample) < 12:
-        c = random_circuit(5, 70, rng)
-        d = plug(diagram_from_circuit(c), "+" * 5, "+" * 5)
-        if clifford_simplify(d).t_count() >= 8:
+        c = random_circuit(8, 120, rng)
+        d = plug(diagram_from_circuit(c), "+" * 8, "+" * 8)
+        g = clifford_simplify(d)
+        if len(g.spiders) > DENSE_MAX_SPIDERS:
             sample.append(d)
+        elif g.t_count() >= 8:
+            stats = DecomposeStats()
+            decompose_to_scalar(d, stats=stats)
+            assert stats.leaves == 1
+            dense += 1
+    assert dense > 0
     mean, std = measure_alpha(sample)
     assert 0 < mean <= 0.5
     assert std >= 0
 
 
 # (qubits, depth, sigma, generator seed, in plugs, out plugs, simplified T,
-# leaves, amplitude): leaves and amplitudes as the one-rescan-per-rule
-# simplifier gave them (the first eight) and as the worklist with one log
-# position per rule gave them (the last three); a change to the rewrite
-# sequence or to any scalar factor moves them
+# leaves, amplitude): leaves and amplitudes with nodes of at most
+# DENSE_MAX_SPIDERS spiders evaluated as dense leaves.  Each amplitude was
+# re-pinned only after it agreed to 1.2e-16 with its pin from the fully
+# branching tree, whose leaves were 11, 18, 14, 9, 8, 18, 8, 9, 785, 615 and
+# 349; a change to the rewrite sequence, to any scalar factor or to the
+# cutoff moves them
 PINNED_DECOMPOSITIONS = [
-    (10, 120, 0.5, 3, '00+1+0+++0', '10++100000', 12, 11,
-     -0.015624999999999976 + 0.00781249999999999j),
-    (12, 150, 1.0, 5, '0++1+10+011+', '00000+11+1+0', 13, 18,
-     -0.00047390759202985133 - 0.02114927172801988j),
-    (12, 150, math.inf, 6, '+011+10110+1', '111111++1010', 13, 14,
-     0.018525940184059682 + 0.027482554320049722j),
-    (10, 120, 0.5, 64, '1+01101+10', '1+0++110+1', 13, 9,
-     -0.022767293456039783 - 0.06439563036811936j),
-    (12, 150, 1.0, 68, '1+11+0+0101+', '++++++000+1+', 16, 8,
-     -0.000976562499999999 + 0.00040450543200497703j),
-    (12, 150, math.inf, 69, '11++0+110++1', '100111+01111', 12, 18,
-     -0.005189168456039799 - 0.010239532592029841j),
-    (10, 120, 0.5, 74, '1011+++00+', '10000+++00', 13, 8,
-     0.043638956543960154 - 0.08515230419227855j),
-    (12, 150, 1.0, 76, '10011++0+000', '++++1++0+1++', 12, 9,
-     -0.0004739075920298522 + 0.003432342407970142j),
-    # the size of the direct benchmark workload: hundreds of leaves
-    (14, 250, math.inf, 228, '0111+1+0+0+010', '+++01+++1+1+++', 32, 785,
-     0.0022452878762453305 - 0.0011798677027397336j),
-    (16, 300, 1.0, 204, '10+011+01+000+++', '+0+1+++0+++11001', 36, 615,
-     -0.000866234628627017 - 0.000745062669750154j),
-    (14, 300, 1.0, 200, '+001+1++0+101+', '+0+01+0+101011', 31, 349,
-     -0.01325299591002484 - 0.007847201080012411j),
+    (10, 120, 0.5, 3, '00+1+0+++0', '10++100000', 12, 1,
+     -0.015625 + 0.0078125j),
+    (12, 150, 1.0, 5, '0++1+10+011+', '00000+11+1+0', 13, 1,
+     -0.0004739075920298548 - 0.021149271728019902j),
+    (12, 150, math.inf, 6, '+011+10110+1', '111111++1010', 13, 1,
+     0.018525940184059706 + 0.027482554320049757j),
+    (10, 120, 0.5, 64, '1+01101+10', '1+0++110+1', 13, 1,
+     -0.022767293456039797 - 0.06439563036811942j),
+    (12, 150, 1.0, 68, '1+11+0+0101+', '++++++000+1+', 16, 1,
+     -0.0009765625 + 0.00040450543200497573j),
+    (12, 150, math.inf, 69, '11++0+110++1', '100111+01111', 12, 1,
+     -0.005189168456039805 - 0.010239532592029855j),
+    (10, 120, 0.5, 74, '1011+++00+', '10000+++00', 13, 1,
+     0.04363895654396021 - 0.08515230419227865j),
+    (12, 150, 1.0, 76, '10011++0+000', '++++1++0+1++', 12, 1,
+     -0.0004739075920298533 + 0.0034323424079701465j),
+    # the size of the direct benchmark workload: trees that still branch
+    (14, 250, math.inf, 228, '0111+1+0+0+010', '+++01+++1+1+++', 32, 64,
+     0.0022452878762453323 - 0.0011798677027397358j),
+    (16, 300, 1.0, 204, '10+011+01+000+++', '+0+1+++0+++11001', 36, 62,
+     -0.0008662346286270185 - 0.0007450626697501535j),
+    (14, 300, 1.0, 200, '+001+1++0+101+', '+0+01+0+101011', 31, 12,
+     -0.013252995910024861 - 0.00784720108001243j),
 ]
 
 

@@ -296,14 +296,16 @@ def test_resource_cap_direct():
     assert err.value.plan is not None
 
 
-@pytest.mark.parametrize("method,leaves", [("direct", 5), ("naive", 16), ("smart", 16)])
+@pytest.mark.parametrize("method,leaves", [("direct", 1349), ("naive", 64), ("smart", 64)])
 def test_resource_cap_on_leaves_evaluated(method, leaves):
     # alpha = 0.05 projects fewer leaves than each method evaluates, so only
     # the count of leaves actually evaluated can stop the run; the 2-part
-    # plan has two cut spiders, which naive sums over
-    c = random_circuit(6, 60, default_rng(3))
+    # plan has two cut spiders, which naive sums over.  Both parts (T 22 and
+    # 24) are big enough that their trees branch before they reach dense
+    # leaves, as the whole diagram's does
+    c = random_circuit(12, 400, default_rng(5), nearest=True)
     cm = CostModel(alpha=0.05)
-    args = (c, "+" * 6, "+" * 6, method, cm)
+    args = (c, "+" * 12, "+" * 12, method, cm)
     amp, full = simulate_amplitude(*args, force_partition=True)
     assert full.leaf_evals == leaves
     assert method == "direct" or len(full.plan.cut_spiders) == 2
@@ -327,9 +329,9 @@ def test_resource_cap_on_leaves_evaluated(method, leaves):
 def test_resource_cap_on_projected_leaves_of_a_split_plan(method, stage):
     # the 2-cut plan above: a cap below its projected leaves stops the run
     # before a leaf is evaluated
-    c = random_circuit(6, 60, default_rng(3))
+    c = random_circuit(12, 400, default_rng(5), nearest=True)
     cm = CostModel(alpha=0.05)
-    g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 6, "+" * 6))
+    g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 12, "+" * 12))
     plan = choose_k(g, cm, force_partition=True)
     assert len(plan.cut_spiders) == 2
     projected = {"smart": plan.s_precomp,

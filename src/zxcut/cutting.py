@@ -88,15 +88,14 @@ def cut_spiders(d: ZxDiagram, params: dict[int, int]) -> ZxDiagram:
             raise ValueError(f"{v} is not a spider that can be cut")
         if p in out.params:
             raise ValueError(f"parameter {p} already in use")
-        s = out.spiders[v]
-        if s.kind == SpiderKind.X:
+        if out.spiders[v].kind == SpiderKind.X:
             _colour_change(out, v, None)
         else:
             _clear_self_loops(out, v, None)
+        s = out.spiders[v]  # after the helpers, which can change its phase
         if s.phase.params:
             w = out.add_spider(SpiderKind.Z, Phase(0, s.phase.params))
             out.add_edge(v, w, EdgeKind.PLAIN)
-            s.phase = Phase(s.phase.fixed)
 
         legs: list[tuple[int, EdgeKind]] = []
         for u, row in sorted(out.adj[v].items()):
@@ -124,11 +123,12 @@ def instantiate(d: ZxDiagram, assignment: dict[int, int]) -> ZxDiagram:
             raise ValueError(f"parameter {p} needs a bit 0 or 1, got {bit!r}")
     out = d.copy()
     assigned = set(assignment)
-    for s in out.spiders.values():
+    spiders = out.spiders
+    for v, s in spiders.items():
         hit = s.phase.params & assigned
         if hit:
             shift = 4 * sum(assignment[p] for p in hit)
-            s.phase = Phase(s.phase.fixed + shift, s.phase.params - assigned)
+            spiders[v] = s.with_phase(Phase(s.phase.fixed + shift, s.phase.params - assigned))
     for p, bit in assignment.items():
         coeffs = out.param_coeffs.pop(p, None)
         if coeffs is not None:

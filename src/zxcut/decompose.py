@@ -1,10 +1,11 @@
 """Recursive stabiliser decomposition of parameter-free scalar diagrams.
 
 T-spiders are consumed two at a time by exchanging the pair for a sum of two
-Clifford terms, with full Clifford simplification between steps; a lone
-leftover T-spider falls back to a one-spider two-term split.  The term
-coefficients are solved numerically against the dense tensor of the T-state
-pattern instead of being hard-coded, and checked to machine precision.
+Clifford terms, with full Clifford simplification between steps, which never
+leaves exactly one T-spider.  Each extra term rewrites a copy of the node,
+sharing its immutable spider records.  The term coefficients are solved
+numerically against the dense tensor of the T-state pattern instead of being
+hard-coded, and checked to machine precision.
 
 The tree ends early: a simplified node, which is graph-like, with at most
 ``DENSE_MAX_SPIDERS`` spiders is one leaf, whose value is a path sum over
@@ -49,7 +50,7 @@ class Decomposition:
 
 
 def _shift(g: ZxDiagram, v: int, k: int) -> None:
-    g.spiders[v].phase = g.spiders[v].phase.add_fixed(k)
+    g.spiders[v] = g.spiders[v].with_phase(g.spiders[v].phase.add_fixed(k))
 
 
 def _pair_merge(g: ZxDiagram, vs: tuple[int, ...]) -> None:
@@ -70,14 +71,6 @@ def _pair_flip(g: ZxDiagram, vs: tuple[int, ...]) -> None:
     m = g.add_spider(SpiderKind.X, Phase(4))
     g.add_edge(m, v1, EdgeKind.PLAIN)
     g.add_edge(m, v2, EdgeKind.PLAIN)
-
-
-def _single_down(g: ZxDiagram, vs: tuple[int, ...]) -> None:
-    _shift(g, vs[0], -1)
-
-
-def _single_up(g: ZxDiagram, vs: tuple[int, ...]) -> None:
-    _shift(g, vs[0], +1)
 
 
 def _template_tensor(n_legs: int, applier, coeff: complex | None) -> np.ndarray:
@@ -113,8 +106,9 @@ def derive_two_t_coefficients() -> Decomposition:
 
 @functools.lru_cache(maxsize=1)
 def derive_one_t_coefficients() -> Decomposition:
-    """Fallback for an odd leftover T-spider: Z(pi/4) = x*Z(0) + y*Z(pi/2)."""
-    return _solve_terms(1, [("down", _single_down), ("up", _single_up)])
+    """Z(pi/4) = x*Z(0) + y*Z(pi/2), which the tree never needs (module docstring)."""
+    return _solve_terms(1, [("down", lambda g, vs: _shift(g, vs[0], -1)),
+                            ("up", lambda g, vs: _shift(g, vs[0], +1))])
 
 
 class LeafCapError(RuntimeError):
@@ -259,8 +253,7 @@ def decompose_to_scalar(
         raise ValueError("decompose_to_scalar needs a scalar diagram")
     if d.params or any(s.phase.params for s in d.spiders.values()):
         raise ValueError("decompose_to_scalar needs a parameter-free diagram")
-    pair_rule = decomposition or derive_two_t_coefficients()
-    single_rule = derive_one_t_coefficients()
+    rule = decomposition or derive_two_t_coefficients()
 
     total = ScalarC.zero()
     first = clifford_simplify(d)
@@ -279,12 +272,10 @@ def decompose_to_scalar(
                 total = total.plus(_path_sum(g))
             continue
         ts = sorted([v for v, s in g.spiders.items() if s.phase.fixed & 1])
-        if not ts:
-            raise AssertionError("Clifford scalar diagram failed to fully reduce")
-        if len(ts) >= pair_rule.t_cost:
-            rule, targets = pair_rule, _pick_t_pair(g, ts)
-        else:
-            rule, targets = single_rule, (ts[0],)
+        if len(ts) < 2:
+            raise AssertionError(f"a simplified scalar diagram kept {len(ts)} "
+                                 f"T-spiders above the dense cutoff")
+        targets = _pick_t_pair(g, ts)
         # every term but the last rewrites its own copy; the last rewrites g
         branches = [g] + [g.copy() for _ in rule.terms[1:]]
         for term, branch in zip(reversed(rule.terms), branches):

@@ -67,18 +67,29 @@ _FIXED_PHASES = tuple(Phase(k) for k in range(8))
 PHASE_ZERO = _FIXED_PHASES[0]
 
 
+@dataclass(frozen=True, slots=True)
 class Spider:
-    __slots__ = ("kind", "phase")
+    """A spider's kind and phase: an immutable value, shared between
+    diagrams, that a rewrite replaces rather than changes."""
 
-    def __init__(self, kind: SpiderKind, phase: Phase = PHASE_ZERO):
-        self.kind = kind
-        self.phase = phase
+    kind: SpiderKind
+    phase: Phase = PHASE_ZERO
 
-    def copy(self) -> "Spider":
-        return Spider(self.kind, self.phase)
+    @staticmethod
+    def of(kind: SpiderKind, phase: Phase = PHASE_ZERO) -> "Spider":
+        """The record of ``kind`` and ``phase``, shared when parameter-free."""
+        return Spider(kind, phase) if phase.params else _FIXED_SPIDERS[kind][phase.fixed]
+
+    def with_phase(self, phase: Phase) -> "Spider":
+        return Spider.of(self.kind, phase)
 
     def __repr__(self) -> str:
         return f"Spider({self.kind.name}, {self.phase!r})"
+
+
+# like phases, the 24 parameter-free spider records are shared
+_FIXED_SPIDERS = tuple(tuple(Spider(kind, phase) for phase in _FIXED_PHASES)
+                       for kind in SpiderKind)
 
 
 class ZxDiagram:
@@ -106,7 +117,7 @@ class ZxDiagram:
     def add_spider(self, kind: SpiderKind, phase: Phase = PHASE_ZERO) -> int:
         v = self._next
         self._next += 1
-        self.spiders[v] = Spider(kind, phase)
+        self.spiders[v] = Spider.of(kind, phase)
         self.adj[v] = {}
         self.params |= phase.params
         return v
@@ -195,18 +206,18 @@ class ZxDiagram:
     def carve(self, parts) -> list["ZxDiagram"]:
         """The induced subdiagrams on the disjoint spider sets ``parts``,
         preserving spider ids; each has scalar one and no boundaries or
-        parameters.  They share this diagram's spider objects and adjacency
-        rows rather than copying them, so a change to one shows in the
-        other: copy what is to be changed while the other is still used."""
+        parameters.  They share this diagram's spider records, which are
+        immutable, and its adjacency rows, which are not: a change to an
+        edge count in one shows in the other, so copy a part before changing
+        its edges while the other is still used."""
         out = []
         for keep in parts:
             keep = sorted(keep)
             inside = set(keep)
             d = ZxDiagram()
             d._next = self._next
-            for v in keep:
-                d.spiders[v] = self.spiders[v]
-                d.adj[v] = {}
+            d.spiders = {v: self.spiders[v] for v in keep}
+            d.adj = {v: {} for v in keep}
             for v in keep:
                 for u, row in self.adj[v].items():
                     if u in inside and u >= v:
@@ -217,8 +228,9 @@ class ZxDiagram:
         return out
 
     def copy(self) -> "ZxDiagram":
+        """A copy that shares the immutable spider records, not the rows."""
         d = ZxDiagram.__new__(ZxDiagram)
-        d.spiders = {v: Spider(s.kind, s.phase) for v, s in self.spiders.items()}
+        d.spiders = dict(self.spiders)
         adj = d.adj = {v: {} for v in self.adj}
         for v, nbrs in self.adj.items():
             row_v = adj[v]
@@ -382,6 +394,10 @@ def diagram_from_circuit(circ: Circuit) -> ZxDiagram:
     return d
 
 
+_PLUGS = {"0": Spider.of(SpiderKind.X), "1": Spider.of(SpiderKind.X, Phase(4)),
+          "+": Spider.of(SpiderKind.Z)}
+
+
 def plug(d: ZxDiagram, in_bits: str, out_bits: str) -> ZxDiagram:
     """Close all boundary wires with basis or plus-state plugs.
 
@@ -396,15 +412,9 @@ def plug(d: ZxDiagram, in_bits: str, out_bits: str) -> ZxDiagram:
     out = d.copy()
     for wires, bits in ((out.inputs, in_bits), (out.outputs, out_bits)):
         for b, ch in zip(wires, bits):
-            s = out.spiders[b]
-            if ch == "0":
-                s.kind, s.phase = SpiderKind.X, PHASE_ZERO
-            elif ch == "1":
-                s.kind, s.phase = SpiderKind.X, Phase(4)
-            elif ch == "+":
-                s.kind, s.phase = SpiderKind.Z, PHASE_ZERO
-            else:
+            if ch not in _PLUGS:
                 raise ValueError(f"bad plug character {ch!r}")
+            out.spiders[b] = _PLUGS[ch]
             out.scalar.mul_sqrt2(-1)
     out.inputs = []
     out.outputs = []

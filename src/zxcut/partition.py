@@ -127,7 +127,8 @@ class _Bisection:
     Only hyperedges entirely inside the subset ("alive") carry weight or
     gain: a spider already cut by an enclosing split stays cut no matter
     what happens here.  ``side``, ``nets`` (alive hyperedges) and ``nbrs``
-    are indexed by hypergraph node; entries outside the subset are unused.
+    are indexed by hypergraph node, ``cnt`` (pins on each side) by
+    hyperedge; entries outside the subset are unused.
     """
 
     def __init__(self, h: PartitionHypergraph, nodes: list[int]):
@@ -163,7 +164,7 @@ class _Bisection:
             self.components = _node_components(nodes, self.nbrs, h.n_nodes)
         self.side = [1] * h.n_nodes
         self.ncount = [0, len(nodes)]
-        self.cnt = {e: [0, len(pins[e])] for e in self.alive}
+        self.cnt = [[0, len(p)] for p in pins]
         self.total_t = sum(h.weights[e] for e in self.alive)
         self.tw = [0, self.total_t]
         self.cut = 0  # alive hyperedges with pins on both sides

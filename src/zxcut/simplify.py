@@ -40,7 +40,7 @@ import functools
 import heapq
 import itertools
 
-from .diagram import EdgeKind, SpiderKind, ZxDiagram
+from .diagram import EdgeKind, Spider, SpiderKind, ZxDiagram
 from .scalars import ScalarC
 
 RULE_FUSE = "fuse"
@@ -204,7 +204,7 @@ def _clear_self_loops(g: ZxDiagram, v: int, trace: Trace | None) -> None:
     # a plain self-loop contracts to nothing; a Hadamard self-loop adds pi
     # and a 1/sqrt(2)
     if had:
-        g.spiders[v].phase = g.spiders[v].phase.add_fixed(4 * had)
+        g.spiders[v] = g.spiders[v].with_phase(g.spiders[v].phase.add_fixed(4 * had))
         g.scalar.mul_sqrt2(-had)
     row[0] = row[1] = 0
     del g.adj[v][v]
@@ -218,7 +218,7 @@ def _colour_change(g: ZxDiagram, v: int, trace: Trace | None) -> None:
     _clear_self_loops(g, v, trace)
     for row in g.adj[v].values():
         row[0], row[1] = row[1], row[0]
-    g.spiders[v].kind = SpiderKind.Z
+    g.spiders[v] = Spider.of(SpiderKind.Z, g.spiders[v].phase)
 
 
 def _reduce_parallel_h(g: ZxDiagram, u: int, v: int, trace: Trace | None) -> None:
@@ -346,7 +346,7 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
             row[0] = row[1] = 0
         adj[v].clear()
         g.remove_spider(v)
-        spiders[u].phase = spiders[u].phase.add(absorbed_phase)
+        spiders[u] = spiders[u].with_phase(spiders[u].phase.add(absorbed_phase))
         if trace is not None:
             trace.record(g, RULE_FUSE, [u, v])
         if u in adj[u]:
@@ -414,7 +414,7 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
         g.scalar.mul_phase8(sw.phase.fixed)
     g.scalar.mul_sqrt2(1 - len(others))
     for t in others:
-        g.spiders[t].phase = g.spiders[t].phase.add_fixed(4 * a)
+        spiders[t] = spiders[t].with_phase(spiders[t].phase.add_fixed(4 * a))
     g.remove_spider(v)
     g.remove_spider(w)
     if trace is not None:
@@ -445,7 +445,7 @@ def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     n = len(nbrs)
     shift = -2 if s.phase.fixed == 2 else 2
     for t in nbrs:
-        g.spiders[t].phase = g.spiders[t].phase.add_fixed(shift)
+        g.spiders[t] = g.spiders[t].with_phase(g.spiders[t].phase.add_fixed(shift))
     g.remove_spider(v)
     _toggle_pairs(g, itertools.combinations(nbrs, 2), trace)
     # after the cancels, so that their trace entries hold only their own factor
@@ -477,12 +477,10 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
         common = sorted(nu & nv)
         only_u = sorted(nu - set(common))
         only_v = sorted(nv - set(common))
-        for x in only_u:
-            g.spiders[x].phase = g.spiders[x].phase.add_fixed(4 * b)
-        for y in only_v:
-            g.spiders[y].phase = g.spiders[y].phase.add_fixed(4 * a)
-        for z in common:
-            g.spiders[z].phase = g.spiders[z].phase.add_fixed(4 * (a + b + 1))
+        spiders = g.spiders
+        for ts, k in ((only_u, 4 * b), (only_v, 4 * a), (common, 4 * (a + b + 1))):
+            for t in ts:
+                spiders[t] = spiders[t].with_phase(spiders[t].phase.add_fixed(k))
         g.remove_spider(u)
         g.remove_spider(v)
         pairs = [(x, y) for x in only_u for y in only_v]
@@ -536,7 +534,8 @@ def _gadget_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     for conn, group in sorted(gadgets.items(), key=lambda kv: kv[1][0]):
         keep_h, keep_c = group[0]
         for h, c in group[1:]:
-            spiders[keep_c].phase = spiders[keep_c].phase.add(spiders[c].phase)
+            kept = spiders[keep_c]
+            spiders[keep_c] = kept.with_phase(kept.phase.add(spiders[c].phase))
             g.remove_spider(c)
             g.remove_spider(h)
             g.scalar.mul_sqrt2(1 - len(conn))

@@ -7,13 +7,15 @@ from numpy.random import default_rng
 from zxcut.decompose import (DENSE_MAX_SPIDERS, DecomposeStats, decompose_to_scalar,
                              derive_one_t_coefficients, derive_two_t_coefficients,
                              measure_alpha, _path_sum, _template_tensor)
-from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
+from zxcut.diagram import (EdgeKind, Phase, Spider, SpiderKind, ZxDiagram,
+                           diagram_from_circuit, plug)
 from zxcut.generators import CircuitSpec, gen_clifford_t
 from zxcut.oracle import statevector_amplitude
 from zxcut.simplify import clifford_simplify
 from zxcut.tensor import TensorSizeError, tensor_of
 
-from helpers import random_circuit, random_graphlike_diagram, random_plugs
+from helpers import (random_circuit, random_graphlike_diagram, random_plugs,
+                     random_scalar_diagram)
 
 
 def test_two_t_solve_residual():
@@ -71,8 +73,8 @@ def test_matches_oracle_on_random_clifford_t():
         val = decompose_to_scalar(d)
         assert abs(val.to_complex() - statevector_amplitude(c, ins, outs)) < 1e-7
     # 12-14 qubits, deep enough that most simplified diagrams have more than
-    # DENSE_MAX_SPIDERS spiders, so the pair rule, the single-T rule and zero
-    # pruning run before the nodes become dense leaves
+    # DENSE_MAX_SPIDERS spiders, so the pair rule and zero pruning run before
+    # the nodes become dense leaves
     rng = default_rng(7)
     branched = 0
     for _ in range(30):
@@ -141,7 +143,7 @@ def test_path_sum_of_z_pi_is_exactly_zero():
 def test_path_sum_rejects_what_is_not_graph_like(defect):
     d = random_graphlike_diagram(default_rng(6), 4, 1.0)
     if defect == "X-spider":
-        d.spiders[0].kind = SpiderKind.X
+        d.spiders[0] = Spider.of(SpiderKind.X, d.spiders[0].phase)
     elif defect == "plain edge":
         d.remove_edge(0, 1, EdgeKind.HADAMARD)
         d.add_edge(0, 1, EdgeKind.PLAIN)
@@ -150,7 +152,7 @@ def test_path_sum_rejects_what_is_not_graph_like(defect):
     elif defect == "self-loop":
         d.add_edge(2, 2, EdgeKind.HADAMARD)
     else:
-        d.spiders[3].phase = Phase(1, frozenset({0}))
+        d.spiders[3] = d.spiders[3].with_phase(Phase(1, frozenset({0})))
     with pytest.raises(AssertionError):
         _path_sum(d)
 
@@ -164,6 +166,43 @@ def test_leaf_bound():
         stats = DecomposeStats()
         decompose_to_scalar(d, stats=stats)
         assert stats.leaves <= 2 ** math.ceil(stats.t_initial / 2)
+
+
+def test_leaf_bound_above_the_dense_cutoff():
+    # criterion 10's diagrams all end as one dense leaf; these simplify to
+    # more than DENSE_MAX_SPIDERS spiders, so the pair rule builds the tree
+    rng = default_rng(5)
+    checked = branched = 0
+    for _ in range(20):
+        n = int(rng.integers(12, 15))
+        c = random_circuit(n, 240, rng)
+        d = plug(diagram_from_circuit(c), *random_plugs(n, rng))
+        if len(clifford_simplify(d).spiders) <= DENSE_MAX_SPIDERS:
+            continue
+        stats = DecomposeStats()
+        decompose_to_scalar(d, stats=stats)
+        assert stats.leaves <= 2 ** math.ceil(stats.t_initial / 2)
+        checked += 1
+        branched += stats.leaves >= 2
+    assert checked >= 15
+    assert branched > checked // 2
+
+
+def test_simplified_scalar_diagrams_never_keep_exactly_one_t():
+    # why decompose_to_scalar needs no one-spider rule: Pauli neighbours
+    # are pivoted or copied, +-pi/2 ones complemented, a lone spider
+    # evaluated as a scalar
+    rng = default_rng(8)
+    diagrams = [random_scalar_diagram(rng) for _ in range(300)]
+    for _ in range(30):
+        n = int(rng.integers(12, 15))
+        c = random_circuit(n, int(rng.integers(20, 121)), rng)
+        diagrams.append(plug(diagram_from_circuit(c), *random_plugs(n, rng)))
+    odd = 0
+    for d in diagrams:
+        odd += d.t_count() % 2
+        assert clifford_simplify(d).t_count() != 1
+    assert odd >= 100
 
 
 def test_four_t_leaf_cap():

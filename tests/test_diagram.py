@@ -3,9 +3,11 @@ import pytest
 from numpy.random import default_rng
 
 from zxcut.circuits import parse_circuit
-from zxcut.diagram import (EdgeKind, Phase, SpiderKind, ZxDiagram,
+from zxcut.cutting import cut_spiders, instantiate
+from zxcut.diagram import (EdgeKind, Phase, Spider, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug, validate)
 from zxcut.oracle import statevector_amplitude
+from zxcut.simplify import clifford_simplify
 from zxcut.tensor import tensor_of
 
 from helpers import random_circuit, random_plugs
@@ -25,7 +27,8 @@ def test_validate_dangling_edge():
 def test_validate_undeclared_parameter():
     d = ZxDiagram()
     v = d.add_spider(SpiderKind.Z)
-    d.spiders[v].phase = Phase(0, frozenset({3}))  # bypasses add_spider bookkeeping
+    # bypasses add_spider bookkeeping
+    d.spiders[v] = d.spiders[v].with_phase(Phase(0, frozenset({3})))
     assert any("undeclared parameter" in p for p in validate(d))
 
 
@@ -107,3 +110,48 @@ def test_validate_x_spider_param_hadamard_loop():
     v = d.add_spider(SpiderKind.X, Phase(0, frozenset({1})))
     d.add_edge(v, v, EdgeKind.HADAMARD)
     assert any("Hadamard self-loop" in p for p in validate(d))
+
+
+def test_copies_and_carved_parts_share_spider_records():
+    d = plug(diagram_from_circuit(random_circuit(3, 20, default_rng(4))), "+0+", "1+0")
+    parts = d.carve(sorted(d.connected_components(), key=min))
+    for v, s in d.spiders.items():
+        assert d.copy().spiders[v] is s
+        assert any(part.spiders.get(v) is s for part in parts)
+
+
+def test_replacing_a_record_in_a_copy_or_part_leaves_the_source():
+    d = diagram_from_circuit(parse_circuit("T 0\nCNOT 0 1\nS 1\n"))
+    before = d.to_json()
+    for other in (d.copy(), *d.carve([set(d.spiders)])):
+        for v, s in other.spiders.items():
+            other.spiders[v] = Spider.of(SpiderKind.X, s.phase.add_fixed(3))
+        assert d.to_json() == before
+
+
+@pytest.mark.parametrize("field", ["kind", "phase"])
+def test_spider_fields_cannot_be_assigned(field):
+    s = Spider.of(SpiderKind.Z, Phase(1))
+    with pytest.raises(AttributeError):
+        setattr(s, field, getattr(Spider.of(SpiderKind.X, Phase(4)), field))
+    assert s == Spider(SpiderKind.Z, Phase(1))
+
+
+def test_parameter_free_records_are_the_shared_constants():
+    for kind in SpiderKind:
+        for k in range(8):
+            s = Spider.of(kind, Phase(k + 8))
+            assert (s.kind, s.phase) == (kind, Phase(k))
+            assert s is Spider.of(kind, Phase(k)) is s.with_phase(Phase(k))
+    assert Spider.of(SpiderKind.Z, Phase(1, frozenset({2}))).phase.params == {2}
+    # so is every record that building, plugging, simplifying, cutting and
+    # instantiating leave without a parameter
+    rng = default_rng(5)
+    for _ in range(10):
+        g = clifford_simplify(plug(diagram_from_circuit(random_circuit(4, 30, rng)),
+                                   *random_plugs(4, rng)))
+        cut = cut_spiders(g, {v: 100 + v for v in sorted(g.spiders)[:2]})
+        for d in (g, cut, instantiate(cut, {p: p % 2 for p in cut.params})):
+            for s in d.spiders.values():
+                if not s.phase.params:
+                    assert s is Spider.of(s.kind, s.phase)

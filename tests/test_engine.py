@@ -117,7 +117,7 @@ def _copied_subdiagram(d, keep):
     out = ZxDiagram()
     out._next = d._next
     for v in sorted(keep):
-        out.spiders[v] = d.spiders[v].copy()
+        out.spiders[v] = d.spiders[v]  # immutable: sharing it copies it
         out.adj[v] = {}
     for v in sorted(keep):
         for u, row in d.adj[v].items():
@@ -196,7 +196,8 @@ def test_split_segments_rejects_a_parameterised_cut_spider():
         if plan.cut_spiders:
             break
     w = min(plan.cut_spiders)
-    g.spiders[w].phase = Phase(g.spiders[w].phase.fixed, frozenset({10 ** 6}))
+    g.spiders[w] = g.spiders[w].with_phase(Phase(g.spiders[w].phase.fixed,
+                                                 frozenset({10 ** 6})))
     g.params.add(10 ** 6)
     with pytest.raises(ValueError, match="parameter-free"):
         split_segments(g, plan)

@@ -297,7 +297,7 @@ def test_resuming_reaches_a_rule_at_a_lower_neighbour():
         d.add_edge(s, t, EdgeKind.HADAMARD)
     g = clifford_simplify(d)
     assert _canonical(g)[:2] == _canonical(d)[:2]  # nothing to rewrite yet
-    g.spiders[v].phase = Phase(0)
+    g.spiders[v] = g.spiders[v].with_phase(Phase(0))
     tr = Trace()
     expected = clifford_simplify(g)
     simplify_in_place(g, [v], tr)

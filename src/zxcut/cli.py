@@ -27,7 +27,6 @@ from .engine import (METHODS, ResourceCapError, ResourceCaps, method_seconds,
 from .generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
 from .partition import choose_k, unsplit_plan
 from .regroup import Segment, regroup_all
-from .scalars import ScalarC
 from .simplify import clifford_simplify
 
 EXIT_PARSE = 2
@@ -304,7 +303,7 @@ def cmd_calibrate(args) -> int:
     for s in range(6):
         vals = rng.standard_normal(2 ** 10) + 1j * rng.standard_normal(2 ** 10)
         params = tuple(range(s, s + 10))
-        tables.append(Segment(params, [ScalarC(v) for v in vals]))
+        tables.append(Segment.from_array(params, vals, 0))
     t0 = time.perf_counter()
     result = regroup_all(tables)
     r_crossref = max(result.s_crossref / max(time.perf_counter() - t0, 1e-9), 1e-6)

@@ -91,18 +91,22 @@ class Spider:
 _FIXED_SPIDERS = tuple(tuple(Spider(kind, phase) for phase in _FIXED_PHASES)
                        for kind in SpiderKind)
 
+NO_EDGES = (0, 0)  # the edge counts between two spiders with no entry
+
 
 class ZxDiagram:
     """Spiders plus an edge multiset, with parallel-edge counts per kind.
 
-    ``adj[u][v]`` is a two-element list ``[plain_count, hadamard_count]``;
-    self-loops live at ``adj[v][v]``.  All mutation goes through the helpers
-    here so the adjacency stays symmetric.
+    ``adj[u][v]`` is the immutable pair ``(plain_count, hadamard_count)``,
+    the same tuple at both ends; self-loops live at ``adj[v][v]``, and no
+    entry records zero edges.  A writer replaces the pair at both ends
+    (``set_edges``), so copies and carved parts share pairs as they share
+    the immutable spider records.
     """
 
     def __init__(self):
         self.spiders: dict[int, Spider] = {}
-        self.adj: dict[int, dict[int, list[int]]] = {}
+        self.adj: dict[int, dict[int, tuple[int, int]]] = {}
         self.scalar: ScalarC = ScalarC.one()
         self.inputs: list[int] = []
         self.outputs: list[int] = []
@@ -123,24 +127,29 @@ class ZxDiagram:
         return v
 
     def add_edge(self, u: int, v: int, kind: EdgeKind = EdgeKind.PLAIN) -> None:
-        # adjacency rows are shared list objects, so both directions stay in sync
-        row = self.adj[u].get(v)
-        if row is None:
-            row = [0, 0]
-            self.adj[u][v] = row
-            if u != v:
-                self.adj[v][u] = row
-        row[kind] += 1
+        # an added edge never empties the entry, so no set_edges call
+        row_u = self.adj[u]
+        plain, had = row_u.get(v, NO_EDGES)
+        row_u[v] = self.adj[v][u] = (plain, had + 1) if kind else (plain + 1, had)
+
+    def set_edges(self, u: int, v: int, plain: int, had: int) -> None:
+        """Record ``plain`` plain and ``had`` Hadamard edges between ``u`` and
+        ``v`` at both ends (one entry when ``u == v``), none at ``(0, 0)``."""
+        if plain or had:
+            self.adj[u][v] = self.adj[v][u] = (plain, had)
+        else:
+            self.adj[u].pop(v, None)
+            self.adj[v].pop(u, None)
 
     def remove_edge(self, u: int, v: int, kind: EdgeKind, count: int = 1) -> None:
-        row = self.adj[u][v]
-        row[kind] -= count
-        if row[kind] < 0:
+        plain, had = self.adj[u][v]
+        if kind == EdgeKind.PLAIN:
+            plain -= count
+        else:
+            had -= count
+        if plain < 0 or had < 0:
             raise ValueError("removed more edges than present")
-        if row[0] == 0 and row[1] == 0:
-            del self.adj[u][v]
-            if u != v:
-                del self.adj[v][u]
+        self.set_edges(u, v, plain, had)
 
     def remove_spider(self, v: int) -> None:
         for u in list(self.adj[v]):
@@ -152,8 +161,7 @@ class ZxDiagram:
     # -- queries -----------------------------------------------------------
 
     def edge_counts(self, u: int, v: int) -> tuple[int, int]:
-        row = self.adj[u].get(v)
-        return (row[0], row[1]) if row else (0, 0)
+        return self.adj[u].get(v, NO_EDGES)
 
     def degree(self, v: int) -> int:
         """Leg count: parallel edges count separately, self-loops twice."""
@@ -206,10 +214,8 @@ class ZxDiagram:
     def carve(self, parts) -> list["ZxDiagram"]:
         """The induced subdiagrams on the disjoint spider sets ``parts``,
         preserving spider ids; each has scalar one and no boundaries or
-        parameters.  They share this diagram's spider records, which are
-        immutable, and its adjacency rows, which are not: a change to an
-        edge count in one shows in the other, so copy a part before changing
-        its edges while the other is still used."""
+        parameters.  They share this diagram's spider records and edge-count
+        pairs, which are immutable, and nothing mutable."""
         out = []
         for keep in parts:
             keep = sorted(keep)
@@ -217,28 +223,16 @@ class ZxDiagram:
             d = ZxDiagram()
             d._next = self._next
             d.spiders = {v: self.spiders[v] for v in keep}
-            d.adj = {v: {} for v in keep}
-            for v in keep:
-                for u, row in self.adj[v].items():
-                    if u in inside and u >= v:
-                        d.adj[v][u] = row
-                        if u != v:
-                            d.adj[u][v] = row
+            d.adj = {v: {u: e for u, e in self.adj[v].items() if u in inside} for v in keep}
             out.append(d)
         return out
 
     def copy(self) -> "ZxDiagram":
-        """A copy that shares the immutable spider records, not the rows."""
+        """A copy that shares the immutable spider records and edge-count
+        pairs; only the dicts holding them are new."""
         d = ZxDiagram.__new__(ZxDiagram)
         d.spiders = dict(self.spiders)
-        adj = d.adj = {v: {} for v in self.adj}
-        for v, nbrs in self.adj.items():
-            row_v = adj[v]
-            for u, row in nbrs.items():
-                if u >= v:
-                    fresh = row_v[u] = row.copy()
-                    if u != v:
-                        adj[u][v] = fresh
+        d.adj = {v: nbrs.copy() for v, nbrs in self.adj.items()}
         d.scalar = self.scalar.copy()
         d.inputs = list(self.inputs)
         d.outputs = list(self.outputs)
@@ -301,13 +295,18 @@ def validate(d: ZxDiagram) -> list[str]:
     for v, nbrs in d.adj.items():
         if v not in d.spiders:
             problems.append(f"adjacency row for missing spider {v}")
-        for u, row in nbrs.items():
+        for u, counts in nbrs.items():
             if u not in d.spiders:
                 problems.append(f"edge references missing spider {u}")
-            elif u != v and d.adj.get(u, {}).get(v) != row:
+            elif u != v and d.adj.get(u, {}).get(v) != counts:
                 problems.append(f"asymmetric edge record between {u} and {v}")
-            if row[0] < 0 or row[1] < 0:
+            if type(counts) is not tuple or len(counts) != 2:
+                problems.append(f"edge record between {v} and {u} is not a "
+                                f"(plain, hadamard) pair")
+            elif counts[0] < 0 or counts[1] < 0:
                 problems.append(f"negative edge count between {v} and {u}")
+            elif counts == NO_EDGES:
+                problems.append(f"edge record between {v} and {u} holds no edges")
     for v in d.spiders:
         if v not in d.adj:
             problems.append(f"spider {v} missing adjacency row")

@@ -124,7 +124,7 @@ def split_segments(g: ZxDiagram, plan: PartitionPlan
     members = [[] for _ in part_params]
     for v, part in part_of.items():
         members[part].append(v)
-    segs = cut.carve(members)  # the cut copy is ours: no second copy
+    segs = cut.carve(members)  # parts share only immutable values with the cut
     for seg, params in zip(segs, part_params):
         seg.params = set(params)
     for p, coeffs in cut.param_coeffs.items():

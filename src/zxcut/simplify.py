@@ -40,7 +40,7 @@ import functools
 import heapq
 import itertools
 
-from .diagram import EdgeKind, Spider, SpiderKind, ZxDiagram
+from .diagram import NO_EDGES, EdgeKind, Spider, SpiderKind, ZxDiagram
 from .scalars import ScalarC
 
 RULE_FUSE = "fuse"
@@ -197,18 +197,16 @@ def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, fire, trace: Trace | None) 
 # -- normalisation helpers ---------------------------------------------------
 
 def _clear_self_loops(g: ZxDiagram, v: int, trace: Trace | None) -> None:
-    row = g.adj[v].get(v)
-    if not row:
+    loops = g.adj[v].pop(v, None)
+    if loops is None:
         return
-    plain, had = row[0], row[1]
     # a plain self-loop contracts to nothing; a Hadamard self-loop adds pi
     # and a 1/sqrt(2)
+    had = loops[1]
     if had:
         g.spiders[v] = g.spiders[v].with_phase(g.spiders[v].phase.add_fixed(4 * had))
         g.scalar.mul_sqrt2(-had)
-    row[0] = row[1] = 0
-    del g.adj[v][v]
-    if trace is not None and (plain or had):
+    if trace is not None:
         trace.record(g, RULE_HADAMARD_CANCEL, [v])
 
 
@@ -216,8 +214,8 @@ def _colour_change(g: ZxDiagram, v: int, trace: Trace | None) -> None:
     """Turn X-spider ``v`` into a Z-spider: clear its self-loops, whose kind a
     colour change keeps as both ends flip, then toggle its other edges."""
     _clear_self_loops(g, v, trace)
-    for row in g.adj[v].values():
-        row[0], row[1] = row[1], row[0]
+    for u, (plain, had) in list(g.adj[v].items()):
+        g.set_edges(v, u, had, plain)
     g.spiders[v] = Spider.of(SpiderKind.Z, g.spiders[v].phase)
 
 
@@ -250,19 +248,21 @@ def _add_edge_norm(g: ZxDiagram, u: int, v: int, kind: EdgeKind, trace: Trace | 
 
 def _toggle_pairs(g: ZxDiagram, pairs, trace: Trace | None) -> None:
     """Add a Hadamard edge between each pair of distinct Z-spiders, cancelling
-    it against one already there (``_add_edge_norm`` for that case)."""
+    it in pairs against those already there, 1/2 per pair.  Both ends are
+    written here, not by ``ZxDiagram.set_edges``: in this inner loop of
+    local complementation and pivoting the call's cost shows."""
     adj = g.adj
     for s, t in pairs:
-        row = adj[s].get(t)
-        if row is None:
-            row = adj[s][t] = adj[t][s] = [0, 1]
+        plain, had = adj[s].get(t, NO_EDGES)
+        had += 1
+        if had < 2:
+            adj[s][t] = adj[t][s] = (plain, had)
             continue
-        row[1] += 1
-        if row[1] < 2:
-            continue
-        n = row[1] // 2
-        row[1] -= 2 * n
-        if not row[0] and not row[1]:
+        n = had // 2
+        had -= 2 * n
+        if plain or had:
+            adj[s][t] = adj[t][s] = (plain, had)
+        else:
             del adj[s][t], adj[t][s]
         g.scalar.mul_sqrt2(-2 * n)
         if trace is not None:
@@ -331,21 +331,15 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
         # absorb v into u: remaining u-v edges become self-loops on u
         moved = list(adj[v].items())
         row_u = adj[u]
-        for x, row in moved:
+        for x, (plain, had) in moved:
             if x != v:
                 del adj[x][v]
             target = u if x == u or x == v else x
-            # the row of u and target, shared by both ends (ZxDiagram.add_edge)
-            kept = row_u.get(target)
-            if kept is None:
-                kept = row_u[target] = [0, 0]
-                if target != u:
-                    adj[target][u] = kept
-            kept[0] += row[0]
-            kept[1] += row[1]
-            row[0] = row[1] = 0
-        adj[v].clear()
-        g.remove_spider(v)
+            # both ends written here, as ZxDiagram.set_edges would, whose
+            # call's cost shows in this inner loop
+            kept = row_u.get(target, NO_EDGES)
+            row_u[target] = adj[target][u] = (kept[0] + plain, kept[1] + had)
+        del adj[v], spiders[v]
         spiders[u] = spiders[u].with_phase(spiders[u].phase.add(absorbed_phase))
         if trace is not None:
             trace.record(g, RULE_FUSE, [u, v])

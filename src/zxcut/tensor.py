@@ -50,23 +50,19 @@ def tensor_of(d: ZxDiagram):
     if len(d.inputs) + len(d.outputs) > MAX_LEGS:
         raise TensorSizeError("too many boundary wires for dense evaluation")
 
-    # nodes: (tensor, leg ids); every edge instance gets one leg id, with an
-    # explicit H box spliced into Hadamard edges
+    # nodes: (tensor, leg ids); every edge instance gets one leg id, and a
+    # Hadamard edge applies H to that leg's axis at its first end (H is
+    # symmetric, so this holds for a Hadamard self-loop too)
     nodes: list[tuple[np.ndarray, list[int]]] = []
     spider_legs: dict[int, list[int]] = {v: [] for v in d.spiders}
+    h_axes: dict[int, list[int]] = {v: [] for v in d.spiders}
     next_leg = 0
     for u, v, kind in d.edges():
         if kind == EdgeKind.HADAMARD:
-            a, b = next_leg, next_leg + 1
-            next_leg += 2
-            nodes.append((_H, [a, b]))
-            spider_legs[u].append(a)
-            spider_legs[v].append(b)
-        else:
-            a = next_leg
-            next_leg += 1
-            spider_legs[u].append(a)
-            spider_legs[v].append(a)
+            h_axes[u].append(len(spider_legs[u]))
+        spider_legs[u].append(next_leg)
+        spider_legs[v].append(next_leg)
+        next_leg += 1
 
     ext_legs: dict[int, int] = {}
     for b in d.inputs + d.outputs:
@@ -76,9 +72,12 @@ def tensor_of(d: ZxDiagram):
     for v, s in d.spiders.items():
         legs = spider_legs[v]
         if s.kind == SpiderKind.BOUNDARY:
-            nodes.append((np.eye(2, dtype=complex), [legs[0], ext_legs[v]]))
+            t, legs = np.eye(2, dtype=complex), [legs[0], ext_legs[v]]
         else:
-            nodes.append((_spider_tensor(s.kind, s.phase.fixed, len(legs)), legs))
+            t = _spider_tensor(s.kind, s.phase.fixed, len(legs))
+        for axis in h_axes[v]:
+            t = np.moveaxis(np.tensordot(t, _H, axes=(axis, 0)), -1, axis)
+        nodes.append((t, legs))
 
     keep = set(ext_legs.values())
     acc = np.ones((), dtype=complex)

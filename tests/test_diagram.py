@@ -10,7 +10,7 @@ from zxcut.oracle import statevector_amplitude
 from zxcut.simplify import clifford_simplify
 from zxcut.tensor import tensor_of
 
-from helpers import random_circuit, random_plugs
+from helpers import random_circuit, random_plugs, random_scalar_diagram
 
 
 def test_validate_empty():
@@ -20,8 +20,17 @@ def test_validate_empty():
 def test_validate_dangling_edge():
     d = ZxDiagram()
     v = d.add_spider(SpiderKind.Z)
-    d.adj[v][99] = [1, 0]  # simulate corruption
+    d.adj[v][99] = (1, 0)  # simulate corruption
     assert any("missing spider" in p for p in validate(d))
+
+
+def test_validate_reports_edge_records_that_are_no_pairs_or_hold_no_edges():
+    d = ZxDiagram()
+    u, v = d.add_spider(SpiderKind.Z), d.add_spider(SpiderKind.Z)
+    d.adj[u][v] = d.adj[v][u] = (0, 0)
+    assert any("holds no edges" in p for p in validate(d))
+    d.adj[u][v] = d.adj[v][u] = [1, 0]
+    assert any("not a (plain, hadamard) pair" in p for p in validate(d))
 
 
 def test_validate_undeclared_parameter():
@@ -155,3 +164,72 @@ def test_parameter_free_records_are_the_shared_constants():
             for s in d.spiders.values():
                 if not s.phase.params:
                     assert s is Spider.of(s.kind, s.phase)
+
+
+def test_copies_and_carved_parts_share_edge_count_pairs():
+    d = plug(diagram_from_circuit(random_circuit(3, 20, default_rng(4))), "+0+", "1+0")
+    copy = d.copy()
+    parts = d.carve([set(d.spiders)])
+    for u, nbrs in d.adj.items():
+        for v, counts in nbrs.items():
+            assert type(counts) is tuple
+            assert d.adj[v][u] is counts
+            assert copy.adj[u][v] is counts and parts[0].adj[u][v] is counts
+
+
+def test_changing_an_edge_in_a_copy_or_part_leaves_the_source():
+    d = plug(diagram_from_circuit(parse_circuit("T 0\nCNOT 0 1\nH 1\nS 1\nCNOT 1 0\n")),
+             "+0", "1+")
+    before = d.to_json()
+    halves = [{v for v in d.spiders if v % 2 == r} for r in (0, 1)]
+    for other in (d.copy(), *d.carve([set(d.spiders)]), *d.carve(halves)):
+        for u, v, kind in list(other.edges()):
+            other.add_edge(u, v, EdgeKind(1 - kind))
+            other.remove_edge(u, v, kind)
+        for v in other.spiders:
+            other.set_edges(v, v, 1, 1)
+        assert validate(other) == []
+        assert d.to_json() == before
+
+
+def test_set_edges_writes_both_ends_and_no_entry_at_zero():
+    d = ZxDiagram()
+    u, v = d.add_spider(SpiderKind.Z), d.add_spider(SpiderKind.X)
+    d.set_edges(u, v, 2, 1)
+    assert d.adj[u][v] is d.adj[v][u]
+    assert d.edge_counts(v, u) == (2, 1) and d.degree(u) == 3
+    d.set_edges(u, v, 0, 0)
+    assert d.adj == {u: {}, v: {}} and d.edge_counts(u, v) == (0, 0)
+    d.set_edges(v, v, 0, 1)
+    assert d.adj[v] == {v: (0, 1)} and d.degree(v) == 2
+    assert list(d.edges()) == [(v, v, EdgeKind.HADAMARD)]
+    d.set_edges(v, v, 0, 0)
+    assert d.adj == {u: {}, v: {}} and validate(d) == []
+
+
+def test_remove_edge_past_zero_raises():
+    d = ZxDiagram()
+    u, v = d.add_spider(SpiderKind.Z), d.add_spider(SpiderKind.Z)
+    d.add_edge(u, v, EdgeKind.HADAMARD)
+    with pytest.raises(ValueError, match="more edges than present"):
+        d.remove_edge(u, v, EdgeKind.PLAIN)
+    with pytest.raises(ValueError, match="more edges than present"):
+        d.remove_edge(u, v, EdgeKind.HADAMARD, 2)
+
+
+def test_public_writers_leave_the_diagram_valid():
+    rng = default_rng(9)
+    plugged = [random_scalar_diagram(rng) for _ in range(30)]
+    plugged += [plug(diagram_from_circuit(random_circuit(5, 40, rng)), *random_plugs(5, rng))
+                for _ in range(10)]
+    for d in plugged:
+        assert validate(d) == []
+        g = clifford_simplify(d)
+        for source in (d, g):
+            ids = sorted(source.spiders)
+            cut = cut_spiders(source, {v: 100 + v for v in ids[::3][:3]})
+            assigned = instantiate(cut, {p: p % 2 for p in cut.params})
+            halves = [set(ids[: len(ids) // 2]), set(ids[len(ids) // 2:])]
+            parts = (*source.carve(source.connected_components()), *source.carve(halves))
+            for out in (g, cut, assigned, *parts):
+                assert validate(out) == []

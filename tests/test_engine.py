@@ -112,20 +112,15 @@ def test_split_segments_reassembles_tensor():
 
 
 def _copied_subdiagram(d, keep):
-    """The induced subdiagram built spider by spider and row by row."""
+    """The induced subdiagram built spider by spider and entry by entry,
+    each row in the order of the source row."""
     keep = set(keep)
     out = ZxDiagram()
     out._next = d._next
     for v in sorted(keep):
         out.spiders[v] = d.spiders[v]  # immutable: sharing it copies it
-        out.adj[v] = {}
-    for v in sorted(keep):
-        for u, row in d.adj[v].items():
-            if u in keep and u >= v:
-                fresh = row.copy()
-                out.adj[v][u] = fresh
-                if u != v:
-                    out.adj[u][v] = fresh
+        out.adj[v] = {u: (counts[0], counts[1]) for u, counts in d.adj[v].items()
+                      if u in keep}
     return out
 
 

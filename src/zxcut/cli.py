@@ -33,25 +33,36 @@ EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 
 
-def _parse_sigma(text: str) -> float:
+def _parse_sigma(text: str, option: str) -> float:
+    """A CNOT spread: a non-negative number or inf; ``option`` names the
+    flag in the error."""
     if text.lower() in ("inf", "infinity"):
         return math.inf
-    value = float(text)
-    if value < 0:
-        raise ValueError("sigma must be non-negative")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:  # also refuses nan
+        raise ValueError(f"{option} must be a non-negative number or inf, not {text!r}")
     return value
 
 
-def _parse_range(text: str) -> list[int]:
-    """'a..b' or 'a..b:step' (inclusive), or a single integer."""
-    step = 1
-    if ":" in text:
-        text, step_s = text.split(":", 1)
-        step = int(step_s)
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1, step))
-    return [int(text)]
+def _parse_range(text: str, option: str) -> list[int]:
+    """'a..b' or 'a..b:step' (inclusive, step at least 1), or a single
+    integer; ``option`` names the flag in the error for an empty range."""
+    body, colon, step_s = text.partition(":")
+    lo, dots, hi = body.partition("..")
+    try:
+        step = int(step_s) if colon else 1
+        first = int(lo)
+        last = int(hi) if dots else first
+    except ValueError:
+        raise ValueError(f"{option} must be a..b[:step] or an integer, not {text!r}") from None
+    if step < 1:
+        raise ValueError(f"{option} step must be at least 1, not {step}")
+    if last < first:
+        raise ValueError(f"{option} range {text!r} is empty")
+    return list(range(first, last + 1, step))
 
 
 # the fields of a --spec entry in the order of the --random and --compound values
@@ -89,12 +100,13 @@ def _load_circuit(args) -> Circuit:
         if len(parts) != 4:
             raise CircuitParseError("--random needs n,d,sigma,seed")
         n, d, sigma, seed = parts
-        return gen_clifford_t(CircuitSpec(int(n), int(d), _parse_sigma(sigma), int(seed)))
+        sigma = _parse_sigma(sigma, "--spec sigma" if spec_json else "--random sigma")
+        return gen_clifford_t(CircuitSpec(int(n), int(d), sigma, int(seed)))
     if len(parts) != 6:
         raise CircuitParseError("--compound needs k,q,d,next,sigmab,seed")
     k, q, d, ext, sigmab, seed = parts
-    return gen_compound(CompoundSpec(int(k), int(q), int(d), int(ext),
-                                     _parse_sigma(sigmab), int(seed)))
+    sigmab = _parse_sigma(sigmab, "--spec blockSigma" if spec_json else "--compound sigmab")
+    return gen_compound(CompoundSpec(int(k), int(q), int(d), int(ext), sigmab, int(seed)))
 
 
 def _plugs(args, n: int) -> tuple[str, str]:
@@ -204,6 +216,8 @@ def _sweep_cell(args, cm: CostModel, n: int, d: int, sigma: float,
                 force_partition: bool) -> list[list]:
     """[method, mean, std dev, samples] of log2 seconds per method over the
     cell's seeded random circuits."""
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, not {args.samples}")
     per_method: dict[str, list[float]] = {m: [] for m in METHODS}
     for i in range(args.samples):
         seed = _cell_seed(args.seed, n, d, _sigma_key(sigma), i)
@@ -228,10 +242,11 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 def cmd_sweep_heatmap(args) -> int:
     cm = _load_cost_model(args)
-    sigma = _parse_sigma(args.sigma)
+    sigma = _parse_sigma(args.sigma, "--sigma")
+    depths = _parse_range(args.depths, "--depths")
     rows = []
-    for n in _parse_range(args.qubits):
-        for d in _parse_range(args.depths):
+    for n in _parse_range(args.qubits, "--qubits"):
+        for d in depths:
             rows += [[n, d, *row] for row in
                      _sweep_cell(args, cm, n, d, sigma, force_partition=False)]
     _write_csv(args.out, ["n", "d", "method", "mean_log2_seconds",
@@ -243,7 +258,7 @@ def cmd_sweep_sigma(args) -> int:
     cm = _load_cost_model(args)
     rows = []
     for sigma_text in args.sigmas.split(","):
-        sigma = _parse_sigma(sigma_text)
+        sigma = _parse_sigma(sigma_text, "--sigmas")
         rows += [[sigma_text, *row] for row in
                  _sweep_cell(args, cm, args.qubits, args.depth, sigma,
                              args.force_partition)]

@@ -32,14 +32,23 @@ of it costs.  The merged plan pays the configured overhead once and competes
 with plain decomposition of the whole diagram, so partitioning never looks
 worse than not partitioning.
 
-A component is searched only where a split can pay.  When
-alpha*(t_c + 1) <= 4 for its T-count t_c, no 2-way split can beat k = 1: both
-parts carry every one of the C >= 1 cut spiders as a parameter, so they cost
-at least 2^(2 + alpha*(t_c - 1)/2) >= 2^(alpha*t_c) leaves, and the component
-is planned as k = 1 without a search.  Otherwise k grows from 2 and the
-search stops at the first k whose candidate prices no lower than the cheapest
-so far, k = 1 included.  A forced search of a connected diagram still prices
-every k from 2 to min(16, max(t_c // 4, 2)).
+A component is searched only where a split can pay.  Two rules plan it as
+k = 1 without a search, and without building its hypergraph:
+
+* Dense cutoff.  ``decompose_to_scalar`` evaluates a diagram of at most
+  ``decompose.DENSE_MAX_SPIDERS`` spiders as exactly one leaf, since
+  simplification never adds spiders.  A split of a connected component cuts
+  C >= 1 spiders, so it makes at least two tables of at least two entries,
+  each entry an instantiation, a simplification and a leaf of its own.
+* Alpha bound.  When alpha*(t_c + 1) <= 4 for its T-count t_c, no 2-way
+  split can beat k = 1 in price: both parts carry every one of the C >= 1
+  cut spiders as a parameter, so they cost at least
+  2^(2 + alpha*(t_c - 1)/2) >= 2^(alpha*t_c) leaves.
+
+Otherwise k grows from 2 and the search stops at the first k whose candidate
+prices no lower than the cheapest so far, k = 1 included.  A forced search
+of a connected diagram still prices every k from 2 to
+min(16, max(t_c // 4, 2)).
 """
 from __future__ import annotations
 
@@ -51,6 +60,7 @@ from functools import cached_property
 from numpy.random import default_rng
 
 from .costmodel import CostModel
+from .decompose import DENSE_MAX_SPIDERS
 from .diagram import SpiderKind, ZxDiagram
 from .regroup import plan_schedule
 
@@ -529,48 +539,53 @@ def _plan_component(
     to k_max and keep the cheapest.  Its splits are priced without overhead,
     which the merged plan pays once.
 
-    A free search tries no split when alpha*(t+1) <= 4, as none can beat
-    k = 1 then (see below), and otherwise stops at the first k whose
-    candidate prices no lower than the cheapest so far, k = 1 included.  A
-    forced search prices every k from 2 to k_max."""
+    A free search tries no split, and builds no hypergraph, when the
+    diagram has at most ``DENSE_MAX_SPIDERS`` spiders or alpha*(t+1) <= 4,
+    as no split can beat k = 1 then (see below).  Otherwise it stops at the
+    first k whose candidate prices no lower than the cheapest so far, k = 1
+    included.  A forced search prices every k from 2 to k_max."""
     base = unsplit_plan(d, cm)
+    base.edge_parts = dict.fromkeys(((u, v) for u, v, _kind in d.edges()), 0)
     t = base.t_total
+    if not force_partition and (len(d.spiders) <= DENSE_MAX_SPIDERS
+                                or cm.alpha * (t + 1) <= 4):
+        # decompose_to_scalar evaluates a diagram of at most
+        # DENSE_MAX_SPIDERS spiders as one leaf (simplification never adds
+        # spiders).  A split of a connected diagram cuts C >= 1 spiders, so
+        # it makes at least two tables of at least two entries, each its
+        # own instantiation, simplification and leaf.
+        #
+        # No 2-way split beats k = 1 either when alpha*(t + 1) <= 4.  Each
+        # cut spider has edges in both parts, so both parts have the same
+        # C >= 1 parameters, and the uncut T-counts sum to at least t - C.
+        # By convexity the parts cost at least
+        # 2 * 2^(alpha*(t - C)/2 + C) >= 2^(2 + alpha*(t - 1)/2) leaves
+        # (C >= 1, alpha <= 1), which is at least 2^(alpha*t) when
+        # alpha*(t + 1) <= 4.  The k = 2 candidate would end the loop
+        # below, so it is not built.
+        return base
+    h = to_partition_hypergraph(d)
     # floor of 2 so every search sees the first split
     k_max = min(16, max(t // 4, 2))
-
-    h = to_partition_hypergraph(d) if d.spiders else None
     candidates = [base]
-    if h is not None and h.n_nodes:
-        base.edge_parts = dict.fromkeys(h.edge_keys, 0)
-        upper = min(k_max, len(h.pins), h.n_nodes)
-        if not force_partition and cm.alpha * (t + 1) <= 4:
-            # No 2-way split of a connected diagram beats k = 1.  Each cut
-            # spider has edges in both parts, so both parts have the same C
-            # >= 1 parameters, and the uncut T-counts sum to at least t - C.
-            # By convexity the parts cost at least
-            # 2 * 2^(alpha*(t - C)/2 + C) >= 2^(2 + alpha*(t - 1)/2) leaves
-            # (C >= 1, alpha <= 1), which is at least 2^(alpha*t) when
-            # alpha*(t + 1) <= 4.  The k = 2 candidate would end the loop
-            # below, so it is not built.
-            upper = 1
-        for k in range(2, upper + 1):
-            spider_part, cut, node_assignment = partition_k(h, k, seed=seed)
-            plan = PartitionPlan(k=k, assignment=spider_part, cut_spiders=cut,
-                                 alpha=cm.alpha, t_total=t)
-            plan.edge_parts = {
-                h.edge_keys[n]: part for n, part in node_assignment.items()
-            }
-            part_t = [0] * k
-            for v, part in spider_part.items():
-                if d.spiders[v].phase.is_t():
-                    part_t[part] += 1
-            _price(plan, part_t, cm, 0.0)
-            # a free search keeps its candidates strictly falling in price,
-            # so the last one is the cheapest so far
-            if (not force_partition
-                    and plan.t_smart_est >= candidates[-1].t_smart_est):
-                break
-            candidates.append(plan)
+    for k in range(2, min(k_max, len(h.pins), h.n_nodes) + 1):
+        spider_part, cut, node_assignment = partition_k(h, k, seed=seed)
+        plan = PartitionPlan(k=k, assignment=spider_part, cut_spiders=cut,
+                             alpha=cm.alpha, t_total=t)
+        plan.edge_parts = {
+            h.edge_keys[n]: part for n, part in node_assignment.items()
+        }
+        part_t = [0] * k
+        for v, part in spider_part.items():
+            if d.spiders[v].phase.is_t():
+                part_t[part] += 1
+        _price(plan, part_t, cm, 0.0)
+        # a free search keeps its candidates strictly falling in price, so
+        # the last one is the cheapest so far
+        if (not force_partition
+                and plan.t_smart_est >= candidates[-1].t_smart_est):
+            break
+        candidates.append(plan)
     return _cheapest(candidates, force_partition)
 
 
@@ -604,10 +619,11 @@ def choose_k(
     Each component, in order of its smallest spider id, prices k = 1 and
     then k = 2, 3, ... up to k_max = min(16, max(t_c // 4, 2)) parts for its
     T-count t_c, without overhead, and stops at the first k that prices
-    no lower than the cheapest so far.  A component with
-    alpha*(t_c + 1) <= 4 is not searched at all, as no split of it can beat
-    k = 1 (see the module docstring).  The cheapest component plans merge
-    into one plan, which pays the overhead once and competes with plain
+    no lower than the cheapest so far.  A component of at most
+    ``DENSE_MAX_SPIDERS`` spiders, which decomposition evaluates as one leaf,
+    or with alpha*(t_c + 1) <= 4 is not searched at all, as no split of it
+    can beat k = 1 (see the module docstring).  The cheapest component plans
+    merge into one plan, which pays the overhead once and competes with plain
     decomposition of the whole diagram, so the winner never projects slower
     than that unless ``force_partition`` excludes it.  A diagram with one
     component is planned as itself, and only then does ``force_partition``

@@ -135,6 +135,34 @@ def test_sweep_heatmap_csv_schema(tmp_path):
     assert len(rows) == 1 + 4 * 3
 
 
+_HEATMAP = ["sweep-heatmap", "--qubits", "4", "--depths", "20", "--estimate-only"]
+_SIGMA = ["sweep-sigma", "--qubits", "4", "--depth", "20", "--estimate-only"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (_HEATMAP + ["--sigma", "nan"], "--sigma"),
+    (_HEATMAP + ["--sigma", "-1"], "--sigma"),
+    (_SIGMA + ["--sigmas", "0,nan"], "--sigmas"),
+    (["simulate", "--random", "4,20,nan,7", "--plus"], "--random sigma"),
+    (["simulate", "--compound", "2,3,20,1,NaN,7", "--plus"], "--compound sigmab"),
+    (_HEATMAP + ["--qubits", "3..2"], "--qubits"),
+    (_HEATMAP + ["--qubits", "4..x"], "--qubits"),
+    (_HEATMAP + ["--depths", "20..40:0"], "--depths"),
+    (_HEATMAP + ["--samples", "0"], "--samples"),
+    (_SIGMA + ["--sigmas", "0", "--samples", "0"], "--samples"),
+], ids=["sigma-nan", "sigma-negative", "sigmas-nan", "random-sigma-nan",
+        "compound-sigmab-nan", "qubits-empty", "qubits-malformed", "depths-step-0",
+        "heatmap-samples-0", "sigma-samples-0"])
+def test_bad_sweep_and_generator_values_exit_2(argv, option, capsys):
+    # nan, an empty range, a zero step and zero samples used to pass parsing
+    # and fail later (numpy's NaN probabilities, a header-only CSV, range()
+    # and fmean errors); every bad value now exits 2 naming its option
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} ")
+
+
 def test_sweep_determinism_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep-sigma", "--qubits", "8", "--depth", "50", "--sigmas",

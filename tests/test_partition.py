@@ -12,7 +12,9 @@ from numpy.random import default_rng
 
 import zxcut.partition as partition
 from zxcut.costmodel import CostModel
+from zxcut.decompose import DENSE_MAX_SPIDERS
 from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
+from zxcut.engine import ResourceCaps, run_plan
 from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
 from zxcut.partition import (PartitionPlan, _Bisection, choose_k, partition_k,
                              to_partition_hypergraph, unsplit_plan)
@@ -646,7 +648,8 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _small_components():
+@pytest.fixture(scope="module")
+def small_components():
     """Carved components of random circuits at sigma 0.5, 2 and inf and of
     small compound blocks, each with at least two spiders and two edges and
     a T-count of at most 30."""
@@ -670,14 +673,15 @@ def _small_components():
     return out
 
 
-def test_skipped_components_cannot_gain_from_a_split(monkeypatch):
-    corpus = _small_components()
+def test_skipped_components_cannot_gain_from_a_split(monkeypatch, small_components):
+    corpus = small_components
     calls = _count_calls(monkeypatch, "partition_k")
     for alpha in (0.25, 0.32, 0.5):
         cm = CostModel(alpha=alpha)
         skipped = [(label, c, h) for label, c, h in corpus
                    if alpha * (c.t_count() + 1) <= 4]
-        searched = [c for _, c, _ in corpus if alpha * (c.t_count() + 1) > 4]
+        searched = [c for _, c, _ in corpus if alpha * (c.t_count() + 1) > 4
+                    and len(c.spiders) > DENSE_MAX_SPIDERS]
         assert len(skipped) >= 200, alpha
         assert len(searched) >= 10, alpha
         for label, c, h in skipped:
@@ -694,6 +698,36 @@ def test_skipped_components_cannot_gain_from_a_split(monkeypatch):
             calls[0] = 0
             choose_k(c, cm)
             assert calls[0] >= 1, alpha
+
+
+def test_dense_components_are_one_leaf_and_never_searched(monkeypatch, small_components):
+    # decompose_to_scalar evaluates a diagram of at most DENSE_MAX_SPIDERS
+    # spiders as one leaf, while a split of it makes at least two tables of
+    # at least two entries: above the alpha skip, a free search still plans
+    # k = 1 without a hypergraph or an FM run
+    cm = CostModel()
+    dense = [(label, c) for label, c, _ in small_components
+             if len(c.spiders) <= DENSE_MAX_SPIDERS and cm.alpha * (c.t_count() + 1) > 4]
+    assert len(dense) >= 100
+    calls = _count_calls(monkeypatch, "partition_k")
+    builds = _count_calls(monkeypatch, "to_partition_hypergraph")
+    for label, c in dense:
+        calls[0] = builds[0] = 0
+        plan = choose_k(c, cm)
+        assert plan.k == 1 and not plan.cut_spiders, label
+        # the component plan, which choose_k merges, maps every edge to part 0
+        # as the hypergraph keys it
+        own = partition._plan_component(c, cm, 0, False)
+        assert calls[0] == builds[0] == 0, label
+        assert own.edge_parts == dict.fromkeys(to_partition_hypergraph(c).edge_keys, 0)
+        forced = choose_k(c, cm, force_partition=True)
+        assert calls[0] >= 1, label
+        assert forced.k >= 2 and forced.cut_spiders, label
+        one = run_plan(c, plan, "smart", cm, ResourceCaps())
+        split = run_plan(c, forced, "smart", cm, ResourceCaps())
+        assert one.leaf_evals == 1, label
+        assert split.leaf_evals >= 4, label
+        assert abs(split.amplitude - one.amplitude) <= 1e-12, label
 
 
 @pytest.fixture(scope="module")

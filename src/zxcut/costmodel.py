@@ -53,9 +53,14 @@ class CostModel:
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
-        for rate in (self.r_decomp, self.r_crossref):
-            if rate <= 0:
-                raise ValueError("calculation rates must be positive")
+        # each check is written so that NaN fails it
+        for key, rate in (("rDecomp", self.r_decomp), ("rCrossref", self.r_crossref)):
+            if not 0 < rate < math.inf:
+                raise ValueError(f"{key} must be a finite rate above 0")
+        if not 0 <= self.t_overhead < math.inf:
+            raise ValueError("tOverhead must be finite and at least 0")
+        if not self.real_run_threshold_secs >= 0:
+            raise ValueError("realRunThresholdSecs must be at least 0 (inf measures every cell)")
 
     # -- the price ----------------------------------------------------------
 

@@ -117,9 +117,10 @@ class LeafCapError(RuntimeError):
 
 @dataclass
 class DecomposeStats:
-    """Counts of a decomposition, summed over every call it is passed to;
-    the call that evaluates leaf number ``leaf_cap + 1`` raises
-    :class:`LeafCapError`."""
+    """Counts of a decomposition.  ``leaves`` is summed over every call it is
+    passed to, and the call that evaluates leaf number ``leaf_cap + 1``
+    raises :class:`LeafCapError`; ``t_initial`` is the T-count of the last
+    call's simplified diagram."""
 
     leaves: int = 0
     t_initial: int = 0

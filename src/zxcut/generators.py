@@ -29,7 +29,7 @@ class CircuitSpec:
     def __post_init__(self):
         if self.qubits < 1 or self.depth < 0:
             raise ValueError("need qubits >= 1 and depth >= 0")
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # also refuses nan
             raise ValueError("sigma must be non-negative (or inf)")
 
 
@@ -45,6 +45,14 @@ class CompoundSpec:
     def __post_init__(self):
         if self.blocks < 2:
             raise ValueError("a compound circuit needs at least 2 blocks")
+        if self.qubits_per_block < 1:
+            raise ValueError("qubits_per_block must be at least 1")
+        if self.depth_per_block < 0:
+            raise ValueError("depth_per_block must be at least 0")
+        if self.external_cnots < 0:
+            raise ValueError("external_cnots must be at least 0")
+        if not self.block_sigma >= 0:  # also refuses nan
+            raise ValueError("block_sigma must be non-negative (or inf)")
 
 
 def span_weights(sigma: float, max_dq: int) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Dense tensor evaluation of small ZX-diagrams.
 
 This is the ground truth every rewrite is checked against, so it contracts
-spider tensors directly from their definitions and knows nothing about the
-simplifier.  Contraction order is greedy (absorb the node sharing the most
-legs with the frontier first) with a hard cap of ``MAX_LEGS`` open legs.
+the diagram straight from the spider definitions and knows nothing about
+the simplifier.  A Z-spider of phase alpha is |0...0> + e^(i*alpha)|1...1>,
+a copy tensor, so each spider is one index: weight (1, e^(i*alpha)), and an
+X-spider is a Z-spider with a Hadamard on every leg.  A boundary vertex is
+one open index.  An edge is the matrix H^e between its ends' indices, e =
+its own Hadamard plus one per X end, mod 2; a self-loop is that matrix's
+diagonal.  Contraction order is greedy (absorb the factor that grows the
+open frontier least) with a hard cap of ``MAX_LEGS`` open indices.
 """
 from __future__ import annotations
 
@@ -12,29 +17,14 @@ import numpy as np
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .scalars import phase8_complex
 
-_SQRT2_INV = 2.0 ** -0.5
-_H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-MAX_LEGS = 22  # open legs of a contraction frontier: 2^22 complex entries
+_H = np.array([[1, 1], [1, -1]], dtype=complex) * 2.0 ** -0.5
+_I = np.eye(2, dtype=complex)
+_NO_WEIGHT = np.ones(2)
+MAX_LEGS = 22  # open indices of a contraction frontier: 2^22 complex entries
 
 
 class TensorSizeError(RuntimeError):
     pass
-
-
-def _spider_tensor(kind: SpiderKind, fixed: int, degree: int) -> np.ndarray:
-    ph = phase8_complex(fixed)
-    if kind == SpiderKind.Z:
-        t = np.zeros([2] * degree, dtype=complex) if degree else np.zeros((), dtype=complex)
-        t.flat[0] += 1
-        t.flat[-1] += ph
-        return t
-    # X(alpha) entry at bits b: 2^(-n/2) * (1 + e^(i*alpha) * (-1)^|b|)
-    idx = np.arange(2 ** degree)
-    parity = np.zeros(2 ** degree, dtype=np.int64)
-    for k in range(degree):
-        parity ^= (idx >> k) & 1
-    flat = (1 + ph * np.where(parity, -1.0, 1.0)) * 2.0 ** (-degree / 2)
-    return flat.reshape([2] * degree)
 
 
 def tensor_of(d: ZxDiagram):
@@ -43,74 +33,63 @@ def tensor_of(d: ZxDiagram):
 
     The first listed output/input wire is the most significant bit.  Rejects
     diagrams that still carry boolean parameters and diagrams whose
-    contraction frontier would exceed ``MAX_LEGS`` open legs.
+    contraction frontier would exceed ``MAX_LEGS`` open indices.
     """
     if d.params or d.param_coeffs or any(s.phase.params for s in d.spiders.values()):
         raise ValueError("diagram contains unassigned parameters")
     if len(d.inputs) + len(d.outputs) > MAX_LEGS:
         raise TensorSizeError("too many boundary wires for dense evaluation")
 
-    # nodes: (tensor, leg ids); every edge instance gets one leg id, and a
-    # Hadamard edge applies H to that leg's axis at its first end (H is
-    # symmetric, so this holds for a Hadamard self-loop too)
-    nodes: list[tuple[np.ndarray, list[int]]] = []
-    spider_legs: dict[int, list[int]] = {v: [] for v in d.spiders}
-    h_axes: dict[int, list[int]] = {v: [] for v in d.spiders}
-    next_leg = 0
+    # factors: (tensor, index of each axis); spider v is index col[v]
+    col = {v: i for i, v in enumerate(d.spiders)}
+    weights = {v: np.array([1, phase8_complex(s.phase.fixed)])
+               for v, s in d.spiders.items() if s.kind != SpiderKind.BOUNDARY}
+    factors: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for u, v, kind in d.edges():
-        if kind == EdgeKind.HADAMARD:
-            h_axes[u].append(len(spider_legs[u]))
-        spider_legs[u].append(next_leg)
-        spider_legs[v].append(next_leg)
-        next_leg += 1
-
-    ext_legs: dict[int, int] = {}
-    for b in d.inputs + d.outputs:
-        ext_legs[b] = next_leg
-        next_leg += 1
-
-    for v, s in d.spiders.items():
-        legs = spider_legs[v]
-        if s.kind == SpiderKind.BOUNDARY:
-            t, legs = np.eye(2, dtype=complex), [legs[0], ext_legs[v]]
+        e = (kind == EdgeKind.HADAMARD) + sum(d.spiders[w].kind == SpiderKind.X for w in (u, v))
+        m = _H if e % 2 else _I
+        if u == v:
+            factors.append((np.diagonal(m) * weights.pop(u, _NO_WEIGHT), (col[u],)))
         else:
-            t = _spider_tensor(s.kind, s.phase.fixed, len(legs))
-        for axis in h_axes[v]:
-            t = np.moveaxis(np.tensordot(t, _H, axes=(axis, 0)), -1, axis)
-        nodes.append((t, legs))
+            m = m * weights.pop(u, _NO_WEIGHT)[:, None] * weights.pop(v, _NO_WEIGHT)
+            factors.append((m, (col[u], col[v])))
+    factors += [(w, (col[v],)) for v, w in weights.items()]
 
-    keep = set(ext_legs.values())
+    # the greedy works on arrays: each factor's axes, a 1-index one padded by a blank
+    blank = len(col)
+    axes = np.array([ends + (blank,) * (2 - len(ends)) for _, ends in factors],
+                    dtype=np.intp).reshape(-1, 2)
+    keep = np.zeros(blank + 1, dtype=bool)
+    keep[[col[b] for b in d.inputs + d.outputs]] = True
+    pending = np.bincount(axes.ravel(), minlength=blank + 1)  # unabsorbed factors per index
+    pending[blank] = 0  # the blank is never pending, kept or open
+    left = np.ones(len(factors), dtype=bool)
     acc = np.ones((), dtype=complex)
-    acc_legs: list[int] = []
-    remaining = list(range(len(nodes)))
-    while remaining:
-        # greedy: most shared legs first, fewest new legs as tie-break
-        front = set(acc_legs)
-
-        def _score(i: int) -> tuple[int, int, int]:
-            legs = nodes[i][1]
-            shared = sum(1 for l in legs if l in front)
-            return (-shared, len(legs) - shared, i)
-
-        pick = min(remaining, key=_score)
-        remaining.remove(pick)
-        tensor, legs = nodes[pick]
-        out = [l for l in acc_legs if l not in legs or l in keep]
-        out += [l for l in legs if l not in acc_legs and (legs.count(l) == 1 or l in keep)]
+    front: list[int] = []
+    for _ in factors:
+        # least growth (indices opened minus closed), then most shared (0-2), then first
+        is_open = np.zeros(blank + 1, dtype=bool)
+        is_open[front] = True
+        opens = ~is_open & ((pending > 1) | keep)
+        closes = is_open & (pending == 1) & ~keep
+        score = 3 * (opens[axes].sum(1) - closes[axes].sum(1)) - is_open[axes].sum(1)
+        pick = int(np.flatnonzero(left)[np.argmin(score[left])])
+        left[pick] = False
+        tensor, ends = factors[pick]
+        pending[list(ends)] -= 1
+        both = list(dict.fromkeys(front + list(ends)))
+        out = [l for l in both if pending[l] or keep[l]]
         if len(out) > MAX_LEGS:
-            raise TensorSizeError(f"contraction frontier exceeded {MAX_LEGS} legs")
-        # einsum sublist mode needs small integer labels
-        labels = {l: i for i, l in enumerate(dict.fromkeys(acc_legs + legs + out))}
-        acc = np.einsum(acc, [labels[l] for l in acc_legs],
-                        tensor, [labels[l] for l in legs],
+            raise TensorSizeError(f"contraction frontier exceeded {MAX_LEGS} indices")
+        labels = {l: i for i, l in enumerate(both)}  # einsum sublists need small labels
+        acc = np.einsum(acc, [labels[l] for l in front], tensor, [labels[l] for l in ends],
                         [labels[l] for l in out])
-        acc_legs = out
+        front = out
 
     acc = acc * d.scalar.to_complex()
     if not d.inputs and not d.outputs:
         return complex(acc)
-    order = [acc_legs.index(ext_legs[b]) for b in d.outputs + d.inputs]
-    acc = np.transpose(acc, order)
+    acc = np.transpose(acc, [front.index(col[b]) for b in d.outputs + d.inputs])
     return acc.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
 
 

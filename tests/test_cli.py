@@ -150,9 +150,12 @@ _SIGMA = ["sweep-sigma", "--qubits", "4", "--depth", "20", "--estimate-only"]
     (_HEATMAP + ["--depths", "20..40:0"], "--depths"),
     (_HEATMAP + ["--samples", "0"], "--samples"),
     (_SIGMA + ["--sigmas", "0", "--samples", "0"], "--samples"),
+    (["simulate", "--compound", "3,2,-5,-1,1,0", "--plus"], "depth_per_block"),
+    (["simulate", "--compound", "3,0,10,1,1,0", "--plus"], "qubits_per_block"),
 ], ids=["sigma-nan", "sigma-negative", "sigmas-nan", "random-sigma-nan",
         "compound-sigmab-nan", "qubits-empty", "qubits-malformed", "depths-step-0",
-        "heatmap-samples-0", "sigma-samples-0"])
+        "heatmap-samples-0", "sigma-samples-0", "compound-depth-negative",
+        "compound-qubits-0"])
 def test_bad_sweep_and_generator_values_exit_2(argv, option, capsys):
     # nan, an empty range, a zero step and zero samples used to pass parsing
     # and fail later (numpy's NaN probabilities, a header-only CSV, range()
@@ -315,6 +318,22 @@ def test_calibrate_simplifies_each_candidate_once(tmp_path, monkeypatch):
     assert [r.t_count for r in reports] == [16, 20, 13, 20, 14, 19]
 
 
+@pytest.mark.parametrize("name, text, key", [
+    ("rates.cfg", "rDecomp = nan\n", "rDecomp"),
+    ("rates.json", '{"tOverhead": -5}\n', "tOverhead"),
+], ids=["key-value-nan-rate", "json-negative-overhead"])
+def test_config_that_breaks_the_price_exit_2(tmp_path, capsys, name, text, key):
+    # these printed "tEstSeconds": NaN or "log2Seconds": -Infinity, which is
+    # not JSON; the config is now refused, naming its key
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    assert main(["simulate", "--random", "8,80,inf,3", "--plus", "--config", str(cfg),
+                 "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} ")
+
+
 def test_spec_json_input(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(
@@ -342,7 +361,9 @@ def test_spec_json_compound_input(tmp_path):
     5,
     {"compound": {"blocks": 2, "qubitsPerBlock": 3, "depthPerBlock": "x",
                   "externalCnots": 1}},
-], ids=["missing-field", "not-an-object", "not-a-number"])
+    {"compound": {"blocks": 3, "qubitsPerBlock": 2, "depthPerBlock": 10,
+                  "externalCnots": -1}},
+], ids=["missing-field", "not-an-object", "not-a-number", "negative-external-cnots"])
 def test_malformed_spec_exit_2(tmp_path, capsys, doc):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))

@@ -89,6 +89,26 @@ def test_validation():
         CostModel(r_decomp=-1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rDecomp", math.nan), ("rDecomp", math.inf), ("rDecomp", 0.0),
+    ("rCrossref", math.nan), ("rCrossref", math.inf), ("rCrossref", -1.0),
+    ("tOverhead", math.nan), ("tOverhead", math.inf), ("tOverhead", -5.0),
+    ("realRunThresholdSecs", math.nan), ("realRunThresholdSecs", -1.0),
+])
+def test_config_rejects_values_that_break_the_price(key, value):
+    # each would make tEstSeconds NaN or log2Seconds -inf, which --json
+    # printed as invalid JSON; the error names the config key
+    with pytest.raises(ValueError, match=key):
+        CostModel.from_config({key: value})
+
+
+def test_real_run_threshold_may_be_infinite():
+    # inf measures every sweep cell
+    cm = CostModel.from_config({"realRunThresholdSecs": math.inf})
+    assert cm.real_run_threshold_secs == math.inf
+    assert CostModel(t_overhead=0.0).t_overhead == 0.0
+
+
 def test_log2_seconds():
     assert CostModel.log2_seconds(8.0) == 3.0
     assert CostModel.log2_seconds(0.0) == -math.inf

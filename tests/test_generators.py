@@ -118,6 +118,17 @@ def test_spec_validation():
         CircuitSpec(3, 5, -1.0)
     with pytest.raises(ValueError):
         CompoundSpec(1, 3, 10, 0)
+    # NaN passed the old sigma check and failed later in numpy
+    with pytest.raises(ValueError, match="sigma"):
+        CircuitSpec(4, 10, math.nan)
+    for args, field in [((3, 0, 10, 1), "qubits_per_block"),
+                        ((3, 2, -5, 1), "depth_per_block"),
+                        ((3, 2, 5, -1), "external_cnots"),
+                        ((3, 2, 5, 1, -1.0), "block_sigma"),
+                        ((3, 2, 5, 1, math.nan), "block_sigma")]:
+        with pytest.raises(ValueError, match=field):
+            CompoundSpec(*args)
+    CompoundSpec(2, 1, 0, 0, math.inf)  # the smallest values stay allowed
 
 
 def test_compound_cut_bound_and_natural_separation():

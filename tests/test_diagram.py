@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -6,6 +9,7 @@ from zxcut.circuits import parse_circuit
 from zxcut.cutting import cut_spiders, instantiate
 from zxcut.diagram import (EdgeKind, Phase, Spider, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug, validate)
+from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
 from zxcut.oracle import statevector_amplitude
 from zxcut.simplify import clifford_simplify
 from zxcut.tensor import tensor_of
@@ -233,3 +237,69 @@ def test_public_writers_leave_the_diagram_valid():
             parts = (*source.carve(source.connected_components()), *source.carve(halves))
             for out in (g, cut, assigned, *parts):
                 assert validate(out) == []
+
+
+# sha256 of the simplified diagram's JSON for seeded generator circuits with
+# mixed 0/1/+ plugs: a change to the builder or the simplifier that moves any
+# spider id, edge, phase or scalar bit of a simplified diagram shows here
+PINNED_SIMPLIFIED = [
+    (("clifford_t", 6, 90, 0.0, 500), "+++++0", "010++0",
+     "994986504835a823063644354d5e9e99e0266cae16c249d51c02c7d388d976cd"),
+    (("clifford_t", 6, 90, 1.0, 501), "001++1", "++11++",
+     "5855c5faff9853d61ff1ff25226a68a6c171276e9dafb9d77eb05ecb0acb4247"),
+    (("clifford_t", 6, 90, math.inf, 502), "1+1000", "1++++0",
+     "2e7553f2f38104c51e3b87e3f6931cb047bfd864461e2b6e74dd6e329546ba3e"),
+    (("clifford_t", 6, 90, 0.5, 503), "++100+", "+1+1+0",
+     "2c8afe5f2246a48bc712c35b1a3f415e375cf400e23d99c0e370af0827deb743"),
+    (("clifford_t", 8, 120, 0.0, 504), "+101++1+", "1+00+0++",
+     "107e9cf235297e08cbecc722f4d3920214fbf25010916f8cd622e51fed59f633"),
+    (("clifford_t", 8, 120, 1.0, 505), "0++1+101", "1+0001+0",
+     "2c26c190fa0d03d721d639bed644a8c9601eec9f3940610cc433cca5de4aabc4"),
+    (("clifford_t", 8, 120, math.inf, 506), "11100++0", "+++1+1+0",
+     "0fadaf4db04cc944da6484ca97516e17bdf581ddf34034a78f73ed41688ef287"),
+    (("clifford_t", 8, 120, 0.5, 507), "++++++++", "0000+++1",
+     "5e0b0aadedf301cb75ce378c5c58c6225141487fd7488387122f8e7d8359a15b"),
+    (("clifford_t", 10, 150, 0.0, 508), "00+++011++", "0+1+1++11+",
+     "c627c537ec4ed54a909b247dc363392b099becb7d9811e3de710b099556ab6e6"),
+    (("clifford_t", 10, 150, 1.0, 509), "10+++01+10", "+0011+++1+",
+     "e172df2c198bd7b66cc9ddc2c2f49a8388703186efa61a7299ed82143519ae96"),
+    (("clifford_t", 10, 150, math.inf, 510), "+1++++1+0+", "++++01+1+1",
+     "7a721a33f0e731057fd109aedd3239fa719cf214d590b89fbf2b22439722ea7a"),
+    (("clifford_t", 10, 150, 0.5, 511), "+00+1+++1+", "++0+1+0+++",
+     "1f588bbf46e361a4c92e5c73020f1f0568694ce264cd99ff40034bcdeece249b"),
+    (("clifford_t", 12, 180, 0.0, 512), "01++++++0101", "00++11001010",
+     "3670dcf3ba44aad6ea5501ab941e3b36dbc0eb3fe7f3f443743ff2d21b9bf476"),
+    (("clifford_t", 12, 180, 1.0, 513), "101+++++00+1", "+1+1+++++1+1",
+     "cd903f535ff8a6b6f8daac6a2ae92b58cace22cfa8fd89d763c1f24cedd68260"),
+    (("clifford_t", 12, 180, math.inf, 514), "101++01+++00", "+++00+0++000",
+     "449f4306e4bc30b3220ac3bd30b4211b80dcab2fcdd5fe232a10e13d21acc054"),
+    (("clifford_t", 12, 180, 0.5, 515), "++++1+0+1110", "0001++++++++",
+     "9a9e1f88d87e798152c721fc78dd5d5de05e0458dcd53a36dea0a82632ef2194"),
+    (("compound", 2, 4, 60, 2, 1.0, 600), "+0++01++", "+1010000",
+     "7c76f068e00ad3c6a64e945da7f8fd5558f8640f960bc2b975c7a67121f5b45b"),
+    (("compound", 2, 5, 80, 3, math.inf, 601), "+000+0+000", "++111+1++0",
+     "79383af3a203168e00efb3e928323acb60416c7c5434e8b1b39a14af3b0e3bbf"),
+    (("compound", 3, 3, 60, 4, 0.0, 602), "++11++0++", "++11+0110",
+     "caee9c1309cdea8b576f30d7a9b15d297b41e9f07bd3c93647c5170e9d018697"),
+    (("compound", 3, 4, 70, 2, 1.0, 603), "+++0++1++0++", "+01++1+++0++",
+     "6c915a480c2ca73441cb5ac943b7718afa8ea95086f6c4e9fa5a6abe3423ce02"),
+    (("compound", 4, 3, 50, 5, 1.0, 604), "111+++1+0101", "1+0+1+1+0001",
+     "837bfa55687aa4bc88b905848e43a428045c7a2a72c9f312eb55ee8066875f61"),
+    (("compound", 2, 6, 90, 1, 0.5, 605), "+++++01+0+++", "0+00+0+011++",
+     "ec3c1a385d4a2d2da26bc0d9263ccb33c9456e1c0172e692c21dd9155e58a4b4"),
+    (("compound", 3, 4, 80, 6, math.inf, 606), "10+00+0+01+1", "011+11++++++",
+     "5710eea7e5e1eda74f41e48ddfdae23a5e3d41befdf3fbd6ea128e0744b88f12"),
+    (("compound", 4, 3, 60, 3, 0.0, 607), "111+++++1+0+", "++0++111++0+",
+     "a84b0d4965379d66c77673cb69389de60e44f3a86ce14eac2c3bb5bfbc73df97"),
+]
+
+
+@pytest.mark.parametrize("spec, ins, outs, digest", PINNED_SIMPLIFIED,
+                         ids=[f"{row[0][0]}-{row[0][-1]}" for row in PINNED_SIMPLIFIED])
+def test_simplified_diagrams_are_pinned(spec, ins, outs, digest):
+    if spec[0] == "clifford_t":
+        c = gen_clifford_t(CircuitSpec(*spec[1:]))
+    else:
+        c = gen_compound(CompoundSpec(*spec[1:]))
+    g = clifford_simplify(plug(diagram_from_circuit(c), ins, outs))
+    assert hashlib.sha256(g.to_json().encode()).hexdigest() == digest

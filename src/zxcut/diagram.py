@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .circuits import Circuit
+from .circuits import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit
 from .scalars import ScalarC
 
 
@@ -337,59 +337,111 @@ def validate(d: ZxDiagram) -> list[str]:
 
 # -- circuits to diagrams ----------------------------------------------------
 
-_GATE_PHASES = {"T": 1, "S": 2, "Sdg": 6, "Z": 4}
+# the one-qubit gates but H as a Z-spider phase, in units of pi/4, and whether
+# the spider has a Hadamard on each leg: X = H Z(pi) H and HSH = H Z(pi/2) H
+_ONE_QUBIT = {"T": (1, 0), "S": (2, 0), "Sdg": (6, 0), "Z": (4, 0),
+              "X": (4, 1), "HSH": (2, 1)}
+
+
+def _gate_error(pos: int, gate, n: int) -> ValueError:
+    """The error for gate ``pos``, which breaks a rule of ``parse_circuit``."""
+    name, qubits = (gate[0], gate[1:]) if gate else (None, ())
+    if name in ONE_QUBIT_GATES or name in TWO_QUBIT_GATES:
+        arity = 1 if name in ONE_QUBIT_GATES else 2
+        if len(qubits) != arity:
+            why = f"{name} takes {arity} qubit{'s' if arity > 1 else ''}"
+        elif any(type(q) is not int or not 0 <= q < n for q in qubits):
+            why = f"qubits must be ints in 0..{n - 1}"
+        else:
+            why = f"{name} takes two distinct qubits"
+    else:
+        why = f"unknown gate {name!r}"
+    return ValueError(f"gate {pos} {gate!r}: {why}")
 
 
 def diagram_from_circuit(circ: Circuit) -> ZxDiagram:
-    """Translate a gate list into a ZX-diagram with boundary vertices.
+    """Lay a gate list as a graph-like ZX-diagram with boundary vertices.
 
-    Hadamards are not nodes: an H gate toggles the kind of the next edge laid
-    on its wire.  A CNOT becomes the usual Z(control)-X(target) pair with a
-    sqrt(2) scalar.
+    Every spider but the boundaries is a Z-spider, and every edge between
+    two of them is a single Hadamard edge.  Each wire keeps its last spider
+    and whether a Hadamard is pending on its next edge: an H gate toggles
+    that bit and lays nothing.  An X-type gate (X, HSH, a CNOT target) is a
+    Z-spider with a Hadamard on each leg, so it flips the kind of its
+    incoming edge and leaves a Hadamard pending.  A gate whose incoming edge
+    is plain joins the wire's last spider, when that is a Z-spider, adding
+    its phase there.  A CNOT joins its control and target spiders by a
+    Hadamard edge and contributes sqrt(2); a second Hadamard edge between
+    the same two spiders cancels the first with a factor 1/2.
+
+    Every gate but H uses up one spider id (a CNOT two), whether laid or
+    fused, and the fused spider keeps its lower id, as the simplifier's
+    spider fusion does.  A gate that ``parse_circuit`` would refuse, one with
+    an unknown name, the wrong number of qubits, a qubit that is not an int
+    in ``0..n_qubits-1`` or a CNOT on one qubit twice, raises ``ValueError``
+    naming its position.
     """
+    n = circ.n_qubits
     d = ZxDiagram()
-    last: list[int] = []
-    pending: list[EdgeKind] = []
-    for _ in range(circ.n_qubits):
-        b = d.add_spider(SpiderKind.BOUNDARY)
-        d.inputs.append(b)
-        last.append(b)
-        pending.append(EdgeKind.PLAIN)
+    spiders, adj = d.spiders, d.adj
+    last = [d.add_spider(SpiderKind.BOUNDARY) for _ in range(n)]
+    d.inputs = list(last)
+    pending = [0] * n  # 1 when a Hadamard waits for the wire's next edge
+    z_spiders = _FIXED_SPIDERS[SpiderKind.Z]
 
-    def attach(q: int, v: int) -> None:
-        d.add_edge(last[q], v, pending[q])
+    def lay(q: int, x: int, k: int) -> int:
+        """The Z-spider of phase ``k`` that a gate on wire ``q`` adds, with a
+        Hadamard on each leg when ``x``."""
+        v = d._next
+        d._next += 1
+        u = last[q]
+        had = pending[q] ^ x
+        pending[q] = x
+        s = spiders[u]
+        if not had and s.kind == SpiderKind.Z:
+            if k:
+                spiders[u] = z_spiders[(s.phase.fixed + k) % 8]
+            return u
+        spiders[v] = z_spiders[k]
+        adj[v] = {}
+        d.add_edge(u, v, had)
         last[q] = v
-        pending[q] = EdgeKind.PLAIN
+        return v
 
-    for gate in circ.gates:
-        name = gate[0]
-        if name == "H":
-            q = gate[1]
-            pending[q] = EdgeKind(1 - pending[q])
-        elif name in _GATE_PHASES:
-            v = d.add_spider(SpiderKind.Z, Phase(_GATE_PHASES[name]))
-            attach(gate[1], v)
-        elif name == "X":
-            v = d.add_spider(SpiderKind.X, Phase(4))
-            attach(gate[1], v)
-        elif name == "HSH":
-            v = d.add_spider(SpiderKind.X, Phase(2))
-            attach(gate[1], v)
-        elif name == "CNOT":
+    for pos, gate in enumerate(circ.gates):
+        name = gate[0] if gate else None
+        if name == "CNOT":
+            if len(gate) != 3:
+                raise _gate_error(pos, gate, n)
             c, t = gate[1], gate[2]
-            vc = d.add_spider(SpiderKind.Z)
-            vt = d.add_spider(SpiderKind.X)
-            attach(c, vc)
-            attach(t, vt)
-            d.add_edge(vc, vt, EdgeKind.PLAIN)
-            d.scalar.mul_sqrt2(1)
-        else:
-            raise ValueError(f"unknown gate {name!r}")
+            if type(c) is not int or type(t) is not int or not (
+                    0 <= c < n and 0 <= t < n and c != t):
+                raise _gate_error(pos, gate, n)
+            vc, vt = lay(c, 0, 0), lay(t, 1, 0)
+            plain, had = adj[vc].get(vt, NO_EDGES)
+            if had:  # the CNOT's sqrt(2) times the cancelled pair's 1/2
+                d.set_edges(vc, vt, plain, had - 1)
+                d.scalar.mul_sqrt2(-1)
+            else:
+                d.add_edge(vc, vt, EdgeKind.HADAMARD)
+                d.scalar.mul_sqrt2(1)
+            continue
+        if len(gate) != 2:
+            raise _gate_error(pos, gate, n)
+        q = gate[1]
+        if type(q) is not int or not 0 <= q < n:
+            raise _gate_error(pos, gate, n)
+        if name == "H":
+            pending[q] ^= 1
+            continue
+        phase = _ONE_QUBIT.get(name)
+        if phase is None:
+            raise _gate_error(pos, gate, n)
+        lay(q, phase[1], phase[0])
 
-    for q in range(circ.n_qubits):
+    for q in range(n):
         b = d.add_spider(SpiderKind.BOUNDARY)
         d.outputs.append(b)
-        attach(q, b)
+        d.add_edge(last[q], b, pending[q])
     return d
 
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from zxcut.circuits import parse_circuit
+from zxcut.circuits import Circuit, parse_circuit
 from zxcut.cutting import cut_spiders, instantiate
 from zxcut.diagram import (EdgeKind, Phase, Spider, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug, validate)
 from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
-from zxcut.oracle import statevector_amplitude
+from zxcut.oracle import run_statevector, statevector_amplitude
 from zxcut.simplify import clifford_simplify
 from zxcut.tensor import tensor_of
 
@@ -56,13 +56,33 @@ def test_phase_fixed_mod8():
     assert Phase(3).add_fixed(-5).fixed == 6
 
 
+def _any_gate_circuit(rng) -> Circuit:
+    n = int(rng.integers(1, 6))
+    c = Circuit(n)
+    for _ in range(int(rng.integers(0, 60))):
+        if n > 1 and rng.random() < 0.3:
+            c.add("CNOT", *(int(q) for q in rng.choice(n, 2, replace=False)))
+        else:
+            c.add(("T", "S", "Sdg", "Z", "X", "H", "HSH")[int(rng.integers(7))],
+                  int(rng.integers(n)))
+    return c
+
+
 def test_builder_validates():
+    # and lays graph-like diagrams: no X-spider, and a single Hadamard edge
+    # wherever two spiders that are not boundaries meet
     rng = default_rng(0)
-    for _ in range(20):
-        c = random_circuit(4, 25, rng)
+    circuits = [random_circuit(4, 25, rng) for _ in range(20)]
+    circuits += [_any_gate_circuit(rng) for _ in range(30)]
+    for c in circuits:
         d = diagram_from_circuit(c)
         assert validate(d) == []
-        assert len(d.inputs) == len(d.outputs) == 4
+        assert len(d.inputs) == len(d.outputs) == c.n_qubits
+        assert SpiderKind.X not in {s.kind for s in d.spiders.values()}
+        for u, v, kind in d.edges():
+            if SpiderKind.BOUNDARY not in (d.spiders[u].kind, d.spiders[v].kind):
+                assert kind == EdgeKind.HADAMARD and u != v
+                assert d.edge_counts(u, v) == (0, 1)
 
 
 def test_plug_identity():
@@ -237,6 +257,69 @@ def test_public_writers_leave_the_diagram_valid():
             parts = (*source.carve(source.connected_components()), *source.carve(halves))
             for out in (g, cut, assigned, *parts):
                 assert validate(out) == []
+
+
+def _unitary(c: Circuit) -> np.ndarray:
+    """The circuit's matrix, column by column from the statevector oracle."""
+    dim = 2 ** c.n_qubits
+    return np.stack([run_statevector(c, np.eye(dim, dtype=complex)[j]) for j in range(dim)],
+                    axis=1)
+
+
+def _layout_circuits() -> list[str]:
+    """Small circuits for every case of the builder: each gate after 0-2
+    H on its wire, behind nothing, a Z-spider, or a Z-spider with a pending
+    Hadamard; X-type gates beside CNOT targets; repeated CNOTs on a pair."""
+    texts = []
+    for before in ("", "T 0\n", "X 0\n"):
+        for hs in range(3):
+            for gate in ("T 0", "S 0", "Sdg 0", "Z 0", "X 0", "H 0", "HSH 0",
+                         "CNOT 0 1", "CNOT 1 0"):
+                texts.append("qubits 2\n" + before + "H 0\n" * hs + gate + "\nT 0\n")
+    texts += [
+        "CNOT 0 1\nX 1\n", "X 1\nCNOT 0 1\n", "HSH 1\nCNOT 0 1\nHSH 1\n",
+        "CNOT 0 1\nHSH 1\nCNOT 2 1\n", "CNOT 1 0\nX 1\nCNOT 0 1\n",
+        "CNOT 0 1\nCNOT 0 1\n", "CNOT 0 1\nCNOT 0 1\nCNOT 0 1\n",
+        "CNOT 0 1\nT 0\nS 1\nCNOT 0 1\n", "CNOT 0 1\nH 0\nCNOT 0 1\n",
+        "CNOT 0 1\nCNOT 1 0\nCNOT 0 1\n", "CNOT 0 1\nCNOT 0 2\nCNOT 0 1\nCNOT 0 2\n",
+        "CNOT 0 2\nCNOT 1 2\nCNOT 0 2\nCNOT 1 2\nT 2\n",
+        "qubits 3\nH 0\nH 1\nH 2\n",
+    ]
+    return texts
+
+
+def test_layout_matches_gate_matrices():
+    for text in _layout_circuits():
+        c = parse_circuit(text)
+        got = tensor_of(diagram_from_circuit(c))
+        assert np.max(np.abs(got - _unitary(c))) < 1e-12, text
+
+
+def test_repeated_cnots_cancel_their_hadamard_edges_while_building():
+    d = diagram_from_circuit(parse_circuit("CNOT 0 1\nT 0\nCNOT 0 1\n"))
+    control, target = 2, 3  # the first CNOT's spiders, which the rest join
+    assert d.edge_counts(control, target) == (0, 0)
+    assert d.spiders[control] == Spider.of(SpiderKind.Z, Phase(1))
+    assert d._next == 9 and len(d.spiders) == 6
+
+
+@pytest.mark.parametrize("gate, why", [
+    (("T", -1), "qubits must be ints in 0..1"),
+    (("T", 2), "qubits must be ints in 0..1"),
+    (("T", 1.0), "qubits must be ints in 0..1"),
+    (("CNOT", 1, 1), "CNOT takes two distinct qubits"),
+    (("CNOT", 0, 2), "qubits must be ints in 0..1"),
+    (("T", 0, 1), "T takes 1 qubit"),
+    (("CNOT", 0), "CNOT takes 2 qubits"),
+    (("H",), "H takes 1 qubit"),
+    (("U", 0), "unknown gate 'U'"),
+    ((), "unknown gate None"),
+])
+def test_builder_refuses_gates_parse_circuit_refuses(gate, why):
+    c = Circuit(2, [("H", 0), gate, ("CNOT", 0, 1)])
+    with pytest.raises(ValueError) as err:
+        diagram_from_circuit(c)
+    assert str(err.value) == f"gate 1 {gate!r}: {why}"
 
 
 # sha256 of the simplified diagram's JSON for seeded generator circuits with

@@ -38,11 +38,28 @@ class Circuit:
         return "\n".join(lines) + "\n"
 
 
+def gate_error(gate, n_qubits: int) -> str | None:
+    """Why ``gate`` is no gate on ``n_qubits`` qubits, or None when it is one:
+    a known name, that gate's number of qubits, each an int in
+    ``0..n_qubits-1``, and a CNOT's two distinct."""
+    name, qubits = (gate[0], gate[1:]) if gate else (None, ())
+    if name not in ONE_QUBIT_GATES and name not in TWO_QUBIT_GATES:
+        return f"unknown gate {name!r}"
+    arity = 1 if name in ONE_QUBIT_GATES else 2
+    if len(qubits) != arity:
+        return f"{name} takes {arity} qubit{'s' if arity > 1 else ''}"
+    if any(type(q) is not int or not 0 <= q < n_qubits for q in qubits):
+        return f"qubits must be ints in 0..{n_qubits - 1}"
+    if len(set(qubits)) != arity:
+        return f"{name} takes two distinct qubits"
+    return None
+
+
 def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
     """Parse the text format.  Raises CircuitParseError on malformed input."""
     gates: list[tuple] = []
+    linenos: list[int] = []
     declared = n_qubits
-    max_q = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,24 +72,16 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
             declared = int(args[0])
             continue
         try:
-            qubits = [int(a) for a in args]
+            gates.append((name, *(int(a) for a in args)))
         except ValueError:
             raise CircuitParseError(f"line {lineno}: non-integer qubit in {line!r}") from None
-        if name in ONE_QUBIT_GATES:
-            if len(qubits) != 1:
-                raise CircuitParseError(f"line {lineno}: {name} takes one qubit")
-        elif name in TWO_QUBIT_GATES:
-            if len(qubits) != 2 or qubits[0] == qubits[1]:
-                raise CircuitParseError(f"line {lineno}: {name} takes two distinct qubits")
-        else:
-            raise CircuitParseError(f"line {lineno}: unknown gate {name!r}")
-        if any(q < 0 for q in qubits):
-            raise CircuitParseError(f"line {lineno}: negative qubit index")
-        max_q = max(max_q, *qubits)
-        gates.append((name, *qubits))
-    n = declared if declared is not None else max_q + 1
+        linenos.append(lineno)
+    n = declared if declared is not None else max(
+        (q + 1 for gate in gates for q in gate[1:]), default=0)
     if n <= 0:
-        raise CircuitParseError("empty circuit with no qubit count; add a 'qubits n' line")
-    if max_q >= n:
-        raise CircuitParseError(f"qubit index {max_q} out of range for {n} qubits")
+        raise CircuitParseError("no qubit count and no qubit 0 or above; add a 'qubits n' line")
+    for lineno, gate in zip(linenos, gates):
+        why = gate_error(gate, n)
+        if why is not None:
+            raise CircuitParseError(f"line {lineno}: {why}")
     return Circuit(n, gates)

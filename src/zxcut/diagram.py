@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .circuits import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit
+from .circuits import Circuit, gate_error
 from .scalars import ScalarC
 
 
@@ -321,11 +321,6 @@ def validate(d: ZxDiagram) -> list[str]:
         for p in s.phase.params:
             if p not in d.params:
                 problems.append(f"undeclared parameter {p} on spider {v}")
-        if s.kind == SpiderKind.X and s.phase.params:
-            plain, had = d.edge_counts(v, v)
-            if had:
-                problems.append(
-                    f"X-spider {v} carries parameters and a Hadamard self-loop")
     for b in d.inputs + d.outputs:
         if b not in d.spiders or d.spiders[b].kind != SpiderKind.BOUNDARY:
             problems.append(f"boundary list entry {b} is not a BOUNDARY vertex")
@@ -344,19 +339,7 @@ _ONE_QUBIT = {"T": (1, 0), "S": (2, 0), "Sdg": (6, 0), "Z": (4, 0),
 
 
 def _gate_error(pos: int, gate, n: int) -> ValueError:
-    """The error for gate ``pos``, which breaks a rule of ``parse_circuit``."""
-    name, qubits = (gate[0], gate[1:]) if gate else (None, ())
-    if name in ONE_QUBIT_GATES or name in TWO_QUBIT_GATES:
-        arity = 1 if name in ONE_QUBIT_GATES else 2
-        if len(qubits) != arity:
-            why = f"{name} takes {arity} qubit{'s' if arity > 1 else ''}"
-        elif any(type(q) is not int or not 0 <= q < n for q in qubits):
-            why = f"qubits must be ints in 0..{n - 1}"
-        else:
-            why = f"{name} takes two distinct qubits"
-    else:
-        why = f"unknown gate {name!r}"
-    return ValueError(f"gate {pos} {gate!r}: {why}")
+    return ValueError(f"gate {pos} {gate!r}: {gate_error(gate, n)}")
 
 
 def diagram_from_circuit(circ: Circuit) -> ZxDiagram:

@@ -38,6 +38,12 @@ class ResourceCaps:
     leaf_evals: float = 2.0 ** 28
     table_entries: float = 2.0 ** 26
 
+    def __post_init__(self):
+        # written so that NaN fails it; inf turns a cap off
+        for key in ("leaf_evals", "table_entries"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be at least 0 (inf for no cap)")
+
 
 class ResourceCapError(RuntimeError):
     """A stage's projected work exceeds the configured caps, or, when
@@ -154,23 +160,25 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
     report = _planned_report(plan, method, cm)
     # the projected checks come first; the leaves evaluated, summed over
     # every segment and assignment, are capped as they are counted
-    stats = DecomposeStats(leaf_cap=caps.leaf_evals)
     stage = "decompose" if plan.k == 1 else "precompute" if method == "smart" else "naive-sum"
+    projected = {"decompose": plan.s_decomp, "precompute": plan.s_precomp,
+                 "naive-sum": _naive_leaves(plan, cm)}[stage]
+    if projected > caps.leaf_evals:
+        raise ResourceCapError(stage, projected, caps.leaf_evals, plan)
+    if stage == "precompute":
+        entries = sum(2 ** len(ps) for ps in plan.part_params())
+        if entries > caps.table_entries:
+            raise ResourceCapError("precompute", entries, caps.table_entries, plan)
+        biggest_step = max((2 ** p for _, _, p in plan.schedule), default=0)
+        if biggest_step > caps.table_entries:
+            raise ResourceCapError("crossref", biggest_step, caps.table_entries, plan)
+    if plan.k > 1:
+        segs, part_params, overall = split_segments(g, plan)
+    stats = DecomposeStats(leaf_cap=caps.leaf_evals)
     try:
         if plan.k == 1:
-            if plan.s_decomp > caps.leaf_evals:
-                raise ResourceCapError(stage, plan.s_decomp, caps.leaf_evals, plan)
             value = decompose_to_scalar(g, stats=stats)
         elif method == "smart":
-            segs, part_params, overall = split_segments(g, plan)
-            if plan.s_precomp > caps.leaf_evals:
-                raise ResourceCapError(stage, plan.s_precomp, caps.leaf_evals, plan)
-            entries = sum(2 ** len(ps) for ps in part_params)
-            if entries > caps.table_entries:
-                raise ResourceCapError("precompute", entries, caps.table_entries, plan)
-            biggest_step = max((2 ** p for _, _, p in plan.schedule), default=0)
-            if biggest_step > caps.table_entries:
-                raise ResourceCapError("crossref", biggest_step, caps.table_entries, plan)
             result = regroup_all([precompute_segment(seg, stats=stats) for seg in segs])
             value = result.value.times(overall)
             report.table_entries = entries
@@ -178,10 +186,6 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
         else:
             # naive: brute-force sum over all 2^C assignments, fully re-reducing
             # every segment for every term
-            segs, part_params, overall = split_segments(g, plan)
-            projected = _naive_leaves(plan, cm)
-            if projected > caps.leaf_evals:
-                raise ResourceCapError(stage, projected, caps.leaf_evals, plan)
             all_params = sorted(plan.cut_spiders)
             total = ScalarC.zero()
             for bits in itertools.product((0, 1), repeat=len(all_params)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, gate_error
 
 _T = np.exp(1j * np.pi / 4)
 _GATES = {
@@ -44,9 +44,14 @@ def _apply_cnot(state: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
 
 
 def run_statevector(circ: Circuit, start: np.ndarray) -> np.ndarray:
+    """``start`` after the gates of ``circ``; a gate ``parse_circuit`` would
+    refuse raises ``ValueError`` naming its position."""
     n = circ.n_qubits
     state = start
-    for gate in circ.gates:
+    for pos, gate in enumerate(circ.gates):
+        why = gate_error(gate, n)
+        if why is not None:
+            raise ValueError(f"gate {pos} {gate!r}: {why}")
         name = gate[0]
         if name == "CNOT":
             state = _apply_cnot(state, gate[1], gate[2], n)

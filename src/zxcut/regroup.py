@@ -77,14 +77,18 @@ class Segment:
         if not np.isfinite(arr).all():
             raise ValueError("table entries must be finite")
         seg = cls.__new__(cls)
-        seg._set(local_params, arr, int(sqrt2_pow))
+        seg._set(local_params, arr, sqrt2_pow)
         return seg
 
     def _set(self, local_params, arr: np.ndarray, sqrt2_pow: int) -> None:
         self.local_params = tuple(sorted(local_params))
+        if len(set(self.local_params)) < len(self.local_params):
+            raise ValueError("local parameters must be distinct")
+        if not float(sqrt2_pow).is_integer():
+            raise ValueError("the sqrt(2) exponent must be an integer")
         self.array = arr.reshape((2,) * len(self.local_params))
         self.array.flags.writeable = False
-        self.sqrt2_pow = sqrt2_pow
+        self.sqrt2_pow = int(sqrt2_pow)
 
     @property
     def scalars(self) -> list[ScalarC]:

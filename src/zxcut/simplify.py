@@ -1,12 +1,25 @@
 """Clifford simplification of ZX-diagrams, full and parameter-safe.
 
-The engine keeps diagrams in graph-like form (Z-spiders only, Hadamard edges,
-no self-loops or parallel edges) and applies local rules until none fires:
-spider fusion, identity removal, state copy, local complementation on
-interior +-pi/2 spiders, pivoting on interior 0/pi pairs, phase-gadget fusion
-and direct evaluation of tiny scalar components.  Every rule preserves the
-diagram's tensor exactly, with all dropped factors folded into the global
-scalar.
+The engine applies local rules until none fires: spider fusion, identity
+removal, state copy, local complementation on interior +-pi/2 spiders,
+pivoting on interior 0/pi pairs, phase-gadget fusion and direct evaluation
+of tiny scalar components.  Every rule preserves the diagram's tensor
+exactly, with all dropped factors folded into the global scalar.
+
+Graph-like form (Duncan, Kissinger, Perdrix & van de Wetering, Quantum 4,
+279, 2020).  The helpers that make and remove self-loops, parallel edges and
+X-spiders (``_to_graph_like``, ``_fuse_pass``, ``_add_edge_norm``,
+``_colour_change``, ``_clear_self_loops``) accept any input and keep that:
+
+- no self-loop outlives the rewrite that makes it;
+- no two Z-spiders share more than one Hadamard edge;
+- no X-spider outlives ``_to_graph_like``;
+- once the fuse/identity/copy loop stops, no plain edge joins two Z-spiders.
+
+Identity removal and copy are written for a diagram without self-loops or
+doubled Hadamard edges; local complementation, pivoting, gadget fusion and
+scalar elimination for a simple graph of Z-spiders joined by single
+Hadamard edges, with boundary wires hanging off it.
 
 Worklist: a rule can only start to match at or next to a change, so the
 rules look only at spiders on a worklist.  Every rewrite appends the spiders
@@ -132,7 +145,7 @@ class _Worklist:
                 continue  # removed
             near.add(v)
             near.update(row)
-            if len(row) < 2 or (len(row) == 2 and v in row):
+            if len(row) < 2:
                 scalar.add(v)  # no more than one neighbour
             s = spiders[v]
             if s.kind != z or s.phase.params:
@@ -221,8 +234,6 @@ def _colour_change(g: ZxDiagram, v: int, trace: Trace | None) -> None:
 
 def _reduce_parallel_h(g: ZxDiagram, u: int, v: int, trace: Trace | None) -> None:
     """Cancel Hadamard edges between two Z-spiders in pairs, 1/2 per pair."""
-    if u == v:
-        return
     row = g.adj[u].get(v)
     if not row or row[1] < 2:
         return
@@ -247,24 +258,18 @@ def _add_edge_norm(g: ZxDiagram, u: int, v: int, kind: EdgeKind, trace: Trace | 
 
 
 def _toggle_pairs(g: ZxDiagram, pairs, trace: Trace | None) -> None:
-    """Add a Hadamard edge between each pair of distinct Z-spiders, cancelling
-    it in pairs against those already there, 1/2 per pair.  Both ends are
-    written here, not by ``ZxDiagram.set_edges``: in this inner loop of
+    """Toggle the Hadamard edge between each pair of Z-spiders: add it where
+    there is none, cancel it with a factor 1/2 where there is one.  Both ends
+    are written here, not by ``ZxDiagram.set_edges``: in this inner loop of
     local complementation and pivoting the call's cost shows."""
     adj = g.adj
     for s, t in pairs:
-        plain, had = adj[s].get(t, NO_EDGES)
-        had += 1
-        if had < 2:
-            adj[s][t] = adj[t][s] = (plain, had)
+        row_s = adj[s]
+        if t not in row_s:
+            row_s[t] = adj[t][s] = (0, 1)
             continue
-        n = had // 2
-        had -= 2 * n
-        if plain or had:
-            adj[s][t] = adj[t][s] = (plain, had)
-        else:
-            del adj[s][t], adj[t][s]
-        g.scalar.mul_sqrt2(-2 * n)
+        del row_s[t], adj[t][s]
+        g.scalar.mul_sqrt2(-2)
         if trace is not None:
             trace.record(g, RULE_HADAMARD_CANCEL, [s, t])
 
@@ -360,7 +365,7 @@ def _identity_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bo
     if s.kind != SpiderKind.Z or s.phase.fixed or s.phase.params:
         return False
     row_v = g.adj[v]
-    if v in row_v or len(row_v) > 2:
+    if len(row_v) > 2:
         return False
     legs = []
     for u, row in row_v.items():
@@ -387,8 +392,8 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     if len(row_v) != 1:
         return False
     ((w, row),) = row_v.items()
-    if w == v or row[0] or row[1] != 1:
-        return False  # not one leg, or a plain one: fusion's job
+    if row[0]:
+        return False  # a plain leg: fusion's job
     spiders = g.spiders
     sw = spiders[w]
     if sw.kind != SpiderKind.Z:
@@ -413,20 +418,14 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     g.remove_spider(w)
     if trace is not None:
         trace.record(g, RULE_COPY, [v, w] + others)
-    for t in others:
-        if t in g.spiders:
-            wl.touch(t)
+    wl.touch(*others)
     return True
 
 
 def _interior(g: ZxDiagram, v: int) -> bool:
-    """Every edge at ``v`` is a Hadamard edge to a Z-spider: no plain leg
-    pending fusion, no boundary or X neighbour."""
+    """Every neighbour of ``v`` is a Z-spider: no boundary wire."""
     spiders = g.spiders
-    for u, row in g.adj[v].items():
-        if row[0] or (u != v and spiders[u].kind != SpiderKind.Z):
-            return False
-    return True
+    return all(spiders[u].kind == SpiderKind.Z for u in g.adj[v])
 
 
 def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
@@ -501,7 +500,7 @@ def _gadget_at(g: ZxDiagram, h: int) -> tuple[int, frozenset[int]] | None:
     if not _interior(g, h):
         return None
     adj = g.adj
-    carriers = [t for t in adj[h] if len(adj[t]) == 1 and g.degree(t) == 1]
+    carriers = [t for t in adj[h] if len(adj[t]) == 1]
     if len(carriers) != 1:
         return None
     conn = frozenset(t for t in g.adj[h] if t != carriers[0])
@@ -544,51 +543,38 @@ def _gadget_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
 
 
 @functools.lru_cache(maxsize=512)
-def _component_value(ka: int, kb: int | None = None, plain: int = 0, had: int = 0) -> ScalarC:
+def _component_value(ka: int, kb: int | None = None) -> ScalarC:
     """Value of a component of one spider of phase ``ka`` (``kb`` None) or of
-    two, joined by ``plain`` plain and ``had`` Hadamard edges.  Shared: the
-    caller must not change it."""
-    if kb is None:
-        return ScalarC.one().plus(ScalarC.from_phase8(ka))
-    if plain:
-        # sum over the shared index; any H edges contribute parity signs
-        value = ScalarC.one().plus(ScalarC.from_phase8((ka + kb + 4 * had) % 8))
-    else:
-        value = ScalarC.one()
-        value = value.plus(ScalarC.from_phase8(ka))
+    two, joined by one Hadamard edge.  Shared: the caller must not change
+    it."""
+    value = ScalarC.one().plus(ScalarC.from_phase8(ka))
+    if kb is not None:
         value = value.plus(ScalarC.from_phase8(kb))
-        value = value.plus(ScalarC.from_phase8((ka + kb + 4 * had) % 8))
-    value.mul_sqrt2(-had)
+        value = value.plus(ScalarC.from_phase8((ka + kb + 4) % 8))
+        value.mul_sqrt2(-1)
     return value
 
 
 def _scalar_elim_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     """Evaluate connected components of one or two spiders."""
     spiders, adj = g.spiders, g.adj
-    comps: dict[int, list[int]] = {}
+    comps: dict[int, tuple[int, ...]] = {}
     for v in wl.take(_SCALAR):
         row = adj.get(v)
-        if row is None or len(row) > 2:
+        if row is None or len(row) > 1:
             continue
-        nbrs = [u for u in row if u != v]
-        if not nbrs:
-            comps[v] = [v]
-        elif len(nbrs) == 1:
-            u = nbrs[0]
-            if len(adj[u]) <= 2 and adj[u].keys() <= {u, v}:
-                comps[min(u, v)] = sorted((u, v))
+        if not row:
+            comps[v] = (v,)
+            continue
+        (u,) = row
+        if len(adj[u]) == 1:
+            comps[min(u, v)] = (min(u, v), max(u, v))
     applied = 0
     for _, comp in sorted(comps.items()):
         if any(spiders[v].kind == SpiderKind.BOUNDARY or spiders[v].phase.params
                for v in comp):
             continue
-        if len(comp) == 1:
-            value = _component_value(spiders[comp[0]].phase.fixed)
-        else:
-            u, v = comp
-            plain, had = g.edge_counts(u, v)
-            value = _component_value(spiders[u].phase.fixed, spiders[v].phase.fixed,
-                                     plain, had)
+        value = _component_value(*(spiders[v].phase.fixed for v in comp))
         for v in comp:
             g.remove_spider(v)
         g.scalar.mul(value)
@@ -606,9 +592,11 @@ def simplify_in_place(g: ZxDiagram, touched=None, trace: Trace | None = None) ->
     """Simplify ``g`` in place, every rule application valid for all
     assignments of its boolean parameters.
 
-    ``touched`` lists the spiders whose phase, kind or edges changed since
-    ``g`` was last simplified, including any added since; only they start
-    on the worklist.  ``None`` puts every spider on it.
+    ``g`` must be simplified except at ``touched``: the spiders whose
+    phase, kind or edges changed since ``g`` was last simplified, including
+    any added since.  Only they start on the worklist, and only they may be
+    X-spiders or carry self-loops or parallel edges.  ``None`` puts every
+    spider on it.
     """
     touched = sorted(g.spiders) if touched is None else sorted(set(touched))
     if trace is not None:

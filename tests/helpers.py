@@ -55,3 +55,21 @@ def random_graphlike_diagram(rng: Generator, n_spiders: int, edge_p: float = 0.4
         d.outputs.append(b)
         d.add_edge(b, vs[int(rng.integers(n_spiders))], EdgeKind.PLAIN)
     return d
+
+
+def graph_like_breaks(g: ZxDiagram, fused: bool = True) -> list[str]:
+    """Where ``g`` breaks the graph-like invariant of ``zxcut.simplify``: an
+    X-spider, a self-loop, two Hadamard edges between the same spiders and,
+    when ``fused``, a plain edge between two Z-spiders."""
+    breaks = []
+    for v, s in g.spiders.items():
+        if s.kind == SpiderKind.X:
+            breaks.append(f"X-spider {v}")
+        for u, (plain, had) in g.adj[v].items():
+            if u == v:
+                breaks.append(f"self-loop at {v}")
+            elif had > 1:
+                breaks.append(f"{had} Hadamard edges between {v} and {u}")
+            elif fused and plain and s.kind == g.spiders[u].kind == SpiderKind.Z:
+                breaks.append(f"plain edge between Z-spiders {v} and {u}")
+    return breaks

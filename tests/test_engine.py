@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from zxcut import engine
 from zxcut.circuits import Circuit, parse_circuit
 from zxcut.costmodel import CostModel
 from zxcut.engine import (METHODS, Report, ResourceCapError, ResourceCaps,
@@ -338,6 +339,38 @@ def test_resource_cap_on_projected_leaves_of_a_split_plan(method, stage):
     assert (err.value.stage, err.value.projected, err.value.cap) == (stage, projected[method], cap)
     assert err.value.plan is plan
     assert not err.value.measured
+
+
+def test_projected_caps_are_checked_before_the_diagram_is_split(monkeypatch):
+    # the 2-cut plan above: a run its caps refuse carves no segments
+    c = random_circuit(12, 400, default_rng(5), nearest=True)
+    cm = CostModel(alpha=0.05)
+    g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 12, "+" * 12))
+    plan = choose_k(g, cm, force_partition=True)
+
+    def no_split(*args):
+        raise AssertionError("split_segments ran for a refused run")
+    monkeypatch.setattr(engine, "split_segments", no_split)
+    naive = 2 ** 2 * sum(2 ** (cm.alpha * t) for t, _ in plan.per_part)
+    entries = sum(2 ** len(ps) for ps in plan.part_params())
+    for method, caps, want in (
+            ("smart", ResourceCaps(leaf_evals=plan.s_precomp / 2),
+             ("precompute", plan.s_precomp, plan.s_precomp / 2)),
+            ("naive", ResourceCaps(leaf_evals=naive / 2), ("naive-sum", naive, naive / 2)),
+            ("smart", ResourceCaps(table_entries=entries - 1),
+             ("precompute", entries, entries - 1))):
+        with pytest.raises(ResourceCapError) as err:
+            run_plan(g, plan, method, cm, caps)
+        assert (err.value.stage, err.value.projected, err.value.cap) == want
+
+
+@pytest.mark.parametrize("field", ["leaf_evals", "table_entries"])
+def test_resource_caps_refuse_nan_and_negative_caps(field):
+    for bad in (float("nan"), -1):
+        with pytest.raises(ValueError, match=field):
+            ResourceCaps(**{field: bad})
+    assert getattr(ResourceCaps(**{field: float("inf")}), field) == float("inf")
+    assert getattr(ResourceCaps(**{field: 0}), field) == 0
 
 
 def gen_deep_compound():

@@ -272,6 +272,16 @@ def test_from_array_checks_its_table():
         Segment.from_array((0,), [1, 2, 3], 0)
 
 
+def test_segment_refuses_a_fractional_exponent_and_repeated_parameters():
+    with pytest.raises(ValueError, match="integer"):
+        Segment.from_array((1,), [1, 2], 1.5)
+    assert Segment.from_array((1,), [1, 2], 3.0).sqrt2_pow == 3
+    with pytest.raises(ValueError, match="distinct"):
+        Segment.from_array((1, 1), np.ones(4), 0)
+    with pytest.raises(ValueError, match="distinct"):
+        Segment((1, 1), [ScalarC.one()] * 4)
+
+
 # -- the contraction kernel and the array tables --------------------------------
 
 def random_table(rng, n):

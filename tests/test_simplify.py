@@ -1,21 +1,27 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from zxcut import simplify
 from zxcut.circuits import parse_circuit
+from zxcut.costmodel import CostModel
 from zxcut.cutting import cut_spider, instantiate
-from zxcut.decompose import (decompose_to_scalar, derive_one_t_coefficients,
-                             derive_two_t_coefficients)
+from zxcut.decompose import (DENSE_MAX_SPIDERS, decompose_to_scalar,
+                             derive_one_t_coefficients, derive_two_t_coefficients)
 from zxcut.diagram import (EdgeKind, Phase, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug)
+from zxcut.engine import split_segments
 from zxcut.oracle import statevector_amplitude
+from zxcut.partition import choose_k
 from zxcut.scalars import ScalarC
 from zxcut.simplify import Trace, clifford_simplify, param_safe_simplify, simplify_in_place
 from zxcut.tensor import tensor_of
 
-from helpers import random_circuit, random_graphlike_diagram, random_plugs, random_scalar_diagram
+from helpers import (graph_like_breaks, random_circuit, random_graphlike_diagram, random_plugs,
+                     random_scalar_diagram)
 
 
 def relerr(a, b):
@@ -387,3 +393,51 @@ def test_x_spiders_with_loops_and_parameters_simplify_for_every_assignment():
         for bits in itertools.product((0, 1), repeat=len(params)):
             asg = dict(zip(params, bits))
             _assert_close(tensor_of(instantiate(g, asg)), tensor_of(instantiate(d, asg)))
+
+
+def test_rules_after_fusion_see_a_simple_graph(monkeypatch):
+    # the invariant of the simplify module docstring, checked before every
+    # call of the rules written for it, on every kind of input they get:
+    # circuits, X-multigraphs with loops and parameters, the segments of
+    # split plans and decomposition branches resumed from touched spiders
+    calls = collections.Counter()
+
+    def check_before(name, fused):
+        rule = getattr(simplify, name)
+
+        def checked(g, *args):
+            assert graph_like_breaks(g, fused) == [], name
+            calls[name] += 1
+            return rule(g, *args)
+        monkeypatch.setattr(simplify, name, checked)
+
+    # True for the rules after the fuse/identity/copy loop, which see no
+    # plain edge between Z-spiders either
+    rules = {"_lcomp_at": True, "_pivot_at": True, "_gadget_pass": True,
+             "_scalar_elim_pass": True, "_identity_at": False, "_copy_at": False}
+    for name, fused in rules.items():
+        check_before(name, fused)
+
+    rng = default_rng(41)
+    for _ in range(100):
+        clifford_simplify(random_scalar_diagram(rng))
+    for _ in range(100):
+        n = int(rng.integers(1, 6))
+        param_safe_simplify(_looped_diagram(rng, n, int(rng.integers(1, 4)),
+                                            int(rng.integers(1, n + 1))))
+    split = 0
+    while split < 8:
+        g = clifford_simplify(plug(diagram_from_circuit(random_circuit(8, 60, rng)),
+                                   "+" * 8, "+" * 8))
+        plan = choose_k(g, CostModel(), force_partition=True)
+        if plan.k > 1:
+            split += 1
+            for seg in split_segments(g, plan)[0]:
+                param_safe_simplify(seg)
+    branched = 0
+    while branched < 20:
+        d = plug(diagram_from_circuit(random_circuit(8, 120, rng)), "+" * 8, "+" * 8)
+        if len(clifford_simplify(d).spiders) > DENSE_MAX_SPIDERS:
+            decompose_to_scalar(d)  # a branch resumes from the spiders it changed
+            branched += 1
+    assert all(calls[name] for name in rules)

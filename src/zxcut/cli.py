@@ -22,8 +22,8 @@ from numpy.random import default_rng
 from .circuits import Circuit, CircuitParseError, parse_circuit
 from .costmodel import CostModel
 from .diagram import ZxDiagram, diagram_from_circuit, plug
-from .engine import (METHODS, ResourceCapError, ResourceCaps, method_seconds,
-                     run_plan, simulate_amplitude)
+from .engine import (METHODS, ResourceCapError, ResourceCaps, decompose_first,
+                     method_seconds, run_plan, simulate_amplitude)
 from .generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
 from .partition import choose_k, unsplit_plan
 from .regroup import Segment, regroup_all
@@ -137,7 +137,9 @@ def _add_circuit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="cost model config (JSON or key=value)")
     p.add_argument("--seed", type=int, default=0, help="partitioner seed")
     p.add_argument("--force-partition", action="store_true",
-                   help="require k >= 2 in plan selection")
+                   help="plan every component with the full planner and require "
+                        "k >= 2 in plan selection; a smart run then skips its "
+                        "per-component leaf budget, and direct ignores it")
 
 
 def cmd_simulate(args) -> int:
@@ -193,7 +195,10 @@ def _measure_cell(circ: Circuit, cm: CostModel, seed: int, estimate_only: bool,
                   force_partition: bool) -> dict[str, float]:
     """log2 seconds per method for one circuit: the projection, replaced by a
     real measured run when the projection is below the threshold.  Planned
-    once; a measured method's seconds are build, planning and run."""
+    once, by ``choose_k``, for the projections; a measured method's seconds
+    are build, that planning (none for ``direct``) and its run.  An unforced
+    ``smart`` run is ``decompose_first``, as ``zxcut simulate`` runs it, with
+    the plan standing in for its planning of the components that overrun."""
     plus = "+" * circ.n_qubits
     started = time.perf_counter()
     g = clifford_simplify(plug(diagram_from_circuit(circ), plus, plus))
@@ -204,7 +209,10 @@ def _measure_cell(circ: Circuit, cm: CostModel, seed: int, estimate_only: bool,
         if not estimate_only and seconds < cm.real_run_threshold_secs:
             run_on = unsplit_plan(g, cm) if method == "direct" else plan
             try:
-                run = run_plan(g, run_on, method, cm, ResourceCaps())
+                if method == "smart" and not force_partition:
+                    run = decompose_first(g, cm, ResourceCaps(), seed, planned=plan)
+                else:
+                    run = run_plan(g, run_on, method, cm, ResourceCaps())
                 seconds = built + run_on.overhead_seconds + run.wall_seconds
             except ResourceCapError:
                 pass
@@ -346,13 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_circuit_args(p)
     p.add_argument("--method", choices=METHODS, default="smart")
     p.add_argument("--plan-only", action="store_true",
-                   help="plan and estimate without running")
+                   help="show the full planner's plan and estimate without running "
+                        "(a run reports the plan it ran: an unforced smart run "
+                        "plans only the components that overrun its leaf budget)")
     p.add_argument("--json", action="store_true", help="full JSON report")
     p.add_argument("--trace", metavar="FILE",
                    help="write the initial simplification's rewrite steps as JSON lines")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("plan", help="print the partition plan as JSON")
+    p = sub.add_parser("plan", help="print the full planner's partition plan as JSON "
+                       "(an unforced smart run plans only the components that "
+                       "overrun its leaf budget, and reports the plan it ran)")
     _add_circuit_args(p)
     p.set_defaults(func=cmd_plan)
 
@@ -377,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--sigmas", required=True, help="comma list, e.g. 0,1,2,inf")
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--force-partition", action="store_true")
+    p.add_argument("--force-partition", action="store_true",
+                   help="require k >= 2 in plan selection; a measured smart cell "
+                        "then runs that plan without the per-component leaf budget")
     p.add_argument("--estimate-only", action="store_true")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--config")

@@ -5,14 +5,20 @@ naive   - partition with the same plan the smart method would use, then sum
           all 2^C global assignments with a full per-term reduction of every
           segment: no precompute sharing, no regrouping.
 smart   - cut, precompute each part's scalar table over its local
-          parameters, regroup cheapest-first.
+          parameters, regroup cheapest-first.  Unforced, it decomposes
+          first (``decompose_first``): each connected component is reduced
+          by plain decomposition within ``LEAF_BUDGET`` leaves, and only the
+          components that overrun are planned, cut and regrouped.
 
 All three agree on the amplitude; they differ in how many calculations they
 spend, which the report itemises.  ``method_seconds`` is the one price of
-each method for a plan, and ``run_plan`` the one producer of an amplitude
-from a plan.  Any stage whose projection exceeds the resource caps aborts
-with the plan attached instead of running, and so does a run whose leaves
-actually evaluated pass the cap.  Cuts are built by ``cutting``.
+each method for a plan, and ``run_plan`` the one runner of a plan, which
+``decompose_first`` calls for the components that overrun.  A plan-only
+report holds the full planner's plan (``choose_k`` over every component); a
+run reports the plan it ran.  Any stage whose projection exceeds the
+resource caps aborts with the plan attached instead of running, and so does
+a run whose leaves actually evaluated, wasted ones included, pass the cap.
+Cuts are built by ``cutting``.
 """
 from __future__ import annotations
 
@@ -25,7 +31,8 @@ from .costmodel import CostModel
 from .cutting import cut_spiders, instantiate
 from .decompose import DecomposeStats, LeafCapError, decompose_to_scalar
 from .diagram import ZxDiagram, diagram_from_circuit, plug
-from .partition import PartitionPlan, choose_k, unsplit_plan
+from .partition import (PartitionPlan, _merge, choose_k, restrict, unsplit_component,
+                        unsplit_plan)
 from .regroup import precompute_segment, regroup_all
 from .scalars import ScalarC
 from .simplify import clifford_simplify
@@ -149,11 +156,13 @@ def _planned_report(plan: PartitionPlan, method: str, cm: CostModel) -> Report:
 
 
 def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
-             caps: ResourceCaps) -> Report:
+             caps: ResourceCaps, spent: int = 0) -> Report:
     """Compute the amplitude of the simplified scalar diagram ``g`` by
     ``method`` on ``plan`` within ``caps``, timing this call.  A k = 1 plan
     runs plain decomposition, the only plan ``direct`` runs.  ``g`` is left
-    unchanged, so every method can run on the same diagram."""
+    unchanged, so every method can run on the same diagram.  ``spent``
+    leaves, evaluated earlier in the same run, count toward
+    ``caps.leaf_evals`` and the report's ``leaf_evals``."""
     if method not in METHODS or (method == "direct" and plan.k > 1):
         raise ValueError(f"method {method!r} cannot run a {plan.k}-part plan")
     started = time.perf_counter()
@@ -163,8 +172,8 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
     stage = "decompose" if plan.k == 1 else "precompute" if method == "smart" else "naive-sum"
     projected = {"decompose": plan.s_decomp, "precompute": plan.s_precomp,
                  "naive-sum": _naive_leaves(plan, cm)}[stage]
-    if projected > caps.leaf_evals:
-        raise ResourceCapError(stage, projected, caps.leaf_evals, plan)
+    if spent + projected > caps.leaf_evals:
+        raise ResourceCapError(stage, spent + projected, caps.leaf_evals, plan)
     if stage == "precompute":
         entries = sum(2 ** len(ps) for ps in plan.part_params())
         if entries > caps.table_entries:
@@ -174,7 +183,7 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
             raise ResourceCapError("crossref", biggest_step, caps.table_entries, plan)
     if plan.k > 1:
         segs, part_params, overall = split_segments(g, plan)
-    stats = DecomposeStats(leaf_cap=caps.leaf_evals)
+    stats = DecomposeStats(leaves=spent, leaf_cap=caps.leaf_evals)
     try:
         if plan.k == 1:
             value = decompose_to_scalar(g, stats=stats)
@@ -209,6 +218,77 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
     return report
 
 
+# Leaves a connected component may take by plain decomposition before it is
+# planned instead.  A component that overruns has wasted at most this many
+# leaves, so decomposing first costs at most that much more than planning
+# straight away (the ski-rental argument: Karlin, Manasse, Rudolph & Sleator,
+# "Competitive snoopy caching", Algorithmica 3, 1988).  Chosen from a sweep
+# over 8-128 on the random and compound benchmark workloads (CHANGES.md).
+LEAF_BUDGET = 32
+
+
+def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int = 0,
+                    planned: PartitionPlan | None = None) -> Report:
+    """The unforced ``smart`` run of the simplified scalar diagram ``g``,
+    timing this call.
+
+    Every connected component (a diagram without spiders is one empty
+    component, worth one leaf) is reduced by plain decomposition within
+    ``LEAF_BUDGET`` leaves.  The components that overrun are carved into one
+    sub-diagram, which ``choose_k`` plans (an empty one when nothing overran)
+    and ``run_plan`` runs; ``planned``, ``choose_k``'s plan of all of ``g``
+    if the caller has one, stands in for that planning.  The report's plan
+    merges every finished component, as one unsplit part, with the plan
+    that ran.  The leaves an overrun wasted count toward ``caps.leaf_evals``
+    and ``leaf_evals``; passing the cap raises a measured
+    ``ResourceCapError`` with the plan so far.
+    """
+    started = time.perf_counter()
+    whole = unsplit_plan(g, cm)
+    comps = g.carve(sorted(g.connected_components(), key=min)) or [ZxDiagram()]
+    value = g.scalar.copy()
+    stats = DecomposeStats()
+    finished, overran = [], []
+    for comp in comps:
+        stats.leaf_cap = min(stats.leaves + LEAF_BUDGET, caps.leaf_evals)
+        try:
+            value.mul(decompose_to_scalar(comp, stats=stats))
+            finished.append(comp)
+        except LeafCapError:
+            if stats.leaves > caps.leaf_evals:
+                plan = _merge([unsplit_component(c, cm) for c in comps], whole, cm)
+                raise ResourceCapError("decompose", stats.leaves, caps.leaf_evals, plan,
+                                       measured=True) from None
+            stats.leaves -= 1  # the leaf past the budget was counted, not evaluated
+            overran.append(comp)
+
+    sub = g.carve([[v for comp in overran for v in comp.spiders]])[0]
+    sub.scalar = value  # the finished components' factor rides on the run
+    if planned is None:
+        sub_plan = choose_k(sub, cm, seed=seed)
+    else:
+        sub_plan = restrict(planned, sub, cm)
+    plan = _merge([unsplit_component(c, cm) for c in finished]
+                  + ([sub_plan] if overran else []), whole, cm)
+    plan.overhead_seconds = sub_plan.overhead_seconds
+    report = _planned_report(plan, "smart", cm)
+    if overran:
+        try:
+            ran = run_plan(sub, sub_plan, "smart", cm, caps, spent=stats.leaves)
+        except ResourceCapError as err:
+            err.plan = plan
+            raise
+        report.amplitude = ran.amplitude
+        report.leaf_evals = ran.leaf_evals
+        report.table_entries = ran.table_entries
+        report.crossref_products = ran.crossref_products
+    else:
+        report.amplitude = value.to_complex()
+        report.leaf_evals = stats.leaves
+    report.wall_seconds = time.perf_counter() - started
+    return report
+
+
 def simulate_amplitude(
     circ: Circuit,
     in_spec: str,
@@ -222,7 +302,9 @@ def simulate_amplitude(
     trace=None,
 ) -> tuple[complex, Report]:
     """Compute <out|U|in> by the chosen method, with a cost report: build,
-    simplify, plan, then ``run_plan`` unless ``plan_only``.
+    simplify, then ``decompose_first`` for an unforced ``smart`` run, and
+    otherwise plan and ``run_plan`` unless ``plan_only``.  A plan-only
+    report holds the full planner's plan, a run's report the plan it ran.
 
     ``trace``, if given, records the rewrite steps of the initial Clifford
     simplification round.
@@ -233,13 +315,17 @@ def simulate_amplitude(
     started = time.perf_counter()
     g = clifford_simplify(plug(diagram_from_circuit(circ), in_spec, out_spec),
                           trace)
-    if method == "direct":
-        plan = unsplit_plan(g, cm)
+    caps = caps or ResourceCaps()
+    if method == "smart" and not (force_partition or plan_only):
+        report = decompose_first(g, cm, caps, seed)
     else:
-        plan = choose_k(g, cm, seed=seed, force_partition=force_partition)
-    if plan_only:
-        report = _planned_report(plan, method, cm)
-    else:
-        report = run_plan(g, plan, method, cm, caps or ResourceCaps())
+        if method == "direct":
+            plan = unsplit_plan(g, cm)
+        else:
+            plan = choose_k(g, cm, seed=seed, force_partition=force_partition)
+        if plan_only:
+            report = _planned_report(plan, method, cm)
+        else:
+            report = run_plan(g, plan, method, cm, caps)
     report.wall_seconds = time.perf_counter() - started
     return report.amplitude, report

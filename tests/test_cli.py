@@ -211,6 +211,28 @@ def test_sweep_plans_each_circuit_once(tmp_path, monkeypatch):
     assert (tmp_path / "est.csv").read_bytes() == SWEEP_8_60_ESTIMATES.encode()
 
 
+def test_measured_smart_cells_run_decompose_first(tmp_path, monkeypatch):
+    # a measured unforced smart cell is timed through decompose_first, as
+    # zxcut simulate runs it, with the sweep's one plan standing in for its
+    # planning; a forced sweep runs that plan with run_plan instead
+    import zxcut.cli
+    runs = []
+    real = zxcut.cli.decompose_first
+
+    def recording(g, cm, caps, seed=0, planned=None):
+        assert planned is not None
+        runs.append(real(g, cm, caps, seed, planned=planned))
+        return runs[-1]
+
+    monkeypatch.setattr(zxcut.cli, "decompose_first", recording)
+    base = ["sweep-sigma", "--qubits", "8", "--depth", "60", "--sigmas", "0,inf",
+            "--samples", "3"]
+    assert main(base + ["--out", str(tmp_path / "free.csv")]) == 0
+    assert len(runs) == 6 and {r.method for r in runs} == {"smart"}
+    assert main(base + ["--force-partition", "--out", str(tmp_path / "forced.csv")]) == 0
+    assert len(runs) == 6
+
+
 def test_simulate_json_determinism():
     docs = []
     for _ in range(2):

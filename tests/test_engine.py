@@ -322,6 +322,74 @@ def test_resource_cap_on_leaves_evaluated(method, leaves):
     assert (again, rep.leaf_evals) == (amp, leaves)
 
 
+@pytest.mark.parametrize("case", ["overrun", "finished"])
+def test_decompose_first_caps_count_wasted_leaves(case):
+    # an unforced smart run first decomposes each component within
+    # LEAF_BUDGET leaves.  The 12-qubit circuit is one component that
+    # overruns and then runs unsplit (alpha = 0.05 searches no split and
+    # keeps every projection low), so it wastes exactly LEAF_BUDGET leaves;
+    # the three components of the compound circuit all finish.  Wasted leaves
+    # count toward the cap like the others: capped at exactly its leaves a
+    # run passes, and one leaf less raises the measured error with the plan
+    # so far
+    cm = CostModel(alpha=0.05)
+    if case == "overrun":
+        c, ins, outs = random_circuit(12, 400, default_rng(5), nearest=True), "+" * 12, "+" * 12
+    else:
+        c, ins, outs = gen_compound(CompoundSpec(3, 4, 90, 1, 1.0, 1)), "0+1" * 4, "+10" * 4
+    args = (c, ins, outs, "smart", cm)
+    amp, full = simulate_amplitude(*args)
+    _, direct = simulate_amplitude(c, ins, outs, "direct", cm)
+    assert abs(amp - statevector_amplitude(c, ins, outs)) < 1e-9
+    if case == "overrun":
+        assert (full.plan.k, full.leaf_evals) == (1, direct.leaf_evals + engine.LEAF_BUDGET)
+    else:
+        assert (full.plan.k, full.leaf_evals) == (3, 4)
+        assert direct.leaf_evals > 4
+    leaves = full.leaf_evals
+    again, rep = simulate_amplitude(*args, caps=ResourceCaps(leaf_evals=leaves))
+    assert (again, rep.leaf_evals) == (amp, leaves)
+    with pytest.raises(ResourceCapError) as err:
+        simulate_amplitude(*args, caps=ResourceCaps(leaf_evals=leaves - 1))
+    assert err.value.measured and err.value.stage == "decompose"
+    assert (err.value.projected, err.value.cap) == (leaves, leaves - 1)
+    assert err.value.plan.k == full.plan.k
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_decompose_first_plans_only_the_components_that_overrun(monkeypatch, budget):
+    # the compound circuit has three components; at a budget of one leaf
+    # one of them overruns and is planned alone, with two cuts, while the
+    # others finish as one unsplit part each.  At a budget of 0 every
+    # component overruns and the run's plan is the full planner's
+    c, ins, outs = gen_compound(CompoundSpec(3, 4, 90, 1, 1.0, 1)), "0+1" * 4, "+10" * 4
+    cm = CostModel()
+    g = clifford_simplify(plug(diagram_from_circuit(c), ins, outs))
+    planned = []
+
+    def recording(d, *args, **kwargs):
+        planned.append((set(d.spiders), choose_k(d, *args, **kwargs)))
+        return planned[-1][1]
+    monkeypatch.setattr(engine, "choose_k", recording)
+    monkeypatch.setattr(engine, "LEAF_BUDGET", budget)
+    amp, rep = simulate_amplitude(c, ins, outs, "smart", cm)
+    assert abs(amp - statevector_amplitude(c, ins, outs)) < 1e-9
+    ((spiders, sub_plan),) = planned
+    comps = g.connected_components()
+    overran = [comp for comp in comps if comp <= spiders]
+    assert spiders == set().union(*overran)
+    assert len(overran) == (len(comps) if budget == 0 else 1)
+    assert rep.plan.k == len(comps) - len(overran) + sub_plan.k
+    assert rep.plan.cut_spiders == sub_plan.cut_spiders and len(sub_plan.cut_spiders) == 2
+    if budget == 0:
+        whole = choose_k(g, cm)
+        assert (rep.plan.k, rep.plan.cut_spiders, rep.plan.per_part) == (
+            whole.k, whole.cut_spiders, whole.per_part)
+    # the merged plan is a plan of the whole diagram
+    segs, params, _ = split_segments(g, rep.plan)
+    assert params == rep.plan.part_params() and len(segs) == rep.plan.k
+
+
 @pytest.mark.parametrize("method,stage", [("smart", "precompute"), ("naive", "naive-sum")])
 def test_resource_cap_on_projected_leaves_of_a_split_plan(method, stage):
     # the 2-cut plan above: a cap below its projected leaves stops the run

@@ -16,7 +16,7 @@ from zxcut.decompose import DENSE_MAX_SPIDERS
 from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
 from zxcut.engine import ResourceCaps, run_plan
 from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
-from zxcut.partition import (PartitionPlan, _Bisection, choose_k, partition_k,
+from zxcut.partition import (PartitionPlan, _Bisection, choose_k, partition_k, restrict,
                              to_partition_hypergraph, unsplit_plan)
 from zxcut.regroup import plan_schedule
 from zxcut.simplify import clifford_simplify
@@ -293,6 +293,32 @@ def _pinned_circuit(entry):
         n, depth, sigma, seed = entry["spec"]
         return gen_clifford_t(CircuitSpec(n, depth, float(sigma), seed))
     return gen_compound(CompoundSpec(*entry["spec"]))
+
+
+def test_restrict_keeps_the_component_plans():
+    # choose_k plans each component on its own, so its plan restricted to a
+    # union of components has the parts, cuts and T-counts that choose_k
+    # gives that union, on compounds of three blocks (T 38-55) some of whose
+    # components are cut
+    cm = CostModel()
+    cut = 0
+    for seed in range(12):
+        c = gen_compound(CompoundSpec(3, 4, 150, 2, 1.0, seed))
+        g = clifford_simplify(plug(diagram_from_circuit(c), "0+1" * 4, "+10" * 4))
+        plan = choose_k(g, cm)
+        comps = sorted(g.connected_components(), key=min)
+        for r in range(1, len(comps) + 1):
+            for chosen in itertools.combinations(comps, r):
+                sub = g.carve([set().union(*chosen)])[0]
+                got, want = restrict(plan, sub, cm), choose_k(sub, cm)
+                assert (got.k, got.cut_spiders, got.per_part) == (
+                    want.k, want.cut_spiders, want.per_part)
+                assert got.part_params() == want.part_params()
+                cut += bool(got.cut_spiders)
+    assert cut >= 2
+    # a k = 1 plan restricts to the unsplit plan of any part of the diagram
+    sub = g.carve([comps[0]])[0]
+    assert restrict(unsplit_plan(g, cm), sub, cm).per_part == unsplit_plan(sub, cm).per_part
 
 
 def test_choose_k_reproduces_pinned_plans():

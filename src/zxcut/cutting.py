@@ -21,6 +21,10 @@ from .scalars import ScalarC, phase8_complex
 from .simplify import _clear_self_loops, _colour_change
 from .tensor import solve_identity, tensor_of
 
+# module names cost a fraction of the enum class lookups
+_Z, _X, _BOUNDARY = SpiderKind.Z, SpiderKind.X, SpiderKind.BOUNDARY
+_PLAIN, _HADAMARD = EdgeKind.PLAIN, EdgeKind.HADAMARD
+
 
 @functools.lru_cache(maxsize=1)
 def cut_normalization() -> tuple[float, complex]:
@@ -84,26 +88,26 @@ def cut_spiders(d: ZxDiagram, params: dict[int, int]) -> ZxDiagram:
     plain complex number."""
     out = d.copy()
     for v, p in sorted(params.items()):
-        if v not in out.spiders or out.spiders[v].kind == SpiderKind.BOUNDARY:
+        if v not in out.spiders or out.spiders[v].kind == _BOUNDARY:
             raise ValueError(f"{v} is not a spider that can be cut")
         if p in out.params:
             raise ValueError(f"parameter {p} already in use")
-        if out.spiders[v].kind == SpiderKind.X:
+        if out.spiders[v].kind == _X:
             _colour_change(out, v, None)
         else:
             _clear_self_loops(out, v, None)
         s = out.spiders[v]  # after the helpers, which can change its phase
         if s.phase.params:
-            w = out.add_spider(SpiderKind.Z, Phase(0, s.phase.params))
-            out.add_edge(v, w, EdgeKind.PLAIN)
+            w = out.add_spider(_Z, Phase(0, s.phase.params))
+            out.add_edge(v, w, _PLAIN)
 
         legs: list[tuple[int, EdgeKind]] = []
         for u, row in sorted(out.adj[v].items()):
-            legs += [(u, EdgeKind.PLAIN)] * row[0] + [(u, EdgeKind.HADAMARD)] * row[1]
+            legs += [(u, _PLAIN)] * row[0] + [(u, _HADAMARD)] * row[1]
         out.remove_spider(v)
         for u, kind in legs:
-            piece = out.add_spider(SpiderKind.Z, Phase(0, frozenset({p})))
-            out.add_edge(piece, u, EdgeKind(1 - kind))
+            piece = out.add_spider(_Z, Phase(0, frozenset({p})))
+            out.add_edge(piece, u, _PLAIN if kind == _HADAMARD else _HADAMARD)
         mul_cut_weight(out.scalar, len(legs))
         out.params.add(p)
         out.param_coeffs[p] = (1 + 0j, phase8_complex(s.phase.fixed))

@@ -28,6 +28,10 @@ from .scalars import ScalarC, phase8_complex
 from .simplify import clifford_simplify, simplify_in_place
 from .tensor import solve_identity, tensor_of
 
+# module names cost a fraction of the enum class lookups
+_Z, _X, _PLAIN = SpiderKind.Z, SpiderKind.X, EdgeKind.PLAIN
+_S, _PI = Phase(2), Phase(4)
+
 
 @dataclass(frozen=True)
 class DecompTerm:
@@ -58,9 +62,9 @@ def _pair_merge(g: ZxDiagram, vs: tuple[int, ...]) -> None:
     v1, v2 = vs
     _shift(g, v1, -1)
     _shift(g, v2, -1)
-    z = g.add_spider(SpiderKind.Z, Phase(2))
-    g.add_edge(z, v1, EdgeKind.PLAIN)
-    g.add_edge(z, v2, EdgeKind.PLAIN)
+    z = g.add_spider(_Z, _S)
+    g.add_edge(z, v1, _PLAIN)
+    g.add_edge(z, v2, _PLAIN)
 
 
 def _pair_flip(g: ZxDiagram, vs: tuple[int, ...]) -> None:
@@ -68,9 +72,9 @@ def _pair_flip(g: ZxDiagram, vs: tuple[int, ...]) -> None:
     v1, v2 = vs
     _shift(g, v1, -1)
     _shift(g, v2, -1)
-    m = g.add_spider(SpiderKind.X, Phase(4))
-    g.add_edge(m, v1, EdgeKind.PLAIN)
-    g.add_edge(m, v2, EdgeKind.PLAIN)
+    m = g.add_spider(_X, _PI)
+    g.add_edge(m, v1, _PLAIN)
+    g.add_edge(m, v2, _PLAIN)
 
 
 def _template_tensor(n_legs: int, applier, coeff: complex | None) -> np.ndarray:
@@ -205,7 +209,7 @@ def _path_sum(g: ZxDiagram) -> ScalarC:
     edges = 0
     for i, v in enumerate(vs):
         s = g.spiders[v]
-        if s.kind != SpiderKind.Z or s.phase.params:
+        if s.kind != _Z or s.phase.params:
             raise AssertionError(f"path sum needs graph-like input, got {s!r}")
         phase[i] = s.phase.fixed
         for u, row in g.adj[v].items():

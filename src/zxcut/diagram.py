@@ -27,6 +27,12 @@ class EdgeKind(IntEnum):
     HADAMARD = 1
 
 
+# module names for the members the hot loops read, which cost a fraction of
+# an attribute lookup on the enum class
+_Z, _BOUNDARY = SpiderKind.Z, SpiderKind.BOUNDARY
+_PLAIN, _HADAMARD = EdgeKind.PLAIN, EdgeKind.HADAMARD
+
+
 @dataclass(frozen=True, slots=True)
 class Phase:
     """fixed * pi/4 plus pi for each parameter assigned 1.
@@ -143,7 +149,7 @@ class ZxDiagram:
 
     def remove_edge(self, u: int, v: int, kind: EdgeKind, count: int = 1) -> None:
         plain, had = self.adj[u][v]
-        if kind == EdgeKind.PLAIN:
+        if kind == _PLAIN:
             plain -= count
         else:
             had -= count
@@ -179,9 +185,9 @@ class ZxDiagram:
                 if v < u:
                     continue
                 for _ in range(row[0]):
-                    yield (u, v, EdgeKind.PLAIN)
+                    yield (u, v, _PLAIN)
                 for _ in range(row[1]):
-                    yield (u, v, EdgeKind.HADAMARD)
+                    yield (u, v, _HADAMARD)
 
     def edge_count(self) -> int:
         return sum(1 for _ in self.edges())
@@ -189,7 +195,7 @@ class ZxDiagram:
     def t_count(self) -> int:
         return sum(
             1 for v, s in self.spiders.items()
-            if s.kind != SpiderKind.BOUNDARY and s.phase.is_t()
+            if s.kind != _BOUNDARY and s.phase.fixed & 1
         )
 
     def connected_components(self) -> list[set[int]]:
@@ -369,7 +375,7 @@ def diagram_from_circuit(circ: Circuit) -> ZxDiagram:
     last = [d.add_spider(SpiderKind.BOUNDARY) for _ in range(n)]
     d.inputs = list(last)
     pending = [0] * n  # 1 when a Hadamard waits for the wire's next edge
-    z_spiders = _FIXED_SPIDERS[SpiderKind.Z]
+    z_spiders = _FIXED_SPIDERS[_Z]
 
     def lay(q: int, x: int, k: int) -> int:
         """The Z-spider of phase ``k`` that a gate on wire ``q`` adds, with a
@@ -380,13 +386,14 @@ def diagram_from_circuit(circ: Circuit) -> ZxDiagram:
         had = pending[q] ^ x
         pending[q] = x
         s = spiders[u]
-        if not had and s.kind == SpiderKind.Z:
+        if not had and s.kind == _Z:
             if k:
                 spiders[u] = z_spiders[(s.phase.fixed + k) % 8]
             return u
+        # a new spider's one edge, written as ZxDiagram.add_edge would
         spiders[v] = z_spiders[k]
-        adj[v] = {}
-        d.add_edge(u, v, had)
+        adj[u][v] = edge = (0, 1) if had else (1, 0)
+        adj[v] = {u: edge}
         last[q] = v
         return v
 
@@ -405,7 +412,7 @@ def diagram_from_circuit(circ: Circuit) -> ZxDiagram:
                 d.set_edges(vc, vt, plain, had - 1)
                 d.scalar.mul_sqrt2(-1)
             else:
-                d.add_edge(vc, vt, EdgeKind.HADAMARD)
+                d.add_edge(vc, vt, _HADAMARD)
                 d.scalar.mul_sqrt2(1)
             continue
         if len(gate) != 2:

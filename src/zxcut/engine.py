@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .circuits import Circuit
 from .costmodel import CostModel
 from .cutting import cut_spiders, instantiate
-from .decompose import DecomposeStats, LeafCapError, decompose_to_scalar
+from .decompose import DENSE_MAX_SPIDERS, DecomposeStats, LeafCapError, decompose_to_scalar
 from .diagram import ZxDiagram, diagram_from_circuit, plug
 from .partition import (PartitionPlan, _merge, choose_k, restrict, unsplit_component,
                         unsplit_plan)
@@ -234,7 +234,9 @@ def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int =
 
     Every connected component (a diagram without spiders is one empty
     component, worth one leaf) is reduced by plain decomposition within
-    ``LEAF_BUDGET`` leaves.  The components that overrun are carved into one
+    ``LEAF_BUDGET`` leaves.  A diagram of at most ``DENSE_MAX_SPIDERS``
+    spiders is one dense leaf as a whole, so it is reduced in one call, not
+    one per component.  The components that overrun are carved into one
     sub-diagram, which ``choose_k`` plans (an empty one when nothing overran)
     and ``run_plan`` runs; ``planned``, ``choose_k``'s plan of all of ``g``
     if the caller has one, stands in for that planning.  The report's plan
@@ -246,10 +248,11 @@ def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int =
     started = time.perf_counter()
     whole = unsplit_plan(g, cm)
     comps = g.carve(sorted(g.connected_components(), key=min)) or [ZxDiagram()]
+    one_leaf = len(g.spiders) <= DENSE_MAX_SPIDERS
     value = g.scalar.copy()
     stats = DecomposeStats()
     finished, overran = [], []
-    for comp in comps:
+    for comp in g.carve([g.spiders]) if one_leaf else comps:
         stats.leaf_cap = min(stats.leaves + LEAF_BUDGET, caps.leaf_evals)
         try:
             value.mul(decompose_to_scalar(comp, stats=stats))
@@ -261,6 +264,8 @@ def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int =
                                        measured=True) from None
             stats.leaves -= 1  # the leaf past the budget was counted, not evaluated
             overran.append(comp)
+    if one_leaf and finished:
+        finished = comps  # one unsplit part per component all the same
 
     sub = g.carve([[v for comp in overran for v in comp.spiders]])[0]
     sub.scalar = value  # the finished components' factor rides on the run

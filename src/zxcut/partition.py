@@ -64,6 +64,8 @@ from .decompose import DENSE_MAX_SPIDERS
 from .diagram import SpiderKind, ZxDiagram
 from .regroup import plan_schedule
 
+_BOUNDARY = SpiderKind.BOUNDARY  # a module name costs a fraction of the enum class lookup
+
 FM_STARTS = 8
 FM_PASSES = 3
 FM_EPS = 0.1  # T-weight balance: a part may hold (1 + FM_EPS) times its share
@@ -115,7 +117,7 @@ def to_partition_hypergraph(d: ZxDiagram) -> PartitionHypergraph:
         hyper_index[v] = len(pins)
         pins.append([])
         spider_of.append(v)
-        weights.append(1 if s.kind != SpiderKind.BOUNDARY and s.phase.is_t() else 0)
+        weights.append(1 if s.kind != _BOUNDARY and s.phase.fixed & 1 else 0)
 
     for u, v, _kind in d.edges():
         n = len(edge_ids)

@@ -17,6 +17,9 @@ import numpy as np
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .scalars import phase8_complex
 
+# module names cost a fraction of the enum class lookups
+_X, _BOUNDARY, _HADAMARD = SpiderKind.X, SpiderKind.BOUNDARY, EdgeKind.HADAMARD
+
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * 2.0 ** -0.5
 _I = np.eye(2, dtype=complex)
 _NO_WEIGHT = np.ones(2)
@@ -43,10 +46,10 @@ def tensor_of(d: ZxDiagram):
     # factors: (tensor, index of each axis); spider v is index col[v]
     col = {v: i for i, v in enumerate(d.spiders)}
     weights = {v: np.array([1, phase8_complex(s.phase.fixed)])
-               for v, s in d.spiders.items() if s.kind != SpiderKind.BOUNDARY}
+               for v, s in d.spiders.items() if s.kind != _BOUNDARY}
     factors: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for u, v, kind in d.edges():
-        e = (kind == EdgeKind.HADAMARD) + sum(d.spiders[w].kind == SpiderKind.X for w in (u, v))
+        e = (kind == _HADAMARD) + sum(d.spiders[w].kind == _X for w in (u, v))
         m = _H if e % 2 else _I
         if u == v:
             factors.append((np.diagonal(m) * weights.pop(u, _NO_WEIGHT), (col[u],)))

@@ -13,6 +13,7 @@ from zxcut.engine import (METHODS, Report, ResourceCapError, ResourceCaps,
 from zxcut.generators import CompoundSpec, gen_compound
 from zxcut.oracle import MAX_QUBITS, statevector_amplitude
 from zxcut.cutting import cut_spiders, instantiate
+from zxcut.decompose import DENSE_MAX_SPIDERS
 from zxcut.diagram import Phase, ZxDiagram, diagram_from_circuit, plug
 from zxcut.partition import choose_k, unsplit_plan
 from zxcut.simplify import clifford_simplify
@@ -354,6 +355,20 @@ def test_decompose_first_caps_count_wasted_leaves(case):
     assert err.value.measured and err.value.stage == "decompose"
     assert (err.value.projected, err.value.cap) == (leaves, leaves - 1)
     assert err.value.plan.k == full.plan.k
+
+
+def test_decompose_first_evaluates_a_small_diagram_as_one_leaf():
+    # the simplified diagram has three components and 18 spiders, so the
+    # tree's dense cutoff takes all of it as one leaf; the report keeps one
+    # unsplit part per component
+    c, ins, outs = gen_compound(CompoundSpec(3, 4, 60, 1, 1.0, 1)), "+0" * 6, "1+" * 6
+    g = clifford_simplify(plug(diagram_from_circuit(c), ins, outs))
+    assert len(g.spiders) <= DENSE_MAX_SPIDERS and len(g.connected_components()) == 3
+    amp, rep = simulate_amplitude(c, ins, outs)
+    assert abs(amp - statevector_amplitude(c, ins, outs)) < 1e-9
+    assert (rep.leaf_evals, rep.plan.k, rep.plan.cut_spiders) == (1, 3, set())
+    parts = [{v for v, part in rep.plan.assignment.items() if part == i} for i in range(3)]
+    assert sorted(map(sorted, parts)) == sorted(map(sorted, g.connected_components()))
 
 
 @pytest.mark.parametrize("budget", [0, 1])

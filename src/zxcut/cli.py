@@ -194,11 +194,12 @@ def _sigma_key(sigma: float) -> int:
 def _measure_cell(circ: Circuit, cm: CostModel, seed: int, estimate_only: bool,
                   force_partition: bool) -> dict[str, float]:
     """log2 seconds per method for one circuit: the projection, replaced by a
-    real measured run when the projection is below the threshold.  Planned
-    once, by ``choose_k``, for the projections; a measured method's seconds
-    are build, that planning (none for ``direct``) and its run.  An unforced
-    ``smart`` run is ``decompose_first``, as ``zxcut simulate`` runs it, with
-    the plan standing in for its planning of the components that overrun."""
+    real measured run when the projection is below the threshold.  A
+    measured method's seconds are build and its run as ``zxcut simulate``
+    makes it, planning included: ``decompose_first`` for an unforced
+    ``smart`` run, which plans only the components that overrun, and
+    otherwise ``run_plan`` on the projections' ``choose_k`` plan (for
+    ``direct`` the unsplit plan, which takes no planning)."""
     plus = "+" * circ.n_qubits
     started = time.perf_counter()
     g = clifford_simplify(plug(diagram_from_circuit(circ), plus, plus))
@@ -207,13 +208,14 @@ def _measure_cell(circ: Circuit, cm: CostModel, seed: int, estimate_only: bool,
     out = {}
     for method, seconds in method_seconds(plan, cm).items():
         if not estimate_only and seconds < cm.real_run_threshold_secs:
-            run_on = unsplit_plan(g, cm) if method == "direct" else plan
             try:
                 if method == "smart" and not force_partition:
-                    run = decompose_first(g, cm, ResourceCaps(), seed, planned=plan)
+                    run = decompose_first(g, cm, ResourceCaps(), seed)
+                    seconds = built + run.wall_seconds
                 else:
+                    run_on = unsplit_plan(g, cm) if method == "direct" else plan
                     run = run_plan(g, run_on, method, cm, ResourceCaps())
-                seconds = built + run_on.overhead_seconds + run.wall_seconds
+                    seconds = built + run_on.overhead_seconds + run.wall_seconds
             except ResourceCapError:
                 pass
         out[method] = cm.log2_seconds(seconds)

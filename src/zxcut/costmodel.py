@@ -87,6 +87,10 @@ class CostModel:
             attr = _KEY_TO_ATTR.get(key)
             if attr is None:
                 raise ValueError(f"unknown cost model key {key!r}")
+            # a JSON number or a string: float() would read true as 1.0 and
+            # raise TypeError on null or a list
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ValueError(f"{key} must be a number, not {json.dumps(value)}")
             kwargs[attr] = float(value)
         return cls(**kwargs)
 

@@ -116,15 +116,15 @@ def derive_one_t_coefficients() -> Decomposition:
 
 
 class LeafCapError(RuntimeError):
-    """More leaves were evaluated than ``DecomposeStats.leaf_cap`` allows."""
+    """The next leaf would pass ``DecomposeStats.leaf_cap``."""
 
 
 @dataclass
 class DecomposeStats:
     """Counts of a decomposition.  ``leaves`` is summed over every call it is
-    passed to, and the call that evaluates leaf number ``leaf_cap + 1``
-    raises :class:`LeafCapError`; ``t_initial`` is the T-count of the last
-    call's simplified diagram."""
+    passed to; a call raises :class:`LeafCapError` instead of evaluating a
+    leaf past ``leaf_cap``.  ``t_initial`` is the T-count of the last call's
+    simplified diagram."""
 
     leaves: int = 0
     t_initial: int = 0
@@ -269,10 +269,10 @@ def decompose_to_scalar(
         g = stack.pop()
         if g.scalar.is_zero or len(g.spiders) <= DENSE_MAX_SPIDERS:
             if stats is not None:
+                if stats.leaves + 1 > stats.leaf_cap:
+                    raise LeafCapError(f"evaluated {stats.leaves} leaves, the cap "
+                                       f"of {stats.leaf_cap:.3g}; one more is due")
                 stats.leaves += 1
-                if stats.leaves > stats.leaf_cap:
-                    raise LeafCapError(f"evaluated {stats.leaves} leaves, past the "
-                                       f"cap of {stats.leaf_cap:.3g}")
             if not g.scalar.is_zero:
                 total = total.plus(_path_sum(g))
             continue

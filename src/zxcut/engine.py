@@ -17,7 +17,7 @@ each method for a plan, and ``run_plan`` the one runner of a plan, which
 report holds the full planner's plan (``choose_k`` over every component); a
 run reports the plan it ran.  Any stage whose projection exceeds the
 resource caps aborts with the plan attached instead of running, and so does
-a run whose leaves actually evaluated, wasted ones included, pass the cap.
+a run whose next leaf, wasted ones counted, would pass the cap.
 Cuts are built by ``cutting``.
 """
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .costmodel import CostModel
 from .cutting import cut_spiders, instantiate
 from .decompose import DENSE_MAX_SPIDERS, DecomposeStats, LeafCapError, decompose_to_scalar
 from .diagram import ZxDiagram, diagram_from_circuit, plug
-from .partition import (PartitionPlan, _merge, choose_k, restrict, unsplit_component,
-                        unsplit_plan)
+from .partition import PartitionPlan, _merge, choose_k, unsplit_plan
 from .regroup import precompute_segment, regroup_all
 from .scalars import ScalarC
 from .simplify import clifford_simplify
@@ -208,8 +207,8 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
                 total = total.plus(term)
             value = total.times(overall)
             report.crossref_products = 2 ** len(all_params)
-    except LeafCapError:
-        raise ResourceCapError(stage, stats.leaves, caps.leaf_evals, plan,
+    except LeafCapError:  # raised before the leaf past the cap is counted
+        raise ResourceCapError(stage, stats.leaves + 1, caps.leaf_evals, plan,
                                measured=True) from None
 
     report.leaf_evals = stats.leaves
@@ -227,10 +226,9 @@ def run_plan(g: ZxDiagram, plan: PartitionPlan, method: str, cm: CostModel,
 LEAF_BUDGET = 32
 
 
-def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int = 0,
-                    planned: PartitionPlan | None = None) -> Report:
+def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int = 0) -> Report:
     """The unforced ``smart`` run of the simplified scalar diagram ``g``,
-    timing this call.
+    timing this call, planning included.
 
     Every connected component (a diagram without spiders is one empty
     component, worth one leaf) is reduced by plain decomposition within
@@ -238,12 +236,12 @@ def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int =
     spiders is one dense leaf as a whole, so it is reduced in one call, not
     one per component.  The components that overrun are carved into one
     sub-diagram, which ``choose_k`` plans (an empty one when nothing overran)
-    and ``run_plan`` runs; ``planned``, ``choose_k``'s plan of all of ``g``
-    if the caller has one, stands in for that planning.  The report's plan
-    merges every finished component, as one unsplit part, with the plan
-    that ran.  The leaves an overrun wasted count toward ``caps.leaf_evals``
-    and ``leaf_evals``; passing the cap raises a measured
-    ``ResourceCapError`` with the plan so far.
+    and ``run_plan`` runs.  The report's plan merges every finished
+    component, as one unsplit part, with the plan that ran, and its
+    ``overhead_seconds`` is that planning.  The leaves an overrun wasted
+    count toward ``caps.leaf_evals`` and ``leaf_evals``; reaching a leaf past
+    the cap raises a measured ``ResourceCapError`` with the plan so far.
+    A measured sweep cell times ``smart`` by this call.
     """
     started = time.perf_counter()
     whole = unsplit_plan(g, cm)
@@ -258,22 +256,18 @@ def decompose_first(g: ZxDiagram, cm: CostModel, caps: ResourceCaps, seed: int =
             value.mul(decompose_to_scalar(comp, stats=stats))
             finished.append(comp)
         except LeafCapError:
-            if stats.leaves > caps.leaf_evals:
-                plan = _merge([unsplit_component(c, cm) for c in comps], whole, cm)
-                raise ResourceCapError("decompose", stats.leaves, caps.leaf_evals, plan,
+            if stats.leaves + 1 > caps.leaf_evals:
+                plan = _merge([unsplit_plan(c, cm) for c in comps], whole, cm)
+                raise ResourceCapError("decompose", stats.leaves + 1, caps.leaf_evals, plan,
                                        measured=True) from None
-            stats.leaves -= 1  # the leaf past the budget was counted, not evaluated
             overran.append(comp)
     if one_leaf and finished:
         finished = comps  # one unsplit part per component all the same
 
     sub = g.carve([[v for comp in overran for v in comp.spiders]])[0]
     sub.scalar = value  # the finished components' factor rides on the run
-    if planned is None:
-        sub_plan = choose_k(sub, cm, seed=seed)
-    else:
-        sub_plan = restrict(planned, sub, cm)
-    plan = _merge([unsplit_component(c, cm) for c in finished]
+    sub_plan = choose_k(sub, cm, seed=seed)
+    plan = _merge([unsplit_plan(c, cm) for c in finished]
                   + ([sub_plan] if overran else []), whole, cm)
     plan.overhead_seconds = sub_plan.overhead_seconds
     report = _planned_report(plan, "smart", cm)

@@ -474,6 +474,7 @@ class PartitionPlan:
     t_direct_est: float = 0.0
     t_smart_est: float = 0.0
     schedule: list[tuple[int, int, int]] = field(default_factory=list)
+    # edge -> part for split components only, as only cut spiders' edges are read
     edge_parts: dict[tuple[int, int], int] = field(default_factory=dict)
     overhead_seconds: float = 0.0
     alpha: float = 0.32
@@ -515,36 +516,6 @@ def unsplit_plan(d: ZxDiagram, cm: CostModel) -> PartitionPlan:
     return plan
 
 
-def unsplit_component(d: ZxDiagram, cm: CostModel) -> PartitionPlan:
-    """The k = 1 plan of a diagram with every edge in part 0 as well, the
-    form in which ``_merge`` takes a component's plan."""
-    plan = unsplit_plan(d, cm)
-    plan.edge_parts = dict.fromkeys(((u, v) for u, v, _kind in d.edges()), 0)
-    return plan
-
-
-def restrict(plan: PartitionPlan, d: ZxDiagram, cm: CostModel) -> PartitionPlan:
-    """The parts of ``choose_k``'s ``plan`` that lie in ``d``, a union of
-    connected components of the diagram it planned, as one plan of ``d``
-    without overhead: parts renumbered in order, the regroup schedule worked
-    out again.  No part of a split plan spans two components, since
-    ``choose_k`` splits one component at a time."""
-    if plan.k == 1 or not d.spiders:
-        return unsplit_plan(d, cm)
-    edges = {(u, v) for u, v, _kind in d.edges()}
-    kept = sorted({plan.edge_parts[e] for e in edges}
-                  | {plan.assignment[v] for v in d.spiders if v in plan.assignment})
-    new = {part: i for i, part in enumerate(kept)}
-    out = unsplit_plan(d, cm)
-    out.k = len(kept)
-    out.cut_spiders = plan.cut_spiders & d.spiders.keys()
-    out.assignment = {v: new[plan.assignment[v]] for v in d.spiders
-                      if v in plan.assignment}
-    out.edge_parts = {e: new[plan.edge_parts[e]] for e in edges}
-    _price(out, [plan.per_part[part][0] for part in kept], cm, 0.0)
-    return out
-
-
 def _price(plan: PartitionPlan, part_t: list[int], cm: CostModel,
            overhead: float) -> None:
     """Price a split plan whose part i holds T-count part_t[i]: its
@@ -576,7 +547,7 @@ def _plan_component(
     as no split can beat k = 1 then (see below).  Otherwise it stops at the
     first k whose candidate prices no lower than the cheapest so far, k = 1
     included.  A forced search prices every k from 2 to k_max."""
-    base = unsplit_component(d, cm)
+    base = unsplit_plan(d, cm)
     t = base.t_total
     if not force_partition and (len(d.spiders) <= DENSE_MAX_SPIDERS
                                 or cm.alpha * (t + 1) <= 4):
@@ -622,7 +593,8 @@ def _plan_component(
 
 def _merge(parts: list[PartitionPlan], whole: PartitionPlan, cm: CostModel) -> PartitionPlan:
     """One plan from the component plans: part ids offset per component, the
-    regroup schedule worked out once over all parts, the overhead paid once."""
+    regroup schedule worked out once over all parts, the overhead paid once.
+    Only the plans of split components carry ``edge_parts``."""
     plan = PartitionPlan(k=sum(p.k for p in parts), alpha=cm.alpha,
                          t_total=whole.t_total, s_decomp=whole.s_decomp,
                          t_direct_est=whole.t_direct_est)

@@ -188,22 +188,25 @@ SWEEP_8_60_ESTIMATES = (
 )
 
 
-def test_sweep_plans_each_circuit_once(tmp_path, monkeypatch):
-    # a measured cell runs every method on one plan: 6 circuits, 6 plans
+def test_sweep_plans_each_circuit_once_and_each_smart_run_its_overrun(tmp_path, monkeypatch):
+    # a measured cell plans its circuit once for the projections and runs
+    # direct and naive on that plan; its smart run is decompose_first, which
+    # plans the components that overrun itself, as zxcut simulate does:
+    # 6 circuits, 6 plans of each kind
     import zxcut.cli
     import zxcut.engine
-    calls = []
+    calls = {zxcut.cli: [], zxcut.engine: []}
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return choose_k(*args, **kwargs)
+    for module, seen in calls.items():
+        def counting(*args, _seen=seen, **kwargs):
+            _seen.append(args[0])
+            return choose_k(*args, **kwargs)
 
-    for module in (zxcut.cli, zxcut.engine):
-        monkeypatch.setattr(module, "choose_k", counting, raising=False)
+        monkeypatch.setattr(module, "choose_k", counting)
     base = ["sweep-sigma", "--qubits", "8", "--depth", "60", "--sigmas", "0,inf",
             "--samples", "3"]
     assert main(base + ["--out", str(tmp_path / "measured.csv")]) == 0
-    assert len(calls) == 6
+    assert len(calls[zxcut.cli]) == len(calls[zxcut.engine]) == 6
     rows = list(csv.DictReader((tmp_path / "measured.csv").open()))
     assert len(rows) == 6 and all(math.isfinite(float(r["mean_log2_seconds"]))
                                   for r in rows)
@@ -213,15 +216,14 @@ def test_sweep_plans_each_circuit_once(tmp_path, monkeypatch):
 
 def test_measured_smart_cells_run_decompose_first(tmp_path, monkeypatch):
     # a measured unforced smart cell is timed through decompose_first, as
-    # zxcut simulate runs it, with the sweep's one plan standing in for its
-    # planning; a forced sweep runs that plan with run_plan instead
+    # zxcut simulate runs it; a forced sweep runs the sweep's plan with
+    # run_plan instead
     import zxcut.cli
     runs = []
     real = zxcut.cli.decompose_first
 
-    def recording(g, cm, caps, seed=0, planned=None):
-        assert planned is not None
-        runs.append(real(g, cm, caps, seed, planned=planned))
+    def recording(g, cm, caps, seed=0):
+        runs.append(real(g, cm, caps, seed))
         return runs[-1]
 
     monkeypatch.setattr(zxcut.cli, "decompose_first", recording)
@@ -231,6 +233,29 @@ def test_measured_smart_cells_run_decompose_first(tmp_path, monkeypatch):
     assert len(runs) == 6 and {r.method for r in runs} == {"smart"}
     assert main(base + ["--force-partition", "--out", str(tmp_path / "forced.csv")]) == 0
     assert len(runs) == 6
+
+
+def test_measured_smart_seconds_leave_out_the_projection_planning(tmp_path, monkeypatch):
+    # a measured smart cell costs what decompose_first spends, planning of
+    # the components that overrun included; the sweep's projection plan is
+    # not part of that run, so its planning time must not be charged to it,
+    # while a naive cell, which runs that plan, pays for it
+    import zxcut.cli
+
+    def slow(*args, **kwargs):
+        plan = choose_k(*args, **kwargs)
+        plan.overhead_seconds = 2.0 ** 20
+        return plan
+
+    monkeypatch.setattr(zxcut.cli, "choose_k", slow)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-sigma", "--qubits", "8", "--depth", "60", "--sigmas", "0,inf",
+                 "--samples", "3", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    seconds = {(r["sigma"], r["method"]): float(r["mean_log2_seconds"]) for r in rows}
+    for sigma in ("0", "inf"):
+        assert seconds[sigma, "smart"] < 20, sigma
+        assert seconds[sigma, "naive"] == pytest.approx(20), sigma
 
 
 def test_simulate_json_determinism():
@@ -343,7 +368,10 @@ def test_calibrate_simplifies_each_candidate_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name, text, key", [
     ("rates.cfg", "rDecomp = nan\n", "rDecomp"),
     ("rates.json", '{"tOverhead": -5}\n', "tOverhead"),
-], ids=["key-value-nan-rate", "json-negative-overhead"])
+    ("null.json", '{"alpha": null}\n', "alpha"),
+    ("list.json", '{"rDecomp": [1]}\n', "rDecomp"),
+    ("bool.json", '{"rCrossref": true}\n', "rCrossref"),
+], ids=["key-value-nan-rate", "json-negative-overhead", "json-null", "json-list", "json-bool"])
 def test_config_that_breaks_the_price_exit_2(tmp_path, capsys, name, text, key):
     # these printed "tEstSeconds": NaN or "log2Seconds": -Infinity, which is
     # not JSON; the config is now refused, naming its key

@@ -10,7 +10,7 @@ from zxcut.costmodel import CostModel
 from zxcut.engine import (METHODS, Report, ResourceCapError, ResourceCaps,
                           method_seconds, run_plan, simulate_amplitude,
                           split_segments)
-from zxcut.generators import CompoundSpec, gen_compound
+from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
 from zxcut.oracle import MAX_QUBITS, statevector_amplitude
 from zxcut.cutting import cut_spiders, instantiate
 from zxcut.decompose import DENSE_MAX_SPIDERS
@@ -355,6 +355,34 @@ def test_decompose_first_caps_count_wasted_leaves(case):
     assert err.value.measured and err.value.stage == "decompose"
     assert (err.value.projected, err.value.cap) == (leaves, leaves - 1)
     assert err.value.plan.k == full.plan.k
+
+
+def test_decompose_first_counts_only_leaves_evaluated(monkeypatch):
+    # a component that overruns LEAF_BUDGET stops before the leaf past the
+    # budget is counted, so what each decompose_to_scalar call adds to the
+    # shared count, as a tracer wrapping it sees, sums to the report's
+    # leaves: the overrun's, then the precomputed tables' of its plan
+    from zxcut import regroup
+    c = gen_clifford_t(CircuitSpec(16, 400, 1.0, 503))
+    plugs = "+" * c.n_qubits
+    real = engine.decompose_to_scalar
+    added = []
+
+    def counting(d, decomposition=None, stats=None):
+        before = stats.leaves
+        try:
+            return real(d, decomposition, stats)
+        finally:
+            added.append(stats.leaves - before)
+
+    for module in (engine, regroup):
+        monkeypatch.setattr(module, "decompose_to_scalar", counting)
+    amp, rep = simulate_amplitude(c, plugs, plugs)
+    assert rep.plan.k >= 2 and len(added) > 1
+    assert added[0] == engine.LEAF_BUDGET  # the component that overran
+    assert sum(added) == rep.leaf_evals
+    monkeypatch.undo()
+    assert abs(amp - simulate_amplitude(c, plugs, plugs, "direct")[0]) < 1e-9
 
 
 def test_decompose_first_evaluates_a_small_diagram_as_one_leaf():

@@ -16,7 +16,7 @@ from zxcut.decompose import DENSE_MAX_SPIDERS
 from zxcut.diagram import EdgeKind, Phase, SpiderKind, ZxDiagram, diagram_from_circuit, plug
 from zxcut.engine import ResourceCaps, run_plan
 from zxcut.generators import CircuitSpec, CompoundSpec, gen_clifford_t, gen_compound
-from zxcut.partition import (PartitionPlan, _Bisection, choose_k, partition_k, restrict,
+from zxcut.partition import (PartitionPlan, _Bisection, choose_k, partition_k,
                              to_partition_hypergraph, unsplit_plan)
 from zxcut.regroup import plan_schedule
 from zxcut.simplify import clifford_simplify
@@ -281,8 +281,9 @@ def test_choose_k_plans_each_component_on_its_own():
         assert sum(1 for path in paths if members & path) == 1
     assert plan.cut_spiders and plan.cut_spiders <= paths[1]
     assert set(plan.assignment) | plan.cut_spiders == set(d.spiders)
+    # only the split component's edges are mapped
     assert {u for u, v in plan.edge_parts} | {v for u, v in plan.edge_parts} \
-        == set(d.spiders)
+        == paths[1]
     want = sum(2.0 ** (cm.alpha * t + c_) for t, c_ in plan.per_part)
     assert plan.s_precomp == pytest.approx(want, rel=1e-12)
     assert plan.t_smart_est < plan.t_direct_est
@@ -293,32 +294,6 @@ def _pinned_circuit(entry):
         n, depth, sigma, seed = entry["spec"]
         return gen_clifford_t(CircuitSpec(n, depth, float(sigma), seed))
     return gen_compound(CompoundSpec(*entry["spec"]))
-
-
-def test_restrict_keeps_the_component_plans():
-    # choose_k plans each component on its own, so its plan restricted to a
-    # union of components has the parts, cuts and T-counts that choose_k
-    # gives that union, on compounds of three blocks (T 38-55) some of whose
-    # components are cut
-    cm = CostModel()
-    cut = 0
-    for seed in range(12):
-        c = gen_compound(CompoundSpec(3, 4, 150, 2, 1.0, seed))
-        g = clifford_simplify(plug(diagram_from_circuit(c), "0+1" * 4, "+10" * 4))
-        plan = choose_k(g, cm)
-        comps = sorted(g.connected_components(), key=min)
-        for r in range(1, len(comps) + 1):
-            for chosen in itertools.combinations(comps, r):
-                sub = g.carve([set().union(*chosen)])[0]
-                got, want = restrict(plan, sub, cm), choose_k(sub, cm)
-                assert (got.k, got.cut_spiders, got.per_part) == (
-                    want.k, want.cut_spiders, want.per_part)
-                assert got.part_params() == want.part_params()
-                cut += bool(got.cut_spiders)
-    assert cut >= 2
-    # a k = 1 plan restricts to the unsplit plan of any part of the diagram
-    sub = g.carve([comps[0]])[0]
-    assert restrict(unsplit_plan(g, cm), sub, cm).per_part == unsplit_plan(sub, cm).per_part
 
 
 def test_choose_k_reproduces_pinned_plans():
@@ -632,7 +607,6 @@ def reference_candidates(d, cm, seed=0, force_partition=False):
     h = to_partition_hypergraph(d) if d.spiders else None
     candidates = [base]
     if h is not None and h.n_nodes:
-        base.edge_parts = dict.fromkeys(h.edge_keys, 0)
         upper = min(k_max, len(h.pins), h.n_nodes)
         if force_partition:
             upper = max(upper, min(2, len(h.pins), h.n_nodes))
@@ -741,11 +715,11 @@ def test_dense_components_are_one_leaf_and_never_searched(monkeypatch, small_com
         calls[0] = builds[0] = 0
         plan = choose_k(c, cm)
         assert plan.k == 1 and not plan.cut_spiders, label
-        # the component plan, which choose_k merges, maps every edge to part 0
-        # as the hypergraph keys it
+        # the component plan, which choose_k merges, is the unsplit plan,
+        # which maps no edge
         own = partition._plan_component(c, cm, 0, False)
         assert calls[0] == builds[0] == 0, label
-        assert own.edge_parts == dict.fromkeys(to_partition_hypergraph(c).edge_keys, 0)
+        assert own.k == 1 and not own.edge_parts, label
         forced = choose_k(c, cm, force_partition=True)
         assert calls[0] >= 1, label
         assert forced.k >= 2 and forced.cut_spiders, label

@@ -10,9 +10,9 @@ hard-coded, and checked to machine precision.
 The tree ends early: a simplified node, which is graph-like, with at most
 ``DENSE_MAX_SPIDERS`` spiders is one leaf, whose value is a path sum over
 its spiders (Amy, "Towards large-scale functional verification of universal
-quantum circuits", QPL 2018) that ``_path_sum`` evaluates exactly in about
-2^(n/2) rows of numpy work.  Only larger nodes branch.  ``tensor.tensor_of``
-stays the independent oracle: neither calls the other.
+quantum circuits", QPL 2018) that ``_path_sum`` evaluates exactly, in integer
+steps over tables of about 4 * 2^(n/2) numbers.  Only larger nodes branch.
+``tensor.tensor_of`` stays the independent oracle: neither calls the other.
 """
 from __future__ import annotations
 
@@ -149,95 +149,156 @@ def _pick_t_pair(g: ZxDiagram, ts: list[int]) -> tuple[int, int]:
 
 
 # A tree node with at most this many spiders is a leaf, evaluated exactly by
-# ``_path_sum`` in about 2^(n/2) rows of work; branching it would cost two
-# simplifications and a copy per step.  Chosen from a sweep over 16-22 on the
-# direct, random and compound benchmark workloads (BENCH_dense_leaves.json).
-DENSE_MAX_SPIDERS = 20
+# ``_path_sum``; branching it would cost two simplifications and a copy per
+# step.  Chosen from a sweep over 20-28 on the direct, random and compound
+# benchmark workloads (BENCH_dense_leaves_26.json): random's op_s.p50 levels
+# off from 24 and compound's is flat; direct's falls to 26, holds at 27 and
+# falls again at 28, a step that would move the inputs of the tests sized
+# to reach this cutoff's branch and cut paths once more.
+DENSE_MAX_SPIDERS = 26
 
 _W4 = np.array([phase8_complex(k) for k in range(4)])  # w^0 .. w^3, w = e^(i*pi/4)
-# exponent rho + r of w^rho * w^r, for the rotation by H's own exponent rho
-_ROTATED = ((np.arange(8)[:, None] + np.arange(4)) % 8).ravel()
 
 
-@functools.cache
-def _assignments(m: int) -> np.ndarray:
-    """All 2^m assignments of m bits as the 0/1 rows of a read-only float
-    array; bit i of the row index is column i."""
-    bits = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.float64)
-    bits.flags.writeable = False
-    return bits
+def _rotations() -> np.ndarray:
+    """[c, rho, k]: the coefficient of w^c in w^(rho + k).  An element of
+    Z[w] is kept as its integer coefficients of w^0 .. w^3, since w^4 = -1."""
+    e = np.arange(8)[:, None] + np.arange(4)
+    table = np.zeros((4, 8, 4), np.float32)
+    table[e % 4, np.arange(8)[:, None], np.arange(4)] = 1 - 2 * (e // 4 % 2)
+    return table
+
+
+# (_ROTATE @ F).reshape(4, -1) lists the rotations by w^0 .. w^7 of a table F
+# of elements of Z[w], one per column, as 8 blocks of columns
+_ROTATE = _rotations().reshape(32, 4)
+_ONEHOT = np.ascontiguousarray(_rotations()[:, :, 0])  # column r: w^r
+# _SUM[c, 8k + rho]: the coefficient of w^c in w^(k + rho), exact in float64
+_SUM = _rotations().transpose(0, 2, 1).reshape(4, 32).astype(np.float64)
+_POW2 = 1 << np.arange(32)
+# The low half of the spiders is transformed in blocks of at most this many.
+# Each block is one matmul per coefficient with a sign table of at most
+# 64 x 64, and up to 29 spiders none does more than 2^18 multiply-adds, which
+# OpenBLAS runs on one thread: a two-thread matmul of 2^20 took up to 68 ms,
+# against 0.1 ms on one, in timings on a 2-core VM.  The whole half as one
+# block would be a 2^(n/2)-square matmul, 37x slower at 24 spiders.  A loop
+# bound, not a size switch: every leaf runs the same body.
+_BLOCK = 6
 
 
 @functools.cache
 def _hadamard(m: int) -> np.ndarray:
     """The read-only 2^m x 2^m Walsh-Hadamard matrix, (-1)^(x.y) at [y, x]."""
-    bits = _assignments(m)
-    signs = 1.0 - 2 * ((bits @ bits.T).astype(np.intp) & 1)
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    signs = (1 - 2 * ((bits @ bits.T) & 1)).astype(np.float32)
     signs.flags.writeable = False
     return signs
 
 
-def _residues(bits: np.ndarray, phase: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """For each assignment x in ``bits``, the r in 0..7 with
-    w^r = w^(phase.x) * (-1)^(x.upper.x), ``upper`` being the strictly
-    upper-triangular Hadamard adjacency of the spiders."""
-    quad = ((bits @ upper) * bits).sum(axis=1)
-    return (bits @ phase + 4 * quad).astype(np.intp) & 7
+@functools.cache
+def _layout(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """How ``_path_sum`` groups n spiders: the low half (the first n // 2) in
+    blocks of at most ``_BLOCK``, largest first, then the high half in two
+    quarters.  Returns (first row, size) per group, and the read-only 0/1
+    table whose 2^size rows from a group's first row are the assignments of
+    its spiders (bit i of the row offset is its i-th spider), 0 in other
+    columns."""
+    lo = n // 2
+    k = -(-lo // _BLOCK) or 1  # n = 1 has one empty block
+    sizes = [lo // k + (i < lo % k) for i in range(k)] + [(n - lo) // 2, n - lo - (n - lo) // 2]
+    rows = np.zeros((sum(1 << s for s in sizes), n), np.float32)
+    groups = []
+    at = col = 0
+    for s in sizes:
+        rows[at:at + (1 << s), col:col + s] = (np.arange(1 << s)[:, None] >> np.arange(s)) & 1
+        groups.append((at, s))
+        at += 1 << s
+        col += s
+    rows.flags.writeable = False
+    return tuple(groups), rows
+
+
+def _add_block(F: np.ndarray, p: int, b: int, r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The transform F over the first p spiders of the low half, extended by
+    the next b: for each assignment x of those, with exponent r[x] and edge
+    parities m[x] into the first p, F read at z xor m[x] for every z and
+    rotated by w^r[x], then transformed over the b spiders."""
+    rotated = (_ROTATE @ F.reshape(4, -1)).reshape(4, -1)
+    read = (r[:, None] << p) | (np.arange(1 << p) ^ (m[:, None] & ((1 << p) - 1)))
+    rotated = rotated.take(read, axis=1)
+    del read  # freed before the matmul allocates, to keep a leaf's peak memory low
+    return _hadamard(b) @ rotated
 
 
 def _path_sum(g: ZxDiagram) -> ScalarC:
     """The exact value of a graph-like scalar diagram: its scalar times
     sqrt(2)^-|E| * sum_x w^(k.x) * (-1)^(sum over edges uv of x_u*x_v).
 
-    The spiders, in id order, are split into a low half L and a high half H.
-    The sum over L is tabulated per assignment as integer coefficients of
-    w^0 .. w^3 (w^r for r >= 4 is -w^(r-4)) and Walsh-Hadamard transformed,
-    as two matrix products with the Kronecker factors of the transform, one
-    over L's low bits and one over its high bits.  For each x_H the result
-    is read at the parities y = C^T x_H of x_H's edges into L, then rotated
-    by H's own exponent.  Every number before the final rounding is an
-    integer of magnitude at most 2^(n+3), which float64 holds, adds and
-    multiplies exactly in any order.  Raises AssertionError on anything but
-    Z-spiders without parameters joined by single Hadamard edges without
-    self-loops.
+    The exponent of x is r(x) = x.M.x mod 8, M = diag(k) + 2 * adjacency.
+    The spiders, in id order, are split into a low half L and a high half
+    H, and the sum is sum over x_H of w^r(x_H) * F[y(x_H)]: F is the
+    Walsh-Hadamard transform of w^r over L, read at the parities y(x_H) of
+    x_H's edges into L.  F is built one block of L at a time: for each
+    assignment x_b of the next block, the transform over the earlier spiders
+    read at z xor (x_b's edge parities into them) and rotated by w^r(x_b),
+    then transformed over the block by one matmul with a sign table.  H is
+    split into two quarters, whose exponents, parities and edges between
+    them combine as outer sums and xors of 2^(n/4)-row tables.  So no step
+    handles more than about 4 * 2^(n/2) numbers, and none multiplies
+    2^(n/2)-row bit tables.
+
+    Every number is an integer, so the value is exact and the same whatever
+    the grouping: the coefficients of F (float32) are at most 2^(n/2) < 2^24
+    in magnitude, and the sums over H (float64) at most 2^n.  Raises
+    AssertionError on anything but Z-spiders without parameters joined by
+    single Hadamard edges without self-loops.
     """
     vs = sorted(g.spiders)
     n = len(vs)
     pos = {v: i for i, v in enumerate(vs)}
-    phase = np.empty(n)
-    upper = np.zeros((n, n))
-    edges = 0
+    M = np.zeros((n, n), np.float32)
+    ends = 0
+    spiders, adj = g.spiders, g.adj
     for i, v in enumerate(vs):
-        s = g.spiders[v]
+        s = spiders[v]
         if s.kind != _Z or s.phase.params:
             raise AssertionError(f"path sum needs graph-like input, got {s!r}")
-        phase[i] = s.phase.fixed
-        for u, row in g.adj[v].items():
+        M[i, i] = s.phase.fixed
+        nbrs = adj[v]
+        ends += len(nbrs)
+        for u, row in nbrs.items():
             if u == v or row[0] or row[1] != 1:
                 raise AssertionError(f"path sum needs graph-like input, got "
                                      f"edges {row} between {v} and {u}")
-            if u > v:
-                upper[i, pos[u]] = 1
-                edges += 1
+            M[i, pos[u]] = 2
     lo = n // 2
-    lo_bits, hi_bits = _assignments(lo), _assignments(n - lo)
-    r_lo = _residues(lo_bits, phase[:lo], upper[:lo, :lo])
-    coeffs = np.zeros((1 << lo, 4))
-    coeffs[np.arange(1 << lo), r_lo % 4] = 1 - 2 * (r_lo >> 2)
-    # coeffs[y] = sum_x (-1)^(x.y) coeffs[x]: the high bits of x, then the low
-    low = lo // 2
-    coeffs = _hadamard(lo - low) @ coeffs.reshape(1 << (lo - low), -1)
-    coeffs = (_hadamard(low) @ coeffs.reshape(1 << (lo - low), 1 << low, 4)).reshape(-1, 4)
-    y = ((hi_bits @ upper[:lo, lo:].T).astype(np.intp) & 1) @ (1 << np.arange(lo))
-    r_hi = _residues(hi_bits, phase[lo:], upper[lo:, lo:])
-    # by_rot[rho, r]: coefficients of w^r summed over the x_H whose own
-    # exponent is rho, then each moved to w^(rho + r)
-    by_rot = (r_hi == np.arange(8)[:, None]) @ coeffs[y]
-    c = np.bincount(_ROTATED, by_rot.ravel(), 8)
-    d = c[:4] - c[4:]
-    if not d.any():
+    groups, rows = _layout(n)
+    # per row x of each group: r(x), and its edge parities into L as bits
+    xm = rows @ M
+    r = (xm * rows).sum(1).astype(np.intp) & 7
+    y = ((xm[:, :lo].astype(np.intp) & 2) @ _POW2[:lo]) >> 1
+    (at, p), *blocks = groups[:-2]
+    F = _ONEHOT.take(r[at:at + (1 << p)], axis=1) @ _hadamard(p)
+    for at, b in blocks:
+        x = slice(at, at + (1 << b))
+        F = _add_block(F, p, b, r[x], y[x])
+        p += b
+    (at_c, c), (at_d, d) = groups[-2:]
+    C, D = slice(at_c, at_c + (1 << c)), slice(at_d, at_d + (1 << d))
+    # F read at the parities into L of each x_H, a 2^d x 2^c table of them
+    F = F.reshape(4, -1).take((y[D, None] ^ y[C]).reshape(-1), axis=1)
+    # r over H: each quarter's own, plus 4 per edge between them
+    cols = slice(lo + c, n)
+    r_h = 2 * rows[D, cols] @ xm[C, cols].T
+    r_h += r[D, None]
+    r_h += r[C]
+    r_h = r_h.astype(np.intp).reshape(-1) & 7
+    # by_rot[8k + rho]: coefficient k of F summed over the x_H with r(x_H) = rho
+    by_rot = np.concatenate([np.bincount(r_h, coeffs, 8) for coeffs in F])
+    total = _SUM @ by_rot
+    if not total.any():
         return ScalarC.zero()
-    return g.scalar.times(ScalarC(complex(d @ _W4), -edges))
+    return g.scalar.times(ScalarC(complex(total @ _W4), -(ends // 2)))
 
 
 def decompose_to_scalar(

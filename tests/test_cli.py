@@ -361,7 +361,7 @@ def test_calibrate_simplifies_each_candidate_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_plan", run_recording)
     assert main(["calibrate", "--seed", "0", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 10
-    assert [r.leaf_evals for r in reports] == [1, 2, 1, 3, 1, 2]
+    assert [r.leaf_evals for r in reports] == [1, 1, 1, 1, 1, 1]
     assert [r.t_count for r in reports] == [16, 20, 13, 20, 14, 19]
 
 

@@ -11,6 +11,7 @@ from zxcut.diagram import (EdgeKind, Phase, Spider, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug)
 from zxcut.generators import CircuitSpec, gen_clifford_t
 from zxcut.oracle import statevector_amplitude
+from zxcut.scalars import ScalarC, phase8_complex
 from zxcut.simplify import clifford_simplify
 from zxcut.tensor import tensor_of
 
@@ -79,7 +80,7 @@ def test_matches_oracle_on_random_clifford_t():
     branched = 0
     for _ in range(30):
         n = int(rng.integers(12, 15))
-        c = random_circuit(n, 240, rng)
+        c = random_circuit(n, 300, rng)
         ins, outs = random_plugs(n, rng)
         stats = DecomposeStats()
         val = decompose_to_scalar(plug(diagram_from_circuit(c), ins, outs), stats=stats)
@@ -89,15 +90,18 @@ def test_matches_oracle_on_random_clifford_t():
 
 
 def test_path_sum_matches_tensor_of():
-    # graph-like diagrams of 1 to DENSE_MAX_SPIDERS spiders, every phase, edge
-    # density from 0 to 1 and the complete graphs, under an exact nontrivial
-    # scalar: every size the dense kernel evaluates is checked against the
-    # oracle, which evaluates all of them
+    # graph-like diagrams of 1 to DENSE_MAX_SPIDERS spiders, every phase and
+    # an exact nontrivial scalar: every size the dense kernel evaluates is
+    # checked against the oracle.  Edge densities run from 0 to 1 up to 20
+    # spiders, complete graphs included, and from 0 to 0.6 above, where a
+    # denser graph can pass the oracle's tensor.MAX_LEGS; complete graphs
+    # above 20 spiders are test_path_sum_expands_complete_graphs_on_a_spider
     rng = default_rng(15)
-    diagrams = [random_graphlike_diagram(rng, int(rng.integers(1, DENSE_MAX_SPIDERS + 1)),
-                                         float(rng.random()))
-                for _ in range(700)]
-    diagrams += [random_graphlike_diagram(rng, n, 1.0) for n in range(1, DENSE_MAX_SPIDERS + 1)]
+    diagrams = []
+    for _ in range(700):
+        n = int(rng.integers(1, DENSE_MAX_SPIDERS + 1))
+        diagrams.append(random_graphlike_diagram(rng, n, float(rng.random()) * (1 if n <= 20 else 0.6)))
+    diagrams += [random_graphlike_diagram(rng, n, 1.0) for n in range(1, 21)]
     zeros = 0
     for d in diagrams:
         d.scalar.mul_phase8(int(rng.integers(8)))
@@ -111,6 +115,104 @@ def test_path_sum_matches_tensor_of():
         assert val.is_zero == (total < 1e-6)
         zeros += val.is_zero
     assert zeros > 0
+    assert max(len(d.spiders) for d in diagrams) == DENSE_MAX_SPIDERS
+
+
+def _without(d, v, shift):
+    """``d`` without spider ``v``, its neighbours' phases shifted by ``shift`` pi/4."""
+    g = d.copy()
+    for u in g.adj[v]:
+        if u != v:
+            g.spiders[u] = g.spiders[u].with_phase(g.spiders[u].phase.add_fixed(shift))
+    g.remove_spider(v)
+    return g
+
+
+@pytest.mark.parametrize("phases", ["all T", "odd"])
+def test_path_sum_expands_complete_graphs_on_a_spider(phases):
+    # summing over one spider v's two values, V(G) = sqrt(2)^-deg(v) *
+    # (V(G - v) + w^k_v * V(G - v with v's neighbours shifted by pi)): the
+    # complete graphs of 21 to DENSE_MAX_SPIDERS spiders, too wide for the
+    # oracle, each against two path sums one spider smaller, down to those of
+    # 20 spiders that test_path_sum_matches_tensor_of checks against it.
+    # Phases are odd multiples of pi/4: with even ones mixed in, the sum over
+    # a complete graph mostly cancels to exactly zero
+    rng = default_rng(16)
+    for n in range(21, DENSE_MAX_SPIDERS + 1):
+        d = random_graphlike_diagram(rng, n, 1.0)
+        for u in d.spiders:
+            k = 1 if phases == "all T" else 2 * int(rng.integers(4)) + 1
+            d.spiders[u] = d.spiders[u].with_phase(Phase(k))
+        d.scalar.mul_phase8(int(rng.integers(8)))
+        v = int(rng.integers(n))
+        off = _path_sum(_without(d, v, 0))
+        on = _path_sum(_without(d, v, 4)).times(ScalarC.from_phase8(d.spiders[v].phase.fixed))
+        expected = off.plus(on)
+        expected.mul_sqrt2(-(n - 1))
+        # the two terms can cancel, so the error is bounded by their size
+        scale = (abs(off.to_complex()) + abs(on.to_complex())) * 2 ** (-(n - 1) / 2)
+        val = _path_sum(d)
+        assert not val.is_zero
+        assert abs(val.to_complex() - expected.to_complex()) <= 1e-12 * scale
+
+
+def test_path_sum_is_exactly_zero_at_the_cutoff():
+    # two leaves of phases 0 and pi on one spider force it to 0 and to 1, so
+    # every term cancels; the rest is a random graph with random phases
+    d = random_graphlike_diagram(default_rng(17), DENSE_MAX_SPIDERS - 2, 0.5)
+    for k in (0, 4):
+        leaf = d.add_spider(SpiderKind.Z, Phase(k))
+        d.add_edge(leaf, 0, EdgeKind.HADAMARD)
+    assert len(d.spiders) == DENSE_MAX_SPIDERS
+    assert _path_sum(d).is_zero
+    # a leaf of phase pi/2 instead does not cancel
+    d.spiders[leaf] = d.spiders[leaf].with_phase(Phase(2))
+    assert not _path_sum(d).is_zero
+
+
+def test_path_sum_of_unconnected_t_spiders_at_the_cutoff_is_exact():
+    # DENSE_MAX_SPIDERS unconnected T-spiders sum to (1 + w)^n: each entry
+    # of the kernel's transform over the low half is (1 + w)^(n/2), whose
+    # coefficients of w^0..w^3 are not powers of two, and the value is bit
+    # for bit that of the exact integer coefficients
+    n = DENSE_MAX_SPIDERS
+    d = ZxDiagram()
+    for _ in range(n):
+        d.add_spider(SpiderKind.Z, Phase(1))
+    coeffs = [1, 0, 0, 0]
+    for _ in range(n):  # times 1 + w, with w * w^3 = -1
+        coeffs = [coeffs[0] - coeffs[3], coeffs[1] + coeffs[0],
+                  coeffs[2] + coeffs[1], coeffs[3] + coeffs[2]]
+    w4 = np.array([phase8_complex(k) for k in range(4)])
+    expected = ScalarC(complex(np.array(coeffs, dtype=float) @ w4))
+    val = _path_sum(d)
+    assert (val.coeff, val.sqrt2_pow) == (expected.coeff, expected.sqrt2_pow)
+    assert abs(val.to_complex() - (1 + phase8_complex(1)) ** n) <= 1e-12 * abs(val.to_complex())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_path_sum_is_the_sum_over_every_assignment(n):
+    # the integer coefficients of w^0..w^3 summed directly over all 2^n
+    # assignments give the path sum's value bit for bit, on random graphs
+    # and on the all-T complete graph
+    rng = default_rng(100 + n)
+    diagrams = [random_graphlike_diagram(rng, n, p) for p in (0.0, 0.3, 0.6, 0.9)]
+    diagrams.append(random_graphlike_diagram(rng, n, 1.0))
+    for u in diagrams[-1].spiders:
+        diagrams[-1].spiders[u] = diagrams[-1].spiders[u].with_phase(Phase(1))
+    w4 = np.array([phase8_complex(k) for k in range(4)])
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    for d in diagrams:
+        vs = sorted(d.spiders)
+        k = np.array([d.spiders[v].phase.fixed for v in vs])
+        upper = np.array([[u > v and u in d.adj[v] for u in vs] for v in vs], dtype=int)
+        r = (bits @ k + 4 * ((bits @ upper) * bits).sum(1)) % 8
+        counts = np.bincount(r, minlength=8)
+        coeffs = (counts[:4] - counts[4:]).astype(float)
+        expected = ScalarC(complex(coeffs @ w4), -d.edge_count())
+        val = _path_sum(d)
+        assert val.is_zero == expected.is_zero
+        assert (val.coeff, val.sqrt2_pow) == (expected.coeff, expected.sqrt2_pow)
 
 
 def test_path_sum_of_z_pi_is_exactly_zero():
@@ -157,7 +259,7 @@ def test_leaf_bound_above_the_dense_cutoff():
     checked = branched = 0
     for _ in range(20):
         n = int(rng.integers(12, 15))
-        c = random_circuit(n, 240, rng)
+        c = random_circuit(n, 300, rng)
         d = plug(diagram_from_circuit(c), *random_plugs(n, rng))
         if len(clifford_simplify(d).spiders) <= DENSE_MAX_SPIDERS:
             continue
@@ -238,7 +340,7 @@ def test_measure_alpha_range():
     rng = default_rng(5)
     sample, dense = [], 0
     while len(sample) < 12:
-        c = random_circuit(8, 120, rng)
+        c = random_circuit(8, 140, rng)
         d = plug(diagram_from_circuit(c), "+" * 8, "+" * 8)
         g = clifford_simplify(d)
         if len(g.spiders) > DENSE_MAX_SPIDERS:
@@ -259,8 +361,10 @@ def test_measure_alpha_range():
 # DENSE_MAX_SPIDERS spiders evaluated as dense leaves.  Each amplitude was
 # re-pinned only after it agreed to 1.2e-16 with its pin from the fully
 # branching tree, whose leaves were 11, 18, 14, 9, 8, 18, 8, 9, 785, 615 and
-# 349; a change to the rewrite sequence, to any scalar factor or to the
-# cutoff moves them
+# 349.  The last three were re-pinned again when the cutoff rose from 20 to
+# 26 spiders (64, 62 and 12 leaves before), after agreeing to 1e-17 with
+# their pins at 20 and to 2.2e-16 with a dense statevector; a change to the
+# rewrite sequence, to any scalar factor or to the cutoff moves them
 PINNED_DECOMPOSITIONS = [
     (10, 120, 0.5, 3, '00+1+0+++0', '10++100000', 12, 1,
      -0.015625 + 0.0078125j),
@@ -279,12 +383,12 @@ PINNED_DECOMPOSITIONS = [
     (12, 150, 1.0, 76, '10011++0+000', '++++1++0+1++', 12, 1,
      -0.0004739075920298533 + 0.0034323424079701465j),
     # the size of the direct benchmark workload: trees that still branch
-    (14, 250, math.inf, 228, '0111+1+0+0+010', '+++01+++1+1+++', 32, 64,
-     0.002245287876245333 - 0.0011798677027397354j),
-    (16, 300, 1.0, 204, '10+011+01+000+++', '+0+1+++0+++11001', 36, 62,
-     -0.0008662346286270194 - 0.000745062669750154j),
-    (14, 300, 1.0, 200, '+001+1++0+101+', '+0+01+0+101011', 31, 12,
-     -0.013252995910024865 - 0.007847201080012434j),
+    (14, 250, math.inf, 228, '0111+1+0+0+010', '+++01+++1+1+++', 32, 20,
+     0.0022452878762453336 - 0.0011798677027397358j),
+    (16, 300, 1.0, 204, '10+011+01+000+++', '+0+1+++0+++11001', 36, 30,
+     -0.00086623462862702 - 0.000745062669750155j),
+    (14, 300, 1.0, 200, '+001+1++0+101+', '+0+01+0+101011', 31, 2,
+     -0.013252995910024873 - 0.007847201080012437j),
 ]
 
 

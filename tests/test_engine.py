@@ -227,11 +227,12 @@ def test_run_plan_leaves_the_diagram_unchanged():
 
 def test_compound_circuits_agree_with_oracle():
     # multi-component plans with mixed 0/1/+ plugs, some of them cutting
-    # inside a component
+    # inside a component, which takes one of more than DENSE_MAX_SPIDERS
+    # spiders that overruns LEAF_BUDGET
     rng = default_rng(7)
     cut_inside = 0
     for seed in range(6):
-        circ = gen_compound(CompoundSpec(3, 4, 90, 1, 1.0, seed))
+        circ = gen_compound(CompoundSpec(3, 4, 160, 1, 1.0, seed))
         n = circ.n_qubits
         assert n <= MAX_QUBITS
         ins, outs = random_plugs(n, rng)
@@ -294,14 +295,14 @@ def test_resource_cap_direct():
     assert err.value.plan is not None
 
 
-@pytest.mark.parametrize("method,leaves", [("direct", 1349), ("naive", 64), ("smart", 64)])
+@pytest.mark.parametrize("method,leaves", [("direct", 3070), ("naive", 48), ("smart", 48)])
 def test_resource_cap_on_leaves_evaluated(method, leaves):
     # alpha = 0.05 projects fewer leaves than each method evaluates, so only
     # the count of leaves actually evaluated can stop the run; the 2-part
-    # plan has two cut spiders, which naive sums over.  Both parts (T 22 and
-    # 24) are big enough that their trees branch before they reach dense
+    # plan has two cut spiders, which naive sums over.  Both parts (T 26 and
+    # 27) are big enough that their trees branch before they reach dense
     # leaves, as the whole diagram's does
-    c = random_circuit(12, 400, default_rng(5), nearest=True)
+    c = random_circuit(12, 440, default_rng(5), nearest=True)
     cm = CostModel(alpha=0.05)
     args = (c, "+" * 12, "+" * 12, method, cm)
     amp, full = simulate_amplitude(*args, force_partition=True)
@@ -337,7 +338,7 @@ def test_decompose_first_caps_count_wasted_leaves(case):
     if case == "overrun":
         c, ins, outs = random_circuit(12, 400, default_rng(5), nearest=True), "+" * 12, "+" * 12
     else:
-        c, ins, outs = gen_compound(CompoundSpec(3, 4, 90, 1, 1.0, 1)), "0+1" * 4, "+10" * 4
+        c, ins, outs = gen_compound(CompoundSpec(3, 4, 150, 1, 1.0, 1)), "0+1" * 4, "+10" * 4
     args = (c, ins, outs, "smart", cm)
     amp, full = simulate_amplitude(*args)
     _, direct = simulate_amplitude(c, ins, outs, "direct", cm)
@@ -401,11 +402,11 @@ def test_decompose_first_evaluates_a_small_diagram_as_one_leaf():
 
 @pytest.mark.parametrize("budget", [0, 1])
 def test_decompose_first_plans_only_the_components_that_overrun(monkeypatch, budget):
-    # the compound circuit has three components; at a budget of one leaf
-    # one of them overruns and is planned alone, with two cuts, while the
-    # others finish as one unsplit part each.  At a budget of 0 every
-    # component overruns and the run's plan is the full planner's
-    c, ins, outs = gen_compound(CompoundSpec(3, 4, 90, 1, 1.0, 1)), "0+1" * 4, "+10" * 4
+    # the compound circuit simplifies to two components, of 13 and 36
+    # spiders; at a budget of one leaf the larger overruns and is planned
+    # alone, with two cuts, while the other finishes as one unsplit part.
+    # At a budget of 0 both overrun and the run's plan is the full planner's
+    c, ins, outs = gen_compound(CompoundSpec(3, 4, 160, 1, 1.0, 3)), "0+1" * 4, "+10" * 4
     cm = CostModel()
     g = clifford_simplify(plug(diagram_from_circuit(c), ins, outs))
     planned = []
@@ -435,7 +436,7 @@ def test_decompose_first_plans_only_the_components_that_overrun(monkeypatch, bud
 
 @pytest.mark.parametrize("method,stage", [("smart", "precompute"), ("naive", "naive-sum")])
 def test_resource_cap_on_projected_leaves_of_a_split_plan(method, stage):
-    # the 2-cut plan above: a cap below its projected leaves stops the run
+    # a forced 2-cut plan: a cap below its projected leaves stops the run
     # before a leaf is evaluated
     c = random_circuit(12, 400, default_rng(5), nearest=True)
     cm = CostModel(alpha=0.05)
@@ -453,7 +454,7 @@ def test_resource_cap_on_projected_leaves_of_a_split_plan(method, stage):
 
 
 def test_projected_caps_are_checked_before_the_diagram_is_split(monkeypatch):
-    # the 2-cut plan above: a run its caps refuse carves no segments
+    # the forced 2-cut plan above: a run its caps refuse carves no segments
     c = random_circuit(12, 400, default_rng(5), nearest=True)
     cm = CostModel(alpha=0.05)
     g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 12, "+" * 12))

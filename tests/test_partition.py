@@ -320,10 +320,12 @@ def test_choose_k_reproduces_pinned_plans():
 
 
 def test_partition_k_runs_only_inside_components(monkeypatch):
-    # work count, not time: on the criterion-8 compound circuit every FM run
-    # sees one component, at most k_max_c - 1 runs per component
+    # work count, not time: on the criterion-8 compound circuit, 20 gates
+    # deeper per block so that each of its components has more than
+    # DENSE_MAX_SPIDERS spiders and is searched, every FM run sees one
+    # component, at most k_max_c - 1 runs per component
     import zxcut.partition as partition
-    circ = gen_compound(CompoundSpec(5, 6, 230, 8, 1.0, 42))
+    circ = gen_compound(CompoundSpec(5, 6, 250, 8, 1.0, 42))
     n = circ.n_qubits
     g = clifford_simplify(plug(diagram_from_circuit(circ), "+" * n, "+" * n))
     comps = g.connected_components()
@@ -347,14 +349,14 @@ def test_partition_k_runs_only_inside_components(monkeypatch):
         budget += min(16, max(t_c // 4, 2)) - 1
     assert len(seen) <= budget
     # every component's k = 2 loses to its k = 1, which ends its search: one
-    # run per component (the full k loop made 28), and the same plan
+    # run per component (the full k loop made 32), and the same plan
     per_comp = Counter(next(i for i, comp in enumerate(comps)
                             if set(h.spider_of) <= comp) for h in seen)
     assert max(per_comp.values()) == 1
     assert len(seen) == len(comps) == 5
     assert plan.k == 5
     assert not plan.cut_spiders
-    assert plan.t_smart_est == pytest.approx(1.2842038152656439, rel=1e-12)
+    assert plan.t_smart_est == pytest.approx(2.7389425476784846, rel=1e-12)
 
 
 # -- incremental-gain FM against the full-rescan refinement --------------------
@@ -659,7 +661,7 @@ def small_components():
         if seed % 4:
             sigma = (0.5, 2.0, math.inf)[seed % 4 - 1]
             circ = gen_clifford_t(CircuitSpec(int(rng.integers(3, 10)),
-                                              int(rng.integers(20, 150)), sigma, seed))
+                                              int(rng.integers(20, 200)), sigma, seed))
         else:
             circ = gen_compound(CompoundSpec(int(rng.integers(2, 4)), 3,
                                              int(rng.integers(15, 40)), 0, 1.0, seed))
@@ -742,7 +744,7 @@ def loop_corpus():
         seed += 1
         sigma = (0.5, 1.0, 2.0, math.inf)[seed % 4]
         circ = gen_clifford_t(CircuitSpec(int(rng.integers(12, 17)),
-                                          int(rng.integers(150, 300)), sigma, seed))
+                                          int(rng.integers(175, 325)), sigma, seed))
         g = _simplified(circ, rng)
         if not g.spiders:
             continue

@@ -73,7 +73,7 @@ def generated_circuits(draw):
                             draw(st.integers(20, 100)), draw(st.integers(0, 2)), 1.0, seed)
         circ = gen_compound(spec)
     else:
-        spec = CircuitSpec(draw(st.integers(3, 12)), draw(st.integers(30, 250)),
+        spec = CircuitSpec(draw(st.integers(3, 12)), draw(st.integers(30, 280)),
                            draw(st.sampled_from([0.0, 1.0, math.inf])), seed)
         circ = gen_clifford_t(spec)
     plugs = st.text("01+", min_size=circ.n_qubits, max_size=circ.n_qubits)
@@ -101,7 +101,7 @@ def test_overrun_components_reach_cuts():
     cut = {0: 0, 1: 0}
     for seed in range(12):
         for circ in (gen_compound(CompoundSpec(3, 4, 90, 1, 1.0, seed)),
-                     gen_clifford_t(CircuitSpec(12, 250, 1.0, seed))):
+                     gen_clifford_t(CircuitSpec(12, 280, 1.0, seed))):
             n = circ.n_qubits
             ins, outs = ("0+1" * n)[:n], ("+10" * n)[:n]
             want = statevector_amplitude(circ, ins, outs)

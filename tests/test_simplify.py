@@ -436,7 +436,7 @@ def test_rules_after_fusion_see_a_simple_graph(monkeypatch):
                 param_safe_simplify(seg)
     branched = 0
     while branched < 20:
-        d = plug(diagram_from_circuit(random_circuit(8, 120, rng)), "+" * 8, "+" * 8)
+        d = plug(diagram_from_circuit(random_circuit(8, 160, rng)), "+" * 8, "+" * 8)
         if len(clifford_simplify(d).spiders) > DENSE_MAX_SPIDERS:
             decompose_to_scalar(d)  # a branch resumes from the spiders it changed
             branched += 1

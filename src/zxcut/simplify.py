@@ -2,9 +2,9 @@
 
 The engine applies local rules until none fires: spider fusion, identity
 removal, state copy, local complementation on interior +-pi/2 spiders,
-pivoting on interior 0/pi pairs, phase-gadget fusion and direct evaluation
-of tiny scalar components.  Every rule preserves the diagram's tensor
-exactly, with all dropped factors folded into the global scalar.
+pivoting on interior 0/pi pairs and direct evaluation of tiny scalar
+components.  Every rule preserves the diagram's tensor exactly, with all
+dropped factors folded into the global scalar.
 
 Graph-like form (Duncan, Kissinger, Perdrix & van de Wetering, Quantum 4,
 279, 2020).  The helpers that make and remove self-loops, parallel edges and
@@ -17,9 +17,9 @@ X-spiders (``_start``, ``_fuse_pass``, ``_add_edge_norm``,
 - once the fuse/identity/copy loop stops, no plain edge joins two Z-spiders.
 
 Identity removal and copy are written for a diagram without self-loops or
-doubled Hadamard edges; local complementation, pivoting, gadget fusion and
-scalar elimination for a simple graph of Z-spiders joined by single
-Hadamard edges, with boundary wires hanging off it.
+doubled Hadamard edges; local complementation, pivoting and scalar
+elimination for a simple graph of Z-spiders joined by single Hadamard
+edges, with boundary wires hanging off it.
 
 Worklist: a rule can only start to match at or next to a change, so the
 rules look only at spiders on a worklist.  Every rewrite appends the spiders
@@ -28,13 +28,12 @@ that takes spiders from the worklist) is handed only the spiders of its
 phase class that it could now match at: identity removal a phase-0 spider
 with at most two neighbours, local complementation a +-pi/2 spider, copy a
 Pauli spider with one neighbour, pivoting the lower end of a pair of Pauli
-neighbours, gadget fusion a phase-0 spider at or next to a change, and
-scalar elimination a component of at most two spiders.  The log is handed
-out in batches, each read in the diagram's state at that moment: a sweep
-gives its own reader the spiders of each of its rewrites at once, so that
-those ahead join the sweep, and the other readers the whole sweep's log in
-one flush when it ends; pivoting and gadget fusion, which run only once the
-other rules stop, read the log when they are about to run.
+neighbours, and scalar elimination a component of at most two spiders.
+The log is handed out in batches, each read in the diagram's state at that
+moment: a sweep gives its own reader the spiders of each of its rewrites
+at once, so that those ahead join the sweep, and the other readers the
+whole sweep's log in one flush when it ends; pivoting, which runs only
+once the other rules stop, reads the log when it is about to run.
 
 Why the rewrites are the same as a rescan's: when a reader runs, it holds
 every spider its rule matches at.  A spider that matches now either was
@@ -43,15 +42,15 @@ since and was logged again, and every log entry is handed out before the
 readers that can match at it run.  A change at a neighbour that can make
 a spider match logs that neighbour, and the hand-out then looks at the
 spider too: a colour change, for every rule; a neighbour's phase, for
-pivoting; a neighbour's degree, for gadget fusion and scalar elimination;
-and for copy any change at the copying neighbour, which hands out again
-the spiders copy refused for its sake.  Each end of an edge a rewrite adds
-or removes is logged.  Handing out more changes nothing: a rule refuses a
-spider where it does not match.  The rules keep their priority (fusion,
-identity and copy to a fixed point, then local complementation, pivoting,
-gadget fusion and scalar elimination) and every sweep visits its spiders in
-id order, so the rewrites are those a rescan of the whole diagram would
-make, in the same order.  :func:`simplify_in_place` is the one body: a
+pivoting; a neighbour's degree, for scalar elimination; and for copy any
+change at the copying neighbour, which hands out again the spiders copy
+refused for its sake.  Each end of an edge a rewrite adds or removes is
+logged.  Handing out more changes nothing: a rule refuses a spider where
+it does not match.  The rules keep their priority (fusion, identity and
+copy to a fixed point, then local complementation, pivoting and scalar
+elimination) and every sweep visits its spiders in id order, so the
+rewrites are those a rescan of the whole diagram would make, in the same
+order.  :func:`simplify_in_place` is the one body: a
 fresh call logs every spider once ``_start`` has made the diagram
 graph-like, while the decomposition tree passes only the spiders a term
 changed in an already simplified diagram.  That diagram is copied once per
@@ -78,7 +77,6 @@ RULE_COPY = "copy"
 RULE_HADAMARD_CANCEL = "hadamardCancel"
 RULE_LCOMP = "localComplement"
 RULE_PIVOT = "pivot"
-RULE_GADGET_FUSE = "gadgetFuse"
 RULE_SCALAR_ELIM = "scalarElim"
 
 
@@ -105,7 +103,7 @@ class Trace:
 # -- the worklist ------------------------------------------------------------
 
 # readers of the worklist, one per pass but fusion
-_ID, _COPY, _LCOMP, _PIVOT, _GADGET, _SCALAR = range(6)
+_ID, _COPY, _LCOMP, _PIVOT, _SCALAR = range(5)
 
 # module names for the enum members and records the hot loops read, which
 # cost a fraction of an attribute lookup on the enum class
@@ -130,15 +128,13 @@ class _Worklist:
     either end.  Copy needs a Pauli spider with one neighbour; its match
     also depends on that neighbour, so a spider it refused for the
     neighbour's sake waits in ``blocked`` until the neighbour is logged.
-    Pivoting needs a pair of Pauli neighbours, one of them changed, and
-    gadget fusion a phase-0 hub at or next to a change, since a neighbour's
-    degree decides which neighbour is the hub's carrier.  ``flush`` hands
-    the entries since its last call to identity removal, copy, local
-    complementation and scalar elimination, and ``flush_late`` to pivoting
-    and gadget fusion, which run only once the others stop, just before they
-    run.  Fusion has a list of its own, ``plain``, holding an end of every
-    plain edge between Z-spiders; only the caller, a colour change and
-    identity removal make such edges outside fusion, which removes them all.
+    Pivoting needs a pair of Pauli neighbours, one of them changed.
+    ``flush`` hands the entries since its last call to identity removal,
+    copy, local complementation and scalar elimination, and ``flush_late``
+    to pivoting, which runs only once the others stop, just before it runs.
+    Fusion has a list of its own, ``plain``, holding an end of every plain
+    edge between Z-spiders; only the caller, a colour change and identity
+    removal make such edges outside fusion, which removes them all.
     """
 
     __slots__ = ("spiders", "adj", "log", "done", "late", "todo", "plain", "blocked")
@@ -149,7 +145,7 @@ class _Worklist:
         self.log: list[int] = []
         self.done = 0  # the log entries handed out by ``flush``
         self.late = 0  # the log entries handed out by ``flush_late``
-        self.todo: list[set[int]] = [set(), set(), set(), set(), set(), set()]
+        self.todo: list[set[int]] = [set(), set(), set(), set(), set()]
         self.plain: list[int] = []
         # Pauli spiders with one neighbour that copy refused for that
         # neighbour's sake; a change there hands them out again
@@ -180,26 +176,13 @@ class _Worklist:
         return out
 
     def flush_late(self) -> None:
-        """Hand the spiders logged since the last call to pivoting and
-        gadget fusion, which run only once the other rules stop."""
+        """Hand the spiders logged since the last call to pivoting, which
+        runs only once the other rules stop."""
         log, late = self.log, self.late
         if late == len(log):
             return
         self.late = len(log)
-        window = set(log[late:])
-        self.todo[_PIVOT].update(_own_pivot(self, window))
-        spiders, adj = self.spiders, self.adj
-        near = set()  # the logged spiders and their neighbours
-        for v in window:
-            row = adj.get(v)
-            if row is not None:
-                near.add(v)
-                near.update(row)
-        gadget = self.todo[_GADGET]
-        for u in near:
-            s = spiders[u]
-            if not s.phase.fixed and s.kind == _Z and not s.phase.params:
-                gadget.add(u)
+        self.todo[_PIVOT].update(_own_pivot(self, log[late:]))
 
     def take(self, reader: int) -> set[int]:
         """The spiders handed to ``reader``, leaving it none."""
@@ -660,56 +643,6 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
     return False
 
 
-def _gadget_at(g: ZxDiagram, h: int) -> tuple[int, frozenset[int]] | None:
-    """(carrier, connectivity set) when ``h`` is the hub of a phase gadget."""
-    s = g.spiders[h]
-    if s.kind != _Z or s.phase.fixed or s.phase.params:
-        return None
-    if not _interior(g, h):
-        return None
-    adj = g.adj
-    carriers = [t for t in adj[h] if len(adj[t]) == 1]
-    if len(carriers) != 1:
-        return None
-    conn = frozenset(t for t in g.adj[h] if t != carriers[0])
-    return (carriers[0], conn) if len(conn) >= 2 else None
-
-
-def _gadget_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
-    """Fuse phase gadgets whose connectivity sets coincide."""
-    spiders = g.spiders
-    gadgets: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for h in wl.take(_GADGET):
-        found = h in spiders and _gadget_at(g, h)
-        if not found or found[1] in gadgets:
-            continue
-        conn = found[1]
-        # a hub with this connectivity set neighbours each spider in it
-        group = []
-        for h2 in g.adj[next(iter(conn))]:
-            other = _gadget_at(g, h2)
-            if other is not None and other[1] == conn:
-                group.append((h2, other[0]))
-        gadgets[conn] = sorted(group)
-    applied = 0
-    for conn, group in sorted(gadgets.items(), key=lambda kv: kv[1][0]):
-        keep_h, keep_c = group[0]
-        for h, c in group[1:]:
-            kept = spiders[keep_c]
-            spiders[keep_c] = kept.with_phase(kept.phase.add(spiders[c].phase))
-            g.remove_spider(c)
-            g.remove_spider(h)
-            g.scalar.mul_sqrt2(1 - len(conn))
-            if trace is not None:
-                trace.record(g, RULE_GADGET_FUSE, [keep_h, keep_c, h, c])
-            wl.touch(keep_c)
-            for t in conn:
-                if t in spiders:
-                    wl.touch(t)
-            applied += 1
-    return applied
-
-
 @functools.lru_cache(maxsize=512)
 def _component_value(ka: int, kb: int | None = None) -> ScalarC:
     """Value of a component of one spider of phase ``ka`` (``kb`` None) or of
@@ -796,8 +729,6 @@ def simplify_in_place(g: ZxDiagram, touched=None, trace: Trace | None = None) ->
             continue
         wl.flush_late()  # the rest of this round logs nothing until a rule fires
         if todo[_PIVOT] and _sweep(g, wl, _PIVOT, _pivot_at, trace):
-            continue
-        if todo[_GADGET] and _gadget_pass(g, wl, trace):
             continue
         # evaluating whole components changes no other spider, so no rule
         # can match anew: only a zero scalar is left to handle

@@ -287,10 +287,11 @@ def _leaf_rate(reports) -> float:
     return max(leaves / max(seconds, 1e-9), 1e-6)
 
 
-# calibration circuits: the random workload's shape, simplified T-counts in
-# its window, so that a run's leaves outweigh its set-up
-CALIBRATE_QUBITS, CALIBRATE_DEPTH, CALIBRATE_SIGMA = 12, 150, 0.5
-CALIBRATE_T = (12, 20)
+# calibration circuits: the direct workload's 14-qubit shape, with simplified
+# T-counts above decompose.DENSE_MAX_SPIDERS, so that every run's tree
+# branches and its nodes, not one dense leaf, outweigh its set-up
+CALIBRATE_QUBITS, CALIBRATE_DEPTH, CALIBRATE_SIGMA = 14, 250, math.inf
+CALIBRATE_T = (27, 31)
 
 
 def _calibration_diagrams(rng, count: int = 6) -> list[ZxDiagram]:

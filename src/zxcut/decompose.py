@@ -2,10 +2,15 @@
 
 T-spiders are consumed two at a time by exchanging the pair for a sum of two
 Clifford terms, with full Clifford simplification between steps, which never
-leaves exactly one T-spider.  Each extra term rewrites a copy of the node,
-sharing its immutable spider records.  The term coefficients are solved
-numerically against the dense tensor of the T-state pattern instead of being
-hard-coded, and checked to machine precision.
+leaves exactly one T-spider.  The pair is the two T-spiders with the most
+shared neighbours that are not T-spiders, ties to the smallest symmetric
+difference of their neighbourhoods, then to the lowest ids.  Like the
+decompositions of Kissinger, van de Wetering & Vilmart (TQC 2022) it looks
+for T-spiders that share a neighbour, but counts only the Pauli ones, which
+both terms let simplification shrink (``_pick_t_pair``).  Each extra term
+rewrites a copy of the node, sharing its immutable spider records.  The term
+coefficients are solved numerically against the dense tensor of the T-state
+pattern instead of being hard-coded, and checked to machine precision.
 
 The tree ends early: a simplified node, which is graph-like, with at most
 ``DENSE_MAX_SPIDERS`` spiders is one leaf, whose value is a path sum over
@@ -132,19 +137,32 @@ class DecomposeStats:
 
 
 def _pick_t_pair(g: ZxDiagram, ts: list[int]) -> tuple[int, int]:
-    """The two T-spiders with the most shared neighbourhood, ties by id."""
+    """The pair of T-spiders with the most shared neighbours that are not
+    T-spiders, ties to the smallest symmetric difference of the two
+    neighbourhoods (the pair itself left out), then to the lowest ids.
+
+    Above the dense cutoff every simplified spider that is not a T-spider
+    is a Pauli spider.  One next to both spiders of the pair loses both
+    edges in the ``mergeS`` term and gains a Clifford neighbour in the
+    ``flipX`` term, so simplification shrinks both children."""
     adj = g.adj
+    tset = set(ts)
     nbrs = [adj[v].keys() for v in ts]
-    best, pair = -1, None
-    for i, n1 in enumerate(nbrs):
-        if len(n1) <= best:
-            continue  # no pair with this spider can share more
+    paulis = [n - tset for n in nbrs]
+    # the key, largest first: (shared non-T neighbours, minus the symmetric
+    # difference of the neighbourhoods N_a and N_b without a and b themselves)
+    best, pair = (-1, 0), None
+    for i, (a, na, pa) in enumerate(zip(ts, nbrs, paulis)):
+        if len(pa) < best[0]:
+            continue  # no pair with this spider can share as many
         for j in range(i + 1, len(ts)):
-            n2 = nbrs[j]
-            if len(n2) > best:
-                shared = len(n1 & n2)
-                if shared > best:
-                    best, pair = shared, (ts[i], ts[j])
+            pb = paulis[j]
+            if len(pb) < best[0]:
+                continue
+            nb = nbrs[j]
+            key = (len(pa & pb), 2 * len(na & nb) + 2 * (ts[j] in na) - len(na) - len(nb))
+            if key > best:
+                best, pair = key, (a, ts[j])
     return pair
 
 

@@ -6,7 +6,7 @@ from numpy.random import default_rng
 
 from zxcut.decompose import (DENSE_MAX_SPIDERS, DecomposeStats, decompose_to_scalar,
                              derive_one_t_coefficients, derive_two_t_coefficients,
-                             measure_alpha, _path_sum, _template_tensor)
+                             measure_alpha, _path_sum, _pick_t_pair, _template_tensor)
 from zxcut.diagram import (EdgeKind, Phase, Spider, SpiderKind, ZxDiagram,
                            diagram_from_circuit, plug)
 from zxcut.generators import CircuitSpec, gen_clifford_t
@@ -289,6 +289,45 @@ def test_simplified_scalar_diagrams_never_keep_exactly_one_t():
     assert odd >= 100
 
 
+def _graph_like(phases, edges):
+    """Z-spiders 0.. with fixed phases k*pi/4, joined by Hadamard edges."""
+    d = ZxDiagram()
+    for k in phases:
+        d.add_spider(SpiderKind.Z, Phase(k))
+    for u, v in edges:
+        d.add_edge(u, v, EdgeKind.HADAMARD)
+    return d
+
+
+def _pair(d):
+    return _pick_t_pair(d, sorted(v for v, s in d.spiders.items() if s.phase.fixed & 1))
+
+
+def test_pair_sharing_a_pauli_neighbour_beats_shared_t_neighbours():
+    # T-spiders 0 and 1 share the three T-spiders 4-6, while 2 and 3 share
+    # only the Pauli spider 7; branching on 2 and 3 removes or reduces 7 in
+    # both terms, so they win against the most shared neighbours overall
+    d = _graph_like([1] * 7 + [4], [(a, t) for a in (0, 1) for t in (4, 5, 6)]
+                    + [(2, 7), (3, 7)])
+    assert _pair(d) == (2, 3)
+
+
+def test_pair_ties_go_to_the_smaller_symmetric_difference():
+    # 0, 1 and 2, 3 each share one Pauli spider (4 and 5); 0 also has the
+    # Pauli neighbours 6 and 7, a symmetric difference of 2, while 2 and 3
+    # are adjacent, which leaves theirs empty once the pair itself is left out
+    d = _graph_like([1] * 4 + [4, 4, 0, 0],
+                    [(0, 4), (1, 4), (0, 6), (0, 7), (2, 5), (3, 5), (2, 3)])
+    assert _pair(d) == (2, 3)
+
+
+def test_pair_full_ties_go_to_the_lowest_ids():
+    # every pair of the T-spiders 0-3, whatever their phases, shares the
+    # Pauli spider 4 and has no other neighbour
+    d = _graph_like([7, 5, 3, 1, 0], [(t, 4) for t in range(4)])
+    assert _pair(d) == (0, 1)
+
+
 def test_four_t_leaf_cap():
     # an uncancellable t=4 diagram needs at most 2^(0.5*4) = 4 leaves
     d = ZxDiagram()
@@ -363,8 +402,13 @@ def test_measure_alpha_range():
 # branching tree, whose leaves were 11, 18, 14, 9, 8, 18, 8, 9, 785, 615 and
 # 349.  The last three were re-pinned again when the cutoff rose from 20 to
 # 26 spiders (64, 62 and 12 leaves before), after agreeing to 1e-17 with
-# their pins at 20 and to 2.2e-16 with a dense statevector; a change to the
-# rewrite sequence, to any scalar factor or to the cutoff moves them
+# their pins at 20 and to 2.2e-16 with a dense statevector.  The first two
+# of them were re-pinned once more when the pair rule came to count only
+# shared neighbours that are not T-spiders (20 and 30 leaves before), after
+# agreeing to 1.2e-18 with their pins from the previous rule, and the first
+# to 3.3e-17 with a dense statevector (the second has more qubits than the
+# oracle takes); a change to the rewrite sequence, to the pair rule, to any
+# scalar factor or to the cutoff moves them
 PINNED_DECOMPOSITIONS = [
     (10, 120, 0.5, 3, '00+1+0+++0', '10++100000', 12, 1,
      -0.015625 + 0.0078125j),
@@ -383,10 +427,10 @@ PINNED_DECOMPOSITIONS = [
     (12, 150, 1.0, 76, '10011++0+000', '++++1++0+1++', 12, 1,
      -0.0004739075920298533 + 0.0034323424079701465j),
     # the size of the direct benchmark workload: trees that still branch
-    (14, 250, math.inf, 228, '0111+1+0+0+010', '+++01+++1+1+++', 32, 20,
-     0.0022452878762453336 - 0.0011798677027397358j),
-    (16, 300, 1.0, 204, '10+011+01+000+++', '+0+1+++0+++11001', 36, 30,
-     -0.00086623462862702 - 0.000745062669750155j),
+    (14, 250, math.inf, 228, '0111+1+0+0+010', '+++01+++1+1+++', 32, 9,
+     0.002245287876245333 - 0.0011798677027397369j),
+    (16, 300, 1.0, 204, '10+011+01+000+++', '+0+1+++0+++11001', 36, 9,
+     -0.00086623462862702 - 0.0007450626697501552j),
     (14, 300, 1.0, 200, '+001+1++0+101+', '+0+01+0+101011', 31, 2,
      -0.013252995910024873 - 0.007847201080012437j),
 ]
@@ -402,3 +446,14 @@ def test_pinned_leaves_and_amplitudes(row):
     assert (stats.t_initial, stats.leaves) == (t, leaves)
     assert val.to_complex() == amp  # bit for bit
     assert d.to_json() == before
+
+
+def test_deep_tree_leaves():
+    # a deep tree, where the pair rule decides most of the cost: counting
+    # shared T neighbours as well takes 56,260 leaves here
+    c = gen_clifford_t(CircuitSpec(12, 500, 0.5, 700))
+    d = plug(diagram_from_circuit(c), "+" * 12, "+" * 12)
+    stats = DecomposeStats()
+    val = decompose_to_scalar(d, None, stats)
+    assert stats.leaves == 4054
+    assert abs(val.to_complex() - statevector_amplitude(c, "+" * 12, "+" * 12)) < 1e-9

@@ -295,7 +295,7 @@ def test_resource_cap_direct():
     assert err.value.plan is not None
 
 
-@pytest.mark.parametrize("method,leaves", [("direct", 3070), ("naive", 48), ("smart", 48)])
+@pytest.mark.parametrize("method,leaves", [("direct", 418), ("naive", 28), ("smart", 28)])
 def test_resource_cap_on_leaves_evaluated(method, leaves):
     # alpha = 0.05 projects fewer leaves than each method evaluates, so only
     # the count of leaves actually evaluated can stop the run; the 2-part
@@ -364,7 +364,7 @@ def test_decompose_first_counts_only_leaves_evaluated(monkeypatch):
     # shared count, as a tracer wrapping it sees, sums to the report's
     # leaves: the overrun's, then the precomputed tables' of its plan
     from zxcut import regroup
-    c = gen_clifford_t(CircuitSpec(16, 400, 1.0, 503))
+    c = gen_clifford_t(CircuitSpec(12, 500, 0.5, 700))
     plugs = "+" * c.n_qubits
     real = engine.decompose_to_scalar
     added = []

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 
@@ -222,6 +223,55 @@ def test_trace_of_fixed_circuit_is_pinned():
     assert [(s["rule"], s["spiders"]) for s in tr.steps] == PINNED_STEPS
     assert not g.spiders
     assert abs(g.scalar.to_complex() - (-0.1767766952966369 + 0.42677669529663687j)) < 1e-15
+
+
+def _steps_and_result(h, trace: Trace, g: ZxDiagram) -> None:
+    h.update(repr([(step["rule"], step["spiders"]) for step in trace.steps]).encode())
+    h.update(g.to_json().encode())
+
+
+# sha256 over every branch simplification of two decomposition trees, each
+# the (rule, spiders) sequence of the call, resumed from the spiders a term
+# changed, then the diagram it leaves; a change to what a resumed call
+# rewrites, where or in which order, or to the pair the tree branches on,
+# shows here
+PINNED_BRANCHES = (546, "f7701be79733e951bee33b25f3eb07e04582596508e7aa54d235b7c54fbf9e19")
+
+
+def test_branch_simplifications_are_pinned(monkeypatch):
+    import zxcut.decompose
+    h = hashlib.sha256()
+    calls = 0
+
+    def traced(g, touched=None, trace=None):
+        nonlocal calls
+        tr = Trace()
+        simplify_in_place(g, touched, tr)
+        _steps_and_result(h, tr, g)
+        calls += 1
+    monkeypatch.setattr(zxcut.decompose, "simplify_in_place", traced)
+    for spec in (CircuitSpec(16, 400, 1.0, 500), CircuitSpec(14, 300, 0.5, 501)):
+        n = spec.qubits
+        decompose_to_scalar(plug(diagram_from_circuit(gen_clifford_t(spec)), "+" * n, "+" * n))
+    assert (calls, h.hexdigest()) == PINNED_BRANCHES
+
+
+# the same over the parameter-safe simplification of each segment of a
+# forced five-part plan with eight cut spiders, whose segments carry 3-7
+# parameters each
+PINNED_SEGMENTS = (5, "4774bdf777696e336baefccda08e327954a688c7adafd7fbe6d00cd0b1e32fd5")
+
+
+def test_segment_simplifications_are_pinned():
+    c = gen_clifford_t(CircuitSpec(12, 200, 1.0, 2))
+    g = clifford_simplify(plug(diagram_from_circuit(c), "+" * 12, "+" * 12))
+    segs = split_segments(g, choose_k(g, CostModel(), force_partition=True))[0]
+    h = hashlib.sha256()
+    for seg in segs:
+        assert seg.params
+        tr = Trace()
+        _steps_and_result(h, tr, param_safe_simplify(seg, tr))
+    assert (len(segs), h.hexdigest()) == PINNED_SEGMENTS
 
 
 def _trace_adds_up(d: ZxDiagram) -> bool | None:

@@ -111,8 +111,11 @@ class ScalarC:
             return
         c, p = _PHASE8[k % 8]
         self.coeff *= c
-        self.sqrt2_pow += p
-        self._normalize()
+        if p:  # c is 1 +- i, and |coeff| in [1/2, 2) grows by sqrt(2)
+            self.sqrt2_pow += p
+            if abs(self.coeff) >= 2.0:
+                self.coeff /= 2
+                self.sqrt2_pow += 2
 
     def mul(self, other: "ScalarC") -> None:
         if self.is_zero:

@@ -22,41 +22,37 @@ elimination for a simple graph of Z-spiders joined by single Hadamard
 edges, with boundary wires hanging off it.
 
 Worklist: a rule can only start to match at or next to a change, so the
-rules look only at spiders on a worklist.  Every rewrite appends the spiders
-whose phase, kind or edges it changed to one log, and each reader (a rule
-that takes spiders from the worklist) is handed only the spiders of its
-phase class that it could now match at: identity removal a phase-0 spider
-with at most two neighbours, local complementation a +-pi/2 spider, copy a
-Pauli spider with one neighbour, pivoting the lower end of a pair of Pauli
-neighbours, and scalar elimination a component of at most two spiders.
-The log is handed out in batches, each read in the diagram's state at that
-moment: a sweep gives its own reader the spiders of each of its rewrites
-at once, so that those ahead join the sweep, and the other readers the
-whole sweep's log in one flush when it ends; pivoting, which runs only
-once the other rules stop, reads the log when it is about to run.
+rules look only at spiders on a worklist.  Every rewrite ends by touching
+the spiders whose phase, kind or edges it changed.  The touch classifies
+each of them once, in the state the rewrite left, and hands it to every
+reader (a rule that takes spiders from the worklist) that could now match
+at it: identity removal a phase-0 spider with two legs, local
+complementation a +-pi/2 spider, copy a Pauli spider with one neighbour and
+scalar elimination a spider in a component of at most two.  Pivoting gets
+every touched spider and turns them into the lower ends of pairs of Pauli
+neighbours when it runs.  A sweep's reader takes what each of its rewrites
+touched at once, so that the spiders ahead join the sweep.
 
 Why the rewrites are the same as a rescan's: when a reader runs, it holds
-every spider its rule matches at.  A spider that matches now either was
-handed out when it last changed, in the state it is still in, or changed
-since and was logged again, and every log entry is handed out before the
-readers that can match at it run.  A change at a neighbour that can make
-a spider match logs that neighbour, and the hand-out then looks at the
-spider too: a colour change, for every rule; a neighbour's phase, for
-pivoting; a neighbour's degree, for scalar elimination; and for copy any
-change at the copying neighbour, which hands out again the spiders copy
-refused for its sake.  Each end of an edge a rewrite adds or removes is
-logged.  Handing out more changes nothing: a rule refuses a spider where
-it does not match.  The rules keep their priority (fusion, identity and
-copy to a fixed point, then local complementation, pivoting and scalar
-elimination) and every sweep visits its spiders in id order, so the
-rewrites are those a rescan of the whole diagram would make, in the same
-order.  :func:`simplify_in_place` is the one body: a
-fresh call logs every spider once ``_start`` has made the diagram
-graph-like, while the decomposition tree passes only the spiders a term
-changed in an already simplified diagram.  That diagram is copied once per
-extra branch and rewritten in place for the last one;
-:func:`clifford_simplify` and :func:`param_safe_simplify` copy their input
-and leave it untouched.
+every spider its rule matches at.  A spider that matches now was touched
+when it last changed, in the state it is still in, and handed out then.
+A change at a neighbour that can make a spider match touches that
+neighbour, and the hand-out then looks at the spider too: a colour change,
+for every rule; a neighbour's phase, for pivoting; a neighbour's degree,
+for scalar elimination; and for copy any change at the copying neighbour,
+which hands out again the spiders copy refused for its sake.  Each end of
+an edge a rewrite adds or removes is touched.  Handing out more changes
+nothing: a rule refuses a spider where it does not match, as it does one
+that changed again since it was handed out.  The rules keep their priority
+(fusion, identity and copy to a fixed point, then local complementation,
+pivoting and scalar elimination) and every sweep visits its spiders in id
+order, so the rewrites are those a rescan of the whole diagram would make,
+in the same order.  :func:`simplify_in_place` is the one body: a fresh
+call touches every spider once ``_start`` has made the diagram graph-like,
+while the decomposition tree passes only the spiders a term changed in an
+already simplified diagram.  That diagram is copied once per extra branch
+and rewritten in place for the last one; :func:`clifford_simplify` and
+:func:`param_safe_simplify` copy their input and leave it untouched.
 
 Parameter safety: a rule touching the *pivotal* spiders of a match requires
 them parameter-free, while mere neighbours may carry boolean parameters,
@@ -111,133 +107,73 @@ _Z, _X, _BOUNDARY = SpiderKind.Z, SpiderKind.X, SpiderKind.BOUNDARY
 _PLAIN, _HADAMARD = EdgeKind.PLAIN, EdgeKind.HADAMARD
 _Z_SPIDERS = _FIXED_SPIDERS[_Z]  # the parameter-free Z-spider records, by phase
 _ONE_H = (0, 1)  # the edge counts of one Hadamard edge
+_ONE_H_ONLY = frozenset([_ONE_H])  # a row's values in graph-like form
 
 
 class _Worklist:
-    """Spiders whose phase, kind or edges changed, kept as one append-only
-    log, and per reader the set of spiders handed to it and not yet read.
+    """Per reader, the set of spiders handed to it and not yet read.
 
-    A rule but scalar elimination matches only at a parameter-free Z-spider
-    of its phase class, so that is all its reader gets; the ``_own_*``
-    functions say which spiders of a batch of log entries each reader takes.
-    Identity removal and local complementation look only at a spider's own
-    phase and edges (and its neighbours' kinds, which only a colour change
-    alters, logging them too), so they get logged spiders alone.  So does
-    scalar elimination, which also reads the one neighbour's degree: a
-    change there logs that neighbour, and a component of two is found from
-    either end.  Copy needs a Pauli spider with one neighbour; its match
-    also depends on that neighbour, so a spider it refused for the
-    neighbour's sake waits in ``blocked`` until the neighbour is logged.
-    Pivoting needs a pair of Pauli neighbours, one of them changed.
-    ``flush`` hands the entries since its last call to identity removal,
-    copy, local complementation and scalar elimination, and ``flush_late``
-    to pivoting, which runs only once the others stop, just before it runs.
+    Every rewrite ends with one ``touch`` of the spiders whose phase, kind
+    or edges it changed.  It classifies each of them once, in the state the
+    rewrite left, and adds it to the set of every reader that could now
+    match at it.  A rule matches only at a parameter-free Z-spider: identity
+    removal at phase 0 with two legs, copy at a Pauli spider with one
+    neighbour, local complementation at +-pi/2, and scalar elimination in a
+    component of at most two spiders.  Pivoting matches at the lower end of
+    a pair of Pauli neighbours; its set holds every touched spider, which
+    ``_pivot_ends`` turns into those ends when pivoting runs.  Only copy and
+    scalar elimination read a neighbour's state: a change there touches that
+    neighbour, and a component of two is found from either end.  Copy also
+    refuses a spider for its neighbour's sake; the spider then waits in
+    ``blocked``, keyed by that neighbour, until the neighbour is touched.
     Fusion has a list of its own, ``plain``, holding an end of every plain
     edge between Z-spiders; only the caller, a colour change and identity
     removal make such edges outside fusion, which removes them all.
     """
 
-    __slots__ = ("spiders", "adj", "log", "done", "late", "todo", "plain", "blocked")
+    __slots__ = ("spiders", "adj", "todo", "plain", "blocked")
 
     def __init__(self, g: ZxDiagram):
         self.spiders = g.spiders
         self.adj = g.adj
-        self.log: list[int] = []
-        self.done = 0  # the log entries handed out by ``flush``
-        self.late = 0  # the log entries handed out by ``flush_late``
         self.todo: list[set[int]] = [set(), set(), set(), set(), set()]
         self.plain: list[int] = []
-        # Pauli spiders with one neighbour that copy refused for that
-        # neighbour's sake; a change there hands them out again
-        self.blocked: set[int] = set()
+        # neighbour -> the Pauli spiders copy refused for its sake
+        self.blocked: dict[int, list[int]] = {}
 
-    def touch(self, *vs: int) -> None:
+    def touch(self, vs) -> None:
         """The phase, kind or edges of the spiders ``vs`` changed."""
-        self.log.extend(vs)
-
-    def flush(self, skip: int = -1) -> None:
-        """Hand the spiders logged since the last flush to identity removal,
-        copy, local complementation and scalar elimination, but not to
-        ``skip``."""
-        log, done = self.log, self.done
-        if done == len(log):
-            return
-        self.done = len(log)
-        window = set(log[done:])
-        for reader in (_ID, _COPY, _LCOMP, _SCALAR):
-            if reader != skip:
-                self.todo[reader].update(_OWN[reader](self, window))
-
-    def unblocked(self, window: set[int]) -> list[int]:
-        """The blocked spiders next to ``window``, now no longer blocked."""
-        adj = self.adj
-        out = [u for u in self.blocked if u in adj and not adj[u].keys().isdisjoint(window)]
-        self.blocked.difference_update(out)
-        return out
-
-    def flush_late(self) -> None:
-        """Hand the spiders logged since the last call to pivoting, which
-        runs only once the other rules stop."""
-        log, late = self.log, self.late
-        if late == len(log):
-            return
-        self.late = len(log)
-        self.todo[_PIVOT].update(_own_pivot(self, log[late:]))
-
-    def take(self, reader: int) -> set[int]:
-        """The spiders handed to ``reader``, leaving it none."""
-        todo = self.todo[reader]
-        self.todo[reader] = set()
-        return todo
-
-
-def _own_identity(wl: _Worklist, vs) -> list[int]:
-    """The phase-0 spiders among ``vs`` with at most two neighbours."""
-    spiders, adj = wl.spiders, wl.adj
-    out = []
-    for v in vs:
-        row = adj.get(v)
-        if row is not None and len(row) <= 2:
+        spiders, adj, blocked = self.spiders, self.adj, self.blocked
+        ident, copy, lcomp, pivot, scalar = self.todo
+        pivot.update(vs)  # _pivot_ends looks for the pairs when pivoting runs
+        for v in vs:
+            if blocked and v in blocked:
+                copy.update(blocked.pop(v))
             s = spiders[v]
-            if not s.phase.fixed and s.kind == _Z and not s.phase.params:
-                out.append(v)
-    return out
+            phase = s.phase
+            if s.kind != _Z or phase.params:
+                continue
+            row = adj[v]
+            n = len(row)
+            k = phase.fixed
+            if k & 3:
+                if not k & 1:
+                    lcomp.add(v)
+            else:
+                if n == 1:
+                    copy.add(v)
+                if not k and (n == 2 or n == 1 and sum(*row.values()) == 2):
+                    ident.add(v)  # two legs
+            if n < 2 and (not n or len(adj[next(iter(row))]) == 1):
+                scalar.add(v)
 
 
-def _own_lcomp(wl: _Worklist, vs) -> list[int]:
-    """The +-pi/2 spiders among ``vs``."""
-    spiders = wl.spiders
-    out = []
-    for v in vs:
-        s = spiders.get(v)
-        if s is not None and s.kind == _Z and not s.phase.params:
-            k = s.phase.fixed
-            if k == 2 or k == 6:
-                out.append(v)
-    return out
-
-
-def _own_copy(wl: _Worklist, vs) -> list[int]:
-    """The Pauli spiders with one neighbour among ``vs``, and the blocked
-    ones next to ``vs``."""
-    spiders, adj = wl.spiders, wl.adj
-    window = set(vs)
-    out = wl.unblocked(window) if wl.blocked else []
-    for v in window:
-        row = adj.get(v)
-        if row is not None and len(row) == 1:
-            s = spiders[v]
-            if not s.phase.fixed & 3 and s.kind == _Z and not s.phase.params:
-                out.append(v)
-    return out
-
-
-def _own_pivot(wl: _Worklist, vs) -> list[int]:
+def _pivot_ends(wl: _Worklist, vs) -> list[int]:
     """The lower end of every pair of Pauli neighbours, one of them among
     ``vs``: the spider the pivot sweep matches the pair at."""
     spiders, adj = wl.spiders, wl.adj
     out = []
-    for v in set(vs):
+    for v in vs:
         row = adj.get(v)
         if row is None:
             continue
@@ -251,43 +187,23 @@ def _own_pivot(wl: _Worklist, vs) -> list[int]:
     return out
 
 
-def _own_scalar(wl: _Worklist, vs) -> list[int]:
-    """The spiders among ``vs`` in a component of at most two spiders."""
-    adj = wl.adj
-    out = []
-    for v in vs:
-        row = adj.get(v)
-        if row is not None and len(row) < 2 and (not row or len(adj[next(iter(row))]) == 1):
-            out.append(v)
-    return out
+def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, fire, trace: Trace | None,
+           ends=None) -> int:
+    """Try ``fire`` in id order at the reader's worklist spiders (``ends``
+    of them, if given).
 
-
-# what a reader takes from a batch of log entries: a sweeping reader after
-# each of its own rewrites, the others in ``flush`` or ``flush_late``
-_OWN = {_ID: _own_identity, _COPY: _own_copy, _LCOMP: _own_lcomp, _PIVOT: _own_pivot,
-        _SCALAR: _own_scalar}
-
-
-def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, fire, trace: Trace | None) -> int:
-    """Try ``fire`` in id order at the reader's worklist spiders.
-
-    After each rewrite the reader alone takes, from the entries the rewrite
-    logged, the spiders it could now match at: one whose id lies ahead joins
-    this sweep, as in one pass over every spider, and the rest wait for the
-    next sweep.  The other readers run only after the sweep, so they are
-    handed its whole log in one flush at its end, in the diagram's state
-    then.  That gives each of them every spider it matches at when it runs,
-    as a flush after every rewrite would: a spider that matches then changed
-    at some rewrite of the sweep or before it, and a spider handed out on
-    the way that stopped matching is refused by the rule.
+    While the sweep runs, its reader's set collects what each rewrite
+    touches: after the rewrite, a spider whose id lies ahead joins this
+    sweep, as in one pass over every spider, and the rest wait for the next
+    sweep.  The other readers' sets fill as the rewrites touch spiders.
     """
-    spiders, log = g.spiders, wl.log
-    own = _OWN[reader]
-    heap = sorted(wl.take(reader))
-    waiting = wl.todo[reader]
+    spiders, todo = g.spiders, wl.todo
+    heap = todo[reader]
+    new = todo[reader] = set()
+    heap = sorted(heap if ends is None else set(ends(wl, heap)))
+    waiting = set()
     applied = 0
     last = -1
-    mark = len(log)
     while heap:
         v = heapq.heappop(heap)
         if v == last or v not in spiders:
@@ -296,13 +212,14 @@ def _sweep(g: ZxDiagram, wl: _Worklist, reader: int, fire, trace: Trace | None) 
         if not fire(g, wl, v, trace):
             continue
         applied += 1
-        for u in own(wl, log[mark:]):
-            if u > v:
-                heapq.heappush(heap, u)
-            else:
-                waiting.add(u)
-        mark = len(log)
-    wl.flush(reader)
+        if new:
+            for u in new if ends is None else ends(wl, new):
+                if u > v:
+                    heapq.heappush(heap, u)
+                else:
+                    waiting.add(u)
+            new.clear()
+    todo[reader] = waiting
     return applied
 
 
@@ -326,8 +243,10 @@ def _colour_change(g: ZxDiagram, v: int, trace: Trace | None) -> None:
     """Turn X-spider ``v`` into a Z-spider: clear its self-loops, whose kind a
     colour change keeps as both ends flip, then toggle its other edges."""
     _clear_self_loops(g, v, trace)
-    for u, (plain, had) in list(g.adj[v].items()):
-        g.set_edges(v, u, had, plain)
+    adj = g.adj
+    row_v = adj[v]
+    for u, (plain, had) in row_v.items():
+        row_v[u] = adj[u][v] = (had, plain)  # same keys: the dict keeps its order
     g.spiders[v] = Spider.of(_Z, g.spiders[v].phase)
 
 
@@ -357,45 +276,47 @@ def _add_edge_norm(g: ZxDiagram, u: int, v: int, kind: EdgeKind, trace: Trace | 
 
 def _start(g: ZxDiagram, vs: list[int], wl: _Worklist, trace: Trace | None) -> None:
     """Bring the spiders ``vs`` (ascending ids) into graph-like form, the
-    rest of the diagram being graph-like already, and log them.
+    rest of the diagram being graph-like already, and touch them.
 
     The X-spiders among them are colour-changed and every self-loop cleared
-    first, in id order, logging the neighbours outside ``vs`` whose edges
+    first, in id order, touching the neighbours outside ``vs`` whose edges
     changed kind.  One pass over their rows then notes the rows other than
     single Hadamard edges; only those are read again, to list their spiders
     for fusion and to cancel parallel Hadamard edges between Z-spiders in id
     order.  A spider next to ``vs`` with no other neighbour may be one copy
-    refused for that neighbour's sake, so it waits as the blocked ones do.
+    refused for that neighbour's sake, so copy gets it again.
     """
     spiders, adj = g.spiders, g.adj
     members = set(vs)
-    for v in vs:
+    outside = []  # the other spiders whose edges changed
+    for v in [v for v in vs if spiders[v].kind == _X or v in adj[v]]:
         if spiders[v].kind == _X:
             _colour_change(g, v, trace)
             # every edge changed kind, at both of its ends
-            wl.touch(*[u for u in adj[v] if u not in members])
-        elif v in adj[v]:
+            outside += adj[v].keys() - members
+        else:
             _clear_self_loops(g, v, trace)
-    odd = []  # the spiders with an edge entry other than one Hadamard edge
     for v in vs:
-        for row in adj[v].values():
-            if row != _ONE_H:
-                odd.append(v)
-                break
-    for v in odd:
         row_v = adj[v]
-        if any(row[0] for row in row_v.values()):
+        if _ONE_H_ONLY.issuperset(row_v.values()):
+            continue
+        plain = doubled = False
+        for row in row_v.values():
+            plain = plain or row[0] > 0
+            doubled = doubled or row[1] > 1
+        if plain:
             wl.plain.append(v)
-        if spiders[v].kind != _Z:
+        if not doubled or spiders[v].kind != _Z:
             continue
         for u in [u for u, row in row_v.items() if row[1] >= 2]:
             if (u > v or u not in members) and spiders[u].kind == _Z:
                 _reduce_parallel_h(g, v, u, trace)
-                wl.touch(u)
-    wl.touch(*vs)
+                outside.append(u)
+    wl.touch(vs)
+    wl.touch(outside)
     if len(members) < len(spiders):
-        wl.blocked.update(u for v in vs for u in adj[v]
-                          if u not in members and len(adj[u]) == 1)
+        wl.todo[_COPY].update(u for v in vs for u in adj[v]
+                              if u not in members and len(adj[u]) == 1)
 
 
 # -- rules -------------------------------------------------------------------
@@ -417,7 +338,7 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     wl.plain = []
     if not rows:
         return 0
-    queue = [(u, v) for u in sorted(rows) for v, row in adj[u].items() if v >= u
+    queue = [(u, v) for u in sorted(rows) for v, row in adj[u].items() if row[0] and v >= u
              for _ in range(row[0])]
     applied = 0
     while queue:
@@ -431,31 +352,43 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
             continue
         if v < u:
             u, v = v, u  # lower id survives
-        absorbed_phase = spiders[v].phase
-        g.set_edges(u, v, row[0] - 1, row[1])
+        if row[0] > 1 or row[1]:
+            adj[u][v] = adj[v][u] = (row[0] - 1, row[1])
+        else:
+            del adj[u][v], adj[v][u]
         # absorb v into u: remaining u-v edges become self-loops on u
-        moved = list(adj[v].items())
         row_u = adj[u]
-        for x, (plain, had) in moved:
+        changed = [u]
+        for x, (plain, had) in adj.pop(v).items():
             if x != v:
                 del adj[x][v]
-            target = u if x == u or x == v else x
+            if x == u or x == v:
+                x = u
+            else:
+                changed.append(x)
             # both ends written here, as ZxDiagram.set_edges would, whose
             # call's cost shows in this inner loop
-            kept = row_u.get(target, NO_EDGES)
-            row_u[target] = adj[target][u] = (kept[0] + plain, kept[1] + had)
-        del adj[v], spiders[v]
-        spiders[u] = spiders[u].with_phase(spiders[u].phase.add(absorbed_phase))
+            kept = row_u.get(x, NO_EDGES)
+            row_u[x] = adj[x][u] = (kept[0] + plain, kept[1] + had)
+        pu, pv = spiders[u].phase, spiders.pop(v).phase
+        if pu.params or pv.params:
+            spiders[u] = Spider.of(_Z, pu.add(pv))
+        else:
+            spiders[u] = _Z_SPIDERS[(pu.fixed + pv.fixed) & 7]
         if trace is not None:
             trace.record(g, RULE_FUSE, [u, v])
         if u in row_u:
             _clear_self_loops(g, u, trace)
-        for x, row in list(row_u.items()):
-            if row[1] >= 2 and spiders[x].kind == _Z:
-                _reduce_parallel_h(g, u, x, trace)
+        doubled = []
+        for x, row in row_u.items():
             if row[0]:
                 queue.append((u, x))
-        wl.touch(*[x for x, _ in moved if x != u and x != v], u)
+            if row[1] >= 2:
+                doubled.append(x)
+        for x in doubled:
+            if spiders[x].kind == _Z:
+                _reduce_parallel_h(g, u, x, trace)
+        wl.touch(changed)
         applied += 1
     return applied
 
@@ -464,23 +397,30 @@ def _identity_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bo
     s = g.spiders[v]
     if s.kind != _Z or s.phase.fixed or s.phase.params:
         return False
-    row_v = g.adj[v]
-    if len(row_v) > 2:
+    adj = g.adj
+    row_v = adj[v]
+    # two legs: one edge to each of two neighbours, or two edges to one
+    if len(row_v) == 2:
+        (x, row_x), (y, row_y) = row_v.items()
+        if sum(row_x) != 1 or sum(row_y) != 1:
+            return False
+        kind = _PLAIN if row_x == row_y else _HADAMARD
+        del adj[y][v]
+    elif len(row_v) == 1:
+        ((x, row_x),) = row_v.items()
+        if sum(row_x) != 2:
+            return False
+        y = x
+        kind = _HADAMARD if row_x[0] == 1 else _PLAIN
+    else:
         return False
-    legs = []
-    for u, row in row_v.items():
-        legs += [(u, _PLAIN)] * row[0] + [(u, _HADAMARD)] * row[1]
-    if len(legs) != 2:
-        return False
-    (x, k1), (y, k2) = legs
-    g.remove_spider(v)
-    kind = _PLAIN if k1 == k2 else _HADAMARD
+    del adj[x][v], adj[v], g.spiders[v]
     _add_edge_norm(g, x, y, kind, trace)
     if kind == _PLAIN:
         wl.plain.append(x)
     if trace is not None:
         trace.record(g, RULE_IDENTITY, [v, x, y])
-    wl.touch(x, y)
+    wl.touch((x, y))
     return True
 
 
@@ -510,27 +450,28 @@ def _copy_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     a = s.phase.fixed >> 2
     # e^(i*a*beta) would depend on the assignment when w has parameters
     if sw.kind != _Z or a and sw.phase.params:
-        wl.blocked.add(v)
+        wl.blocked.setdefault(w, []).append(v)
         return False
     others = []
     for t, row in adj[w].items():
         if t != v:
             if row[0] or spiders[t].kind != _Z:
-                wl.blocked.add(v)
+                wl.blocked.setdefault(w, []).append(v)
                 return False
             others.append(t)
     # pushing the X-basis state through w: each neighbour gains a*pi,
     # w and the copier disappear
     if a:
         g.scalar.mul_phase8(sw.phase.fixed)
-        for t in others:
-            _shift_phase(spiders, t, 4)
     g.scalar.mul_sqrt2(1 - len(others))
-    g.remove_spider(v)
-    g.remove_spider(w)
+    for t in others:
+        del adj[t][w]
+        if a:
+            _shift_phase(spiders, t, 4)
+    del adj[v], adj[w], spiders[v], spiders[w]
     if trace is not None:
         trace.record(g, RULE_COPY, [v, w] + others)
-    wl.touch(*others)
+    wl.touch(others)
     return True
 
 
@@ -579,7 +520,11 @@ def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     del adj[v], spiders[v]
     scalar = g.scalar
     for i, t in enumerate(nbrs):
-        _shift_phase(spiders, t, shift)
+        phase = spiders[t].phase
+        if phase.params:
+            spiders[t] = spiders[t].with_phase(phase.add_fixed(shift))
+        else:
+            spiders[t] = _Z_SPIDERS[(phase.fixed + shift) & 7]
         row_t = adj[t]
         del row_t[v]
         for x in nbrs[i + 1:]:
@@ -595,7 +540,7 @@ def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     scalar.mul_sqrt2((n - 1) * (n - 2) // 2)
     if trace is not None:
         trace.record(g, RULE_LCOMP, [v] + nbrs)
-    wl.touch(*nbrs)
+    wl.touch(nbrs)
     return True
 
 
@@ -638,7 +583,7 @@ def _pivot_at(g: ZxDiagram, wl: _Worklist, u: int, trace: Trace | None) -> bool:
         g.scalar.mul_sqrt2(p * q + p * r + q * r + 1 - p - q - 2 * r)
         if trace is not None:
             trace.record(g, RULE_PIVOT, [u, v] + only_u + only_v + common)
-        wl.touch(*only_u, *only_v, *common)
+        wl.touch(only_u + only_v + common)
         return True
     return False
 
@@ -660,7 +605,8 @@ def _scalar_elim_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
     """Evaluate connected components of one or two spiders."""
     spiders, adj = g.spiders, g.adj
     comps: dict[int, tuple[int, ...]] = {}
-    for v in wl.take(_SCALAR):
+    todo, wl.todo[_SCALAR] = wl.todo[_SCALAR], set()
+    for v in todo:
         row = adj.get(v)
         if row is None or len(row) > 1:
             continue
@@ -712,11 +658,9 @@ def simplify_in_place(g: ZxDiagram, touched=None, trace: Trace | None = None) ->
                 for v in list(g.spiders):
                     g.remove_spider(v)
             return
-        # a pass runs only when the worklist handed it a spider to look at;
-        # a sweep flushes its log when it ends, so only fusion's is behind here
+        # a pass runs only when the worklist handed it a spider to look at
         while True:
             fired = _fuse_pass(g, wl, trace)
-            wl.flush()
             if todo[_ID]:
                 fired += _sweep(g, wl, _ID, _identity_at, trace)
             if todo[_COPY]:
@@ -727,8 +671,7 @@ def simplify_in_place(g: ZxDiagram, touched=None, trace: Trace | None = None) ->
             continue
         if todo[_LCOMP] and _sweep(g, wl, _LCOMP, _lcomp_at, trace):
             continue
-        wl.flush_late()  # the rest of this round logs nothing until a rule fires
-        if todo[_PIVOT] and _sweep(g, wl, _PIVOT, _pivot_at, trace):
+        if todo[_PIVOT] and _sweep(g, wl, _PIVOT, _pivot_at, trace, _pivot_ends):
             continue
         # evaluating whole components changes no other spider, so no rule
         # can match anew: only a zero scalar is left to handle

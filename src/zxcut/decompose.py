@@ -21,7 +21,9 @@ steps over tables of about 4 * 2^(n/2) numbers.  Only larger nodes branch.
 """
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -144,25 +146,33 @@ def _pick_t_pair(g: ZxDiagram, ts: list[int]) -> tuple[int, int]:
     Above the dense cutoff every simplified spider that is not a T-spider
     is a Pauli spider.  One next to both spiders of the pair loses both
     edges in the ``mergeS`` term and gains a Clifford neighbour in the
-    ``flipX`` term, so simplification shrinks both children."""
+    ``flipX`` term, so simplification shrinks both children.
+
+    The candidates come from the spiders that are not T-spiders: each adds
+    one to every pair of its T neighbours, which counts the first key of
+    every pair that shares one.  Only the pairs with the top count are
+    compared by the symmetric difference; every pair of ``ts`` (ascending
+    ids) is, only when no two T-spiders share such a neighbour."""
     adj = g.adj
     tset = set(ts)
-    nbrs = [adj[v].keys() for v in ts]
-    paulis = [n - tset for n in nbrs]
-    # the key, largest first: (shared non-T neighbours, minus the symmetric
-    # difference of the neighbourhoods N_a and N_b without a and b themselves)
-    best, pair = (-1, 0), None
-    for i, (a, na, pa) in enumerate(zip(ts, nbrs, paulis)):
-        if len(pa) < best[0]:
-            continue  # no pair with this spider can share as many
-        for j in range(i + 1, len(ts)):
-            pb = paulis[j]
-            if len(pb) < best[0]:
-                continue
-            nb = nbrs[j]
-            key = (len(pa & pb), 2 * len(na & nb) + 2 * (ts[j] in na) - len(na) - len(nb))
-            if key > best:
-                best, pair = key, (a, ts[j])
+    shared = collections.Counter()
+    for v, row in adj.items():
+        if v not in tset:
+            tn = row.keys() & tset
+            if len(tn) > 1:
+                shared.update(itertools.combinations(sorted(tn), 2))
+    if shared:
+        top = max(shared.values())
+        pairs = sorted(pair for pair, n in shared.items() if n == top)
+    else:
+        pairs = itertools.combinations(ts, 2)
+    # minus the symmetric difference of N_a and N_b without a and b themselves
+    best, pair = None, None
+    for a, b in pairs:
+        na, nb = adj[a].keys(), adj[b].keys()
+        key = 2 * len(na & nb) + 2 * (b in na) - len(na) - len(nb)
+        if best is None or key > best:
+            best, pair = key, (a, b)
     return pair
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -326,6 +327,34 @@ def test_pair_full_ties_go_to_the_lowest_ids():
     # Pauli spider 4 and has no other neighbour
     d = _graph_like([7, 5, 3, 1, 0], [(t, 4) for t in range(4)])
     assert _pair(d) == (0, 1)
+
+
+def _reference_pair(d):
+    """The documented key, compared over every pair of T-spiders."""
+    ts = sorted(v for v, s in d.spiders.items() if s.phase.fixed & 1)
+
+    def key(a, b):
+        na, nb = set(d.adj[a]) - {b}, set(d.adj[b]) - {a}
+        return (len((na & nb) - set(ts)), -len(na ^ nb), -a, -b)
+    return max(itertools.combinations(ts, 2), key=lambda pair: key(*pair))
+
+
+def test_pair_matches_a_scan_of_every_pair():
+    # counting through the shared Pauli spiders picks what comparing every
+    # pair by the documented key picks, also where no Pauli spider has two
+    # T neighbours and every pair ties on the first key
+    rng = default_rng(29)
+    unshared = 0
+    for i in range(400):
+        n = int(rng.integers(4, 24))
+        d = random_graphlike_diagram(rng, n, float(rng.choice([0.05, 0.15, 0.3, 0.6])))
+        ts = sorted(v for v, s in d.spiders.items() if s.phase.fixed & 1)
+        if len(ts) < 2:
+            continue
+        if all(len(d.adj[v].keys() & set(ts)) < 2 for v in d.spiders if v not in ts):
+            unshared += 1
+        assert _pair(d) == _reference_pair(d), i
+    assert unshared >= 50
 
 
 def test_four_t_leaf_cap():

@@ -29,7 +29,7 @@ reader (a rule that takes spiders from the worklist) that could now match
 at it: identity removal a phase-0 spider with two legs, local
 complementation a +-pi/2 spider, copy a Pauli spider with one neighbour and
 scalar elimination a spider in a component of at most two.  Pivoting gets
-every touched spider and turns them into the lower ends of pairs of Pauli
+every Pauli spider and turns them into the lower ends of pairs of Pauli
 neighbours when it runs.  A sweep's reader takes what each of its rewrites
 touched at once, so that the spiders ahead join the sweep.
 
@@ -120,7 +120,7 @@ class _Worklist:
     removal at phase 0 with two legs, copy at a Pauli spider with one
     neighbour, local complementation at +-pi/2, and scalar elimination in a
     component of at most two spiders.  Pivoting matches at the lower end of
-    a pair of Pauli neighbours; its set holds every touched spider, which
+    a pair of Pauli neighbours; its set holds the Pauli spiders, which
     ``_pivot_ends`` turns into those ends when pivoting runs.  Only copy and
     scalar elimination read a neighbour's state: a change there touches that
     neighbour, and a component of two is found from either end.  Copy also
@@ -145,7 +145,6 @@ class _Worklist:
         """The phase, kind or edges of the spiders ``vs`` changed."""
         spiders, adj, blocked = self.spiders, self.adj, self.blocked
         ident, copy, lcomp, pivot, scalar = self.todo
-        pivot.update(vs)  # _pivot_ends looks for the pairs when pivoting runs
         for v in vs:
             if blocked and v in blocked:
                 copy.update(blocked.pop(v))
@@ -160,6 +159,7 @@ class _Worklist:
                 if not k & 1:
                     lcomp.add(v)
             else:
+                pivot.add(v)
                 if n == 1:
                     copy.add(v)
                 if not k and (n == 2 or n == 1 and sum(*row.values()) == 2):

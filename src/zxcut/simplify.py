@@ -370,6 +370,7 @@ def _fuse_pass(g: ZxDiagram, wl: _Worklist, trace: Trace | None) -> int:
             # call's cost shows in this inner loop
             kept = row_u.get(x, NO_EDGES)
             row_u[x] = adj[x][u] = (kept[0] + plain, kept[1] + had)
+        # the summed phase, a shared record when parameter-free
         pu, pv = spiders[u].phase, spiders.pop(v).phase
         if pu.params or pv.params:
             spiders[u] = Spider.of(_Z, pu.add(pv))
@@ -515,8 +516,9 @@ def _lcomp_at(g: ZxDiagram, wl: _Worklist, v: int, trace: Trace | None) -> bool:
     nbrs = sorted(row_v)
     n = len(nbrs)
     shift = 6 if k == 2 else 2
-    # v goes; each neighbour's phase shifts, and the edge between each pair
-    # of neighbours toggles, as in _toggle_pairs, whose call's cost shows here
+    # v goes; each neighbour's phase shifts, as in _shift_phase, and the edge
+    # between each pair of neighbours toggles, as in _toggle_pairs: the cost
+    # of their calls shows here
     del adj[v], spiders[v]
     scalar = g.scalar
     for i, t in enumerate(nbrs):

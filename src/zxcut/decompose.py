@@ -151,8 +151,8 @@ def _pick_t_pair(g: ZxDiagram, ts: list[int]) -> tuple[int, int]:
     The candidates come from the spiders that are not T-spiders: each adds
     one to every pair of its T neighbours, which counts the first key of
     every pair that shares one.  Only the pairs with the top count are
-    compared by the symmetric difference; every pair of ``ts`` (ascending
-    ids) is, only when no two T-spiders share such a neighbour."""
+    compared by the symmetric difference.  Every pair of ``ts`` (ascending
+    ids) is compared only when no two T-spiders share such a neighbour."""
     adj = g.adj
     tset = set(ts)
     shared = collections.Counter()

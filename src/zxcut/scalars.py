@@ -111,7 +111,9 @@ class ScalarC:
             return
         c, p = _PHASE8[k % 8]
         self.coeff *= c
-        if p:  # c is 1 +- i, and |coeff| in [1/2, 2) grows by sqrt(2)
+        # a unit c keeps |coeff| in [1/2, 2); c = +-1 +- i scales it by
+        # sqrt(2), which one halving brings back into range
+        if p:
             self.sqrt2_pow += p
             if abs(self.coeff) >= 2.0:
                 self.coeff /= 2
